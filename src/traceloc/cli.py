@@ -9,6 +9,7 @@ configuration, and seed, two runs produce byte-identical output trees.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from . import ingest, report, synth
 from .diagnostics import Diagnostics, logger
-from .geo import GeoPoint, SpatialIndex, cluster_candidates, load_city_catalog
+from .geo import CityCluster, GeoPoint, SpatialIndex, cluster_candidates, load_city_catalog
 from .ingest import CleanPath, ip_key
 from .refine import (
     CandidateState,
@@ -117,8 +118,6 @@ _SECTION_FIELDS = {
 
 def _convert(key: str, raw: str, typ: type):
     try:
-        if typ is bool:
-            return raw.lower() in ("1", "true", "yes")
         return typ(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key}: cannot parse {raw!r} as {typ.__name__}") from exc
@@ -189,7 +188,7 @@ def load_config(path: str | Path, args: argparse.Namespace | None = None) -> Pip
     if args is not None:
         if getattr(args, "out", None):
             cfg.out_dir = args.out
-        if getattr(args, "threads", None):
+        if getattr(args, "threads", None) is not None:
             cfg.threads = args.threads
         if getattr(args, "seed", None) is not None:
             cfg.seed = args.seed
@@ -252,7 +251,7 @@ def run(cfg: PipelineConfig) -> int:
 
     table = report.summarize(states, outcomes, paths)
     report.write_summary_csv(table, out_dir / "summary.csv")
-    baseline = report.sol_baseline(all_ips, snapshot, paths, cfg.refine, cfg.merge_radius_km)
+    baseline = report.sol_baseline(clusters_by_ip, pairs, cfg.refine)
     hist = report.cluster_histogram(states, baseline)
     report.write_histogram_csv(hist, out_dir / "clusters_hist.csv")
     distances, under_20 = report.distance_cdf(outcomes, snapshot, diag)
@@ -373,8 +372,6 @@ def score_cmd(results_dir: str | Path, world_file: str | Path,
 
     states: dict[str, CandidateState] = {}
     outcomes: dict[str, ResolutionOutcome] = {}
-    from .geo import CityCluster  # local import keeps module deps one-way
-
     for line in ips_file.read_text(encoding="utf-8").splitlines():
         if not line.strip():
             continue
@@ -406,10 +403,8 @@ def score_cmd(results_dir: str | Path, world_file: str | Path,
 
     report_obj = synth.score_against_truth(outcomes, states, world, displaced)
     out_path = results_dir / "score.csv"
-    import csv as _csv
-
     with out_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["metric", "value"])
         writer.writerows(report_obj.rows())
     logger.info("score written to %s", out_path)

@@ -15,8 +15,9 @@ class Diagnostics:
     def __init__(self) -> None:
         self.counters: Counter[str] = Counter()
 
-    def warn(self, name: str, message: str) -> None:
-        self.counters[name] += 1
+    def warn(self, name: str, message: str, n: int = 1) -> None:
+        """Count ``n`` occurrences of ``name`` under one logged message."""
+        self.counters[name] += n
         logger.warning("%s: %s", name, message)
 
     def count(self, name: str) -> int:

@@ -10,6 +10,7 @@ through the rate-limited :func:`fetch_geo` client.
 from __future__ import annotations
 
 import csv
+import functools
 import ipaddress
 import json
 import os
@@ -47,17 +48,26 @@ def ip_key(ip: str) -> int:
     return int(ipaddress.IPv4Address(ip))
 
 
-def _valid_ipv4(text: str) -> bool:
+# A corpus names each address many times.  Each reading call wraps the
+# test below (or the bogon test) in a fresh functools.cache, so a distinct
+# address is parsed once per call and the cache is dropped with the call.
+
+
+def _ip_version(text: str) -> int:
+    """4 or 6 for a valid address string, 0 for anything else."""
     try:
-        ipaddress.IPv4Address(text)
-    except (ipaddress.AddressValueError, ValueError):
-        return False
-    return True
+        return ipaddress.ip_address(text).version
+    except ValueError:
+        return 0
 
 
 def is_bogon(ip: str, networks: Iterable[ipaddress.IPv4Network] = DEFAULT_BOGONS) -> bool:
     addr = ipaddress.IPv4Address(ip)
     return any(addr in net for net in networks)
+
+
+def _cached_bogon(networks: Iterable[ipaddress.IPv4Network]) -> Callable[[str], bool]:
+    return functools.cache(functools.partial(is_bogon, networks=tuple(networks)))
 
 
 @dataclass
@@ -102,9 +112,11 @@ def parse_atlas(stream: Iterable[str], diag: Diagnostics | None = None) -> list[
     ``result[].hop`` plus each reply's ``from``/``rtt``.  Replies lacking a
     field keep ``None`` in that slot; duplicate hop numbers merge their
     replies.  Malformed lines are counted and skipped — parsing a corpus
-    never fails outright.
+    never fails outright.  IPv6 responders are counted (``atlas_ipv6``,
+    one per reply) and kept as no response, like any non-IPv4 ``from``.
     """
     diag = diag or Diagnostics()
+    version = functools.cache(_ip_version)
     out: list[RawTraceroute] = []
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
@@ -116,15 +128,18 @@ def parse_atlas(stream: Iterable[str], diag: Diagnostics | None = None) -> list[
             diag.warn("atlas_malformed", f"line {lineno}: not valid JSON")
             continue
         try:
-            rt = _atlas_record(doc)
+            rt, ipv6 = _atlas_record(doc, version)
         except (KeyError, TypeError, ValueError) as exc:
             diag.warn("atlas_malformed", f"line {lineno}: {exc}")
             continue
+        if ipv6:
+            diag.warn("atlas_ipv6", f"line {lineno}: {ipv6} IPv6 replies kept as no response", ipv6)
         out.append(rt)
     return out
 
 
-def _atlas_record(doc: object) -> RawTraceroute:
+def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTraceroute, int]:
+    """One export record and its number of IPv6 replies."""
     if not isinstance(doc, dict):
         raise ValueError("record is not an object")
     msm = doc["msm_id"]
@@ -136,6 +151,7 @@ def _atlas_record(doc: object) -> RawTraceroute:
     if not isinstance(hops_raw, list):
         raise ValueError("result must be a list")
     by_index: dict[int, RawHop] = {}
+    ipv6 = 0
     for entry in hops_raw:
         if not isinstance(entry, dict) or "hop" not in entry:
             continue
@@ -147,16 +163,17 @@ def _atlas_record(doc: object) -> RawTraceroute:
             if not isinstance(reply, dict):
                 continue
             responder = reply.get("from")
-            if not (isinstance(responder, str) and _valid_ipv4(responder)):
+            v = version(responder) if isinstance(responder, str) else 0
+            if v != 4:
+                ipv6 += v == 6
                 responder = None
             rtt = reply.get("rtt")
             if not isinstance(rtt, (int, float)) or rtt < 0:
                 rtt = None
             hop.replies.append((responder, float(rtt) if rtt is not None else None))
     hops = [by_index[k] for k in sorted(by_index)]
-    return RawTraceroute(
-        measurement_id=str(msm), probe_id=str(prb), timestamp=ts, hops=hops
-    )
+    rt = RawTraceroute(measurement_id=str(msm), probe_id=str(prb), timestamp=ts, hops=hops)
+    return rt, ipv6
 
 
 def normalize(
@@ -174,8 +191,12 @@ def normalize(
     or fewer than two hops survive.  Running the result through
     normalization again would change nothing.
     """
-    diag = diag or Diagnostics()
-    nets = tuple(bogon_filter)
+    return _normalize(rt, _cached_bogon(bogon_filter), diag or Diagnostics())
+
+
+def _normalize(
+    rt: RawTraceroute, bogon: Callable[[str], bool], diag: Diagnostics
+) -> CleanPath | None:
     hops: list[tuple[str, float]] = []
     for hop in rt.hops:
         responders = [ip for ip, _ in hop.replies if ip is not None]
@@ -187,7 +208,7 @@ def normalize(
             counts[ip] = counts.get(ip, 0) + 1
         best = max(counts.values())
         ip = next(r for r in responders if counts[r] == best)
-        if is_bogon(ip, nets):
+        if bogon(ip):
             continue
         hops.append((ip, float(statistics.median(rtts))))
 
@@ -216,11 +237,14 @@ def clean_paths(
     bogon_filter: Iterable[ipaddress.IPv4Network] = DEFAULT_BOGONS,
     diag: Diagnostics | None = None,
 ) -> list[CleanPath]:
-    """Normalize a batch, disambiguating colliding path ids with a suffix."""
+    """Normalize a batch, disambiguating colliding path ids with a suffix.
+    Each distinct responder's bogon status is decided once per batch."""
+    diag = diag or Diagnostics()
+    bogon = _cached_bogon(bogon_filter)
     out: list[CleanPath] = []
     seen: dict[str, int] = {}
     for rt in raws:
-        path = normalize(rt, bogon_filter, diag)
+        path = _normalize(rt, bogon, diag)
         if path is None:
             continue
         n = seen.get(path.path_id, 0) + 1
@@ -236,9 +260,10 @@ def load_native(stream: Iterable[str], diag: Diagnostics | None = None) -> list[
     ``{"path_id": str, "hops": [{"ip": "a.b.c.d", "rtt": float}, ...]}``.
 
     Lines violating the format or the CleanPath invariants are counted
-    and skipped.
+    and skipped.  Each distinct address string is validated once.
     """
     diag = diag or Diagnostics()
+    version = functools.cache(_ip_version)
     out: list[CleanPath] = []
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
@@ -253,7 +278,9 @@ def load_native(stream: Iterable[str], diag: Diagnostics | None = None) -> list[
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
             diag.warn("native_malformed", f"line {lineno}: bad native record")
             continue
-        if len(hops) < 2 or any(not _valid_ipv4(ip) or rtt < 0 for ip, rtt in hops):
+        if len(hops) < 2 or any(
+            not isinstance(ip, str) or version(ip) != 4 or rtt < 0 for ip, rtt in hops
+        ):
             diag.warn("native_malformed", f"line {lineno}: invalid hops")
             continue
         if any(a == b for (a, _), (b, _) in zip(hops, hops[1:])):
@@ -283,6 +310,7 @@ def load_geo_snapshot(
     (ip, source) rows keep the first occurrence.  A missing file is fatal.
     """
     diag = diag or Diagnostics()
+    version = functools.cache(_ip_version)
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"geolocation snapshot not found: {path}")
@@ -297,7 +325,7 @@ def load_geo_snapshot(
         for lineno, row in enumerate(reader, start=2):
             ip = (row["ip"] or "").strip()
             source = (row["source"] or "").strip()
-            if not _valid_ipv4(ip) or not source:
+            if version(ip) != 4 or not source:
                 diag.warn("snapshot_malformed", f"{path}:{lineno}: bad ip/source")
                 continue
             try:
@@ -438,7 +466,7 @@ def fetch_geo(
     monotonic = monotonic or time.monotonic
     cache_dir = Path(cache_dir)
 
-    wanted = sorted({ip for ip in ips if _valid_ipv4(ip)}, key=ip_key)
+    wanted = sorted({ip for ip in ips if _ip_version(ip) == 4}, key=ip_key)
     by_ip: dict[str, list[GeoRecord]] = {}
     any_success = False
     sources_down = 0

@@ -95,18 +95,27 @@ def make_states(clusters_by_ip: dict[str, list[CityCluster]]) -> dict[str, Candi
 
 
 def extract_pairs(paths: list[CleanPath]) -> list[NeighborPair]:
-    """Collect unordered adjacent-IP pairs and their RTT observations."""
+    """Collect unordered adjacent-IP pairs and their RTT observations.
+
+    Pairs come out sorted by (``ip_a``, ``ip_b``) in numeric address
+    order.  The corpus's distinct IPs are sorted by :func:`ip_key` once;
+    orienting and ordering pairs then compares their ranks in that order.
+    """
+    rank = {
+        ip: i
+        for i, ip in enumerate(sorted({ip for p in paths for ip, _ in p.hops}, key=ip_key))
+    }
     acc: dict[tuple[str, str], list[PairObservation]] = {}
     for path in paths:
         for (ip_x, rtt_x), (ip_y, rtt_y) in zip(path.hops, path.hops[1:]):
-            if ip_key(ip_x) <= ip_key(ip_y):
+            if rank[ip_x] <= rank[ip_y]:
                 key, obs = (ip_x, ip_y), PairObservation(rtt_x, rtt_y, a_first=True)
             else:
                 key, obs = (ip_y, ip_x), PairObservation(rtt_y, rtt_x, a_first=False)
             acc.setdefault(key, []).append(obs)
     return [
         NeighborPair(ip_a=a, ip_b=b, observations=acc[(a, b)])
-        for a, b in sorted(acc, key=lambda k: (ip_key(k[0]), ip_key(k[1])))
+        for a, b in sorted(acc, key=lambda k: (rank[k[0]], rank[k[1]]))
     ]
 
 
@@ -119,8 +128,13 @@ def pair_feasible(
     budget of the RTT difference plus ``deviation_fraction`` of the RTT
     sum (boundary inclusive).  Symmetric in the two (location, RTT) roles.
     """
-    budget_ms = abs(rtt_a - rtt_b) + cfg.deviation_fraction * (rtt_a + rtt_b)
-    return haversine_km(loc_a, loc_b) <= sol_km(budget_ms)
+    return haversine_km(loc_a, loc_b) <= budget_km(rtt_a, rtt_b, cfg)
+
+
+def budget_km(rtt_a: float, rtt_b: float, cfg: RefineConfig) -> float:
+    """The distance budget of one observation: light in fiber during the
+    RTT difference plus ``deviation_fraction`` of the RTT sum."""
+    return sol_km(abs(rtt_a - rtt_b) + cfg.deviation_fraction * (rtt_a + rtt_b))
 
 
 class _PairView:
@@ -136,11 +150,7 @@ class _PairView:
         a_first: list[float] = []
         b_first: list[float] = []
         for obs in pair.observations:
-            budget_km = sol_km(
-                abs(obs.rtt_a - obs.rtt_b)
-                + cfg.deviation_fraction * (obs.rtt_a + obs.rtt_b)
-            )
-            (a_first if obs.a_first else b_first).append(budget_km)
+            (a_first if obs.a_first else b_first).append(budget_km(obs.rtt_a, obs.rtt_b, cfg))
         a_first.sort()
         b_first.sort()
         self.budgets_a_first = a_first
@@ -239,12 +249,13 @@ def _views_by_ip(
 def _score_views(
     states: dict[str, CandidateState],
     by_ip: dict[str, list[tuple[_PairView, bool]]],
+    order: list[str],
     threads: int = 1,
 ) -> None:
-    """One scoring round over every IP, reading candidate sets as they
-    stood at entry (scoring never mutates candidate lists, so all IPs see
-    the same previous-round sets regardless of order or parallelism)."""
-    order = sorted(states, key=ip_key)
+    """One scoring round over every IP of ``order`` (the states' IPs in
+    address order), reading candidate sets as they stood at entry
+    (scoring never mutates candidate lists, so all IPs see the same
+    previous-round sets regardless of order or parallelism)."""
 
     def work(ip: str) -> tuple[str, dict[int, _Tally] | None]:
         return ip, _score_ip(states[ip], by_ip.get(ip, []), states)
@@ -272,7 +283,7 @@ def score_iteration(
     candidate and every observation.  Updates ratios in place and returns
     the states."""
     views = [_PairView(p, cfg) for p in pairs]
-    _score_views(states, _views_by_ip(views), threads)
+    _score_views(states, _views_by_ip(views), sorted(states, key=ip_key), threads)
     return states
 
 
@@ -319,12 +330,13 @@ def iterate(
     """
     views = [_PairView(p, cfg) for p in pairs]
     by_ip = _views_by_ip(views)
+    order = sorted(states, key=ip_key)
     iterations = 0
     for _ in range(max(1, cfg.max_iterations)):
         iterations += 1
-        _score_views(states, by_ip, threads)
+        _score_views(states, by_ip, order, threads)
         changed = 0
-        for ip in sorted(states, key=ip_key):
+        for ip in order:
             before = len(states[ip].candidates)
             prune(states[ip], cfg)
             if len(states[ip].candidates) != before:

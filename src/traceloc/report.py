@@ -10,16 +10,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import Diagnostics
-from .geo import CityCluster, GeoPoint, cluster_candidates, haversine_km, normalize_city
+from .geo import CityCluster, GeoPoint, haversine_km, normalize_city
 from .ingest import CleanPath, GeoRecord, ip_key
-from .refine import (
-    CandidateState,
-    IpStatus,
-    NeighborPair,
-    RefineConfig,
-    extract_pairs,
-    pair_feasible,
-)
+from .refine import CandidateState, NeighborPair, RefineConfig, budget_km
 from .resolve import ResolutionOutcome, Verdict
 
 
@@ -94,7 +87,8 @@ def summarize(
     paths: list[CleanPath],
 ) -> SummaryTable:
     """Count affected IPs, links (unordered adjacent IP pairs), and
-    traceroutes per anomaly kind.
+    traceroutes per anomaly kind.  Only counts come out, so a link is
+    keyed by its two IP strings in string order; no address is parsed.
 
     An element is affected by a kind when it involves at least one IP of
     that kind; total-affected uses union semantics, so an element touched
@@ -115,7 +109,7 @@ def summarize(
         hops = [ip for ip, _ in path.hops]
         all_ips.update(hops)
         for a, b in zip(hops, hops[1:]):
-            all_links.add((a, b) if ip_key(a) <= ip_key(b) else (b, a))
+            all_links.add((a, b) if a <= b else (b, a))
 
     def link_counts(link: tuple[str, str]) -> tuple[bool, bool]:
         a, b = link
@@ -150,55 +144,42 @@ def summarize(
 
 
 def sol_baseline(
-    ips: list[str],
-    snapshot: dict[str, list[GeoRecord]],
-    paths: list[CleanPath],
+    clusters_by_ip: dict[str, list[CityCluster]],
+    pairs: list[NeighborPair],
     cfg: RefineConfig | None = None,
-    merge_radius_km: float = 20.0,
 ) -> dict[str, CandidateState]:
-    """Single-pass speed-of-light filtering, no iteration and no pruning
-    feedback: a cluster survives when every neighbor observation has at
-    least one neighbor candidate within the propagation budget (same
-    deviation allowance as :func:`traceloc.refine.pair_feasible`).
+    """Single-pass speed-of-light filtering of the run's candidate clusters
+    over its neighbor pairs, with no iteration and no pruning feedback.
+
+    A cluster survives when every observation of every neighbor holding
+    clusters has at least one neighbor cluster within the observation's
+    budget (:func:`traceloc.refine.budget_km`, as in
+    :func:`traceloc.refine.pair_feasible`).  That is tested per pair as:
+    the nearest neighbor cluster lies within the pair's smallest budget.
     Neighbor candidate sets are always the full original clusters.  IPs
-    with no neighbors keep everything; IPs can end up with zero clusters.
+    with no neighbors keep everything; IPs can end up with zero clusters;
+    IPs without clusters are left out.
     """
     cfg = cfg or RefineConfig()
-    clusters_by_ip = {
-        ip: cluster_candidates(snapshot.get(ip, []), merge_radius_km) for ip in ips
-    }
-    pairs = extract_pairs(paths)
-    by_ip: dict[str, list[tuple[NeighborPair, bool]]] = {}
+    limits: dict[str, list[tuple[list[CityCluster], float]]] = {}
     for pair in pairs:
-        by_ip.setdefault(pair.ip_a, []).append((pair, True))
-        by_ip.setdefault(pair.ip_b, []).append((pair, False))
+        limit = min(budget_km(o.rtt_a, o.rtt_b, cfg) for o in pair.observations)
+        for ip, other in ((pair.ip_a, pair.ip_b), (pair.ip_b, pair.ip_a)):
+            if clusters_by_ip.get(other):
+                limits.setdefault(ip, []).append((clusters_by_ip[other], limit))
 
     out: dict[str, CandidateState] = {}
-    for ip in sorted(ips, key=ip_key):
-        clusters = clusters_by_ip.get(ip, [])
+    for ip, clusters in clusters_by_ip.items():
         if not clusters:
             continue
-        survivors = []
-        for cand in clusters:
-            ok = True
-            for pair, is_a in by_ip.get(ip, []):
-                other_ip = pair.ip_b if is_a else pair.ip_a
-                other_clusters = clusters_by_ip.get(other_ip, [])
-                if not other_clusters:
-                    continue
-                for obs in pair.observations:
-                    rtt_self = obs.rtt_a if is_a else obs.rtt_b
-                    rtt_other = obs.rtt_b if is_a else obs.rtt_a
-                    if not any(
-                        pair_feasible(cand.centroid, oc.centroid, rtt_self, rtt_other, cfg)
-                        for oc in other_clusters
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                survivors.append(cand)
+        survivors = [
+            cand
+            for cand in clusters
+            if all(
+                min(haversine_km(cand.centroid, oc.centroid) for oc in others) <= limit
+                for others, limit in limits.get(ip, ())
+            )
+        ]
         out[ip] = CandidateState(ip=ip, candidates=survivors)
     return out
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from traceloc.geo import load_city_catalog
+
 DATA_DIR = Path(__file__).parent / "data"
 
 # One line per acceptance criterion, printed after the run so they survive
@@ -50,3 +52,14 @@ def write_plane_catalog(path: Path, rows: list[tuple[str, str, float, float]]) -
         lines.append(f"{name},{country},{lat},{lon}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="module")
+def grid_catalog(tmp_path_factory):
+    """A 4x3 grid of cities 200 km apart."""
+    rows = [
+        (f"g{r}{c}", "FR", 200.0 * c, 200.0 * r) for r in range(3) for c in range(4)
+    ]
+    path = tmp_path_factory.mktemp("catalog") / "grid.csv"
+    write_plane_catalog(path, rows)
+    return load_city_catalog(path)

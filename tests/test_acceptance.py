@@ -351,7 +351,8 @@ def test_synthetic_displacement_detection(corpus):
 
 def test_clutter_reduction(corpus):
     path_ips = sorted({ip for p in corpus.paths for ip, _ in p.hops}, key=ip_key)
-    baseline = sol_baseline(path_ips, corpus.snapshot, corpus.paths)
+    clusters = {ip: cluster_candidates(corpus.snapshot.get(ip, []), 20.0) for ip in path_ips}
+    baseline = sol_baseline(clusters, extract_pairs(corpus.paths))
     refined = {ip: corpus.states[ip] for ip in path_ips if ip in corpus.states}
     frac_refined = single_cluster_fraction(refined)
     frac_baseline = single_cluster_fraction(baseline)

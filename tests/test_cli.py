@@ -3,6 +3,7 @@ synth → run → score round trip on a small world."""
 from __future__ import annotations
 
 import argparse
+import ipaddress
 import json
 
 import pytest
@@ -115,6 +116,12 @@ class TestBuildConfig:
         assert cfg.out_dir == "from_flag"
         assert cfg.threads == 3
         assert cfg.seed == 0  # seed 0 is a real override, not "unset"
+
+    def test_threads_flag_zero_is_rejected(self, tmp_path):
+        cfg_file = write_config(tmp_path / "a.conf", ["threads = 2"])
+        args = argparse.Namespace(out=None, threads=0, seed=None)
+        with pytest.raises(ConfigError, match="threads"):
+            load_config(cfg_file, args)
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +270,53 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg)]) == 0
         assert (out_dir / "summary.csv").exists()
+
+    def test_threads_zero_exits_2(self, small_corpus, tmp_path):
+        root, catalog, synth_dir = small_corpus
+        cfg = run_config(root, catalog, synth_dir, tmp_path / "t0")
+        assert main(["run", "--config", str(cfg), "--threads", "0"]) == 2
+
+
+class TestParseCount:
+    """Each stage parses an address once per call, not once per hop: a
+    corpus twice as long over the same addresses costs no extra parses."""
+
+    @staticmethod
+    def count_parses(monkeypatch, cfg) -> int:
+        count = 0
+
+        class CountingIPv4Address(ipaddress.IPv4Address):
+            def __init__(self, address):
+                nonlocal count
+                count += 1
+                super().__init__(address)
+
+        with monkeypatch.context() as m:
+            m.setattr(ipaddress, "IPv4Address", CountingIPv4Address)
+            assert main(["run", "--config", str(cfg)]) == 0
+        return count
+
+    def test_doubling_paths_adds_no_parses(self, small_corpus, tmp_path, monkeypatch):
+        root, catalog, synth_dir = small_corpus
+        records = [
+            json.loads(line)
+            for line in (synth_dir / "traceroutes.jsonl").read_text().splitlines()
+        ]
+        copies = [{**rec, "path_id": rec["path_id"] + "-copy"} for rec in records]
+        doubled = tmp_path / "doubled"
+        doubled.mkdir()
+        (doubled / "traceroutes.jsonl").write_text(
+            "".join(json.dumps(rec) + "\n" for rec in records + copies)
+        )
+        (doubled / "snapshot.csv").write_bytes((synth_dir / "snapshot.csv").read_bytes())
+
+        once = self.count_parses(
+            monkeypatch, run_config(root, catalog, synth_dir, tmp_path / "once")
+        )
+        twice = self.count_parses(
+            monkeypatch, run_config(root, catalog, doubled, tmp_path / "twice")
+        )
+        assert 0 < twice <= once
 
 
 class TestScoreCommand:

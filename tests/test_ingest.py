@@ -93,6 +93,30 @@ class TestParseAtlas:
         assert len(parsed) == 1
         assert diag.count("atlas_malformed") == 3
 
+    def test_ipv6_responders_counted_as_no_response(self):
+        doc = {
+            "msm_id": 1,
+            "prb_id": 2,
+            "timestamp": 100,
+            "result": [
+                {"hop": 1, "result": [{"from": "198.51.100.1", "rtt": 1.0}]},
+                {"hop": 2, "result": [{"from": "2001:db8::1", "rtt": 2.0},
+                                      {"from": "2001:db8::1", "rtt": 2.1}]},
+                {"hop": 3, "result": [{"from": "2001:db8::2", "rtt": 3.0},
+                                      {"from": "198.51.100.3", "rtt": 3.1},
+                                      {"from": "not-an-ip", "rtt": 3.2}]},
+            ],
+        }
+        diag = Diagnostics()
+        rt, _ = parse_atlas([json.dumps(doc), json.dumps(doc)], diag)
+        assert rt.hops[1].replies == [(None, 2.0), (None, 2.1)]
+        assert rt.hops[2].replies == [(None, 3.0), ("198.51.100.3", 3.1), (None, 3.2)]
+        assert diag.count("atlas_ipv6") == 6  # three replies on each of two lines
+        assert diag.count("atlas_malformed") == 0
+        # A hop answered only over IPv6 normalizes like a timeout.
+        (path,) = clean_paths([rt])
+        assert [ip for ip, _ in path.hops] == ["198.51.100.1", "198.51.100.3"]
+
     def test_duplicate_hop_numbers_merge_replies(self):
         doc = {
             "msm_id": 1,
@@ -252,9 +276,14 @@ class TestNativeFormat:
                 {"ip": "198.51.100.1", "rtt": -1.0}, {"ip": "198.51.100.2", "rtt": 2.0}]}),
             json.dumps({"path_id": 7, "hops": [
                 {"ip": "198.51.100.1", "rtt": 1.0}, {"ip": "198.51.100.2", "rtt": 2.0}]}),
+            # An address must be a dotted-quad string, not its integer value.
+            json.dumps({"path_id": "p", "hops": [
+                {"ip": 3325256705, "rtt": 1.0}, {"ip": "198.51.100.2", "rtt": 2.0}]}),
+            json.dumps({"path_id": "p", "hops": [
+                {"ip": "2001:db8::1", "rtt": 1.0}, {"ip": "198.51.100.2", "rtt": 2.0}]}),
         ]
         assert load_native(lines, diag) == []
-        assert diag.count("native_malformed") == 6
+        assert diag.count("native_malformed") == 8
 
     def test_dump_then_load(self, tmp_path):
         paths = [

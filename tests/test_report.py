@@ -8,9 +8,17 @@ import math
 import pytest
 
 from traceloc.diagnostics import Diagnostics
-from traceloc.geo import CityCluster, GeoPoint
-from traceloc.ingest import CleanPath, GeoRecord
-from traceloc.refine import CandidateState, IpStatus, RefineConfig, iterate, make_states, extract_pairs
+from traceloc.geo import CityCluster, GeoPoint, cluster_candidates
+from traceloc.ingest import CleanPath, GeoRecord, ip_key
+from traceloc.refine import (
+    CandidateState,
+    IpStatus,
+    RefineConfig,
+    extract_pairs,
+    iterate,
+    make_states,
+    pair_feasible,
+)
 from traceloc.report import (
     HIST_BUCKETS,
     cluster_histogram,
@@ -26,6 +34,7 @@ from traceloc.report import (
     write_summary_csv,
 )
 from traceloc.resolve import ResolutionOutcome, Verdict
+from traceloc.synth import InjectionSpec, corrupt_geodb, generate_world, simulate_traceroutes
 from tests.conftest import plane_latlon
 
 
@@ -158,11 +167,85 @@ def chain_snapshot():
     return [a, b, c], snapshot, paths
 
 
+def baseline_of(ips, snapshot, paths, cfg=None, merge_radius_km=20.0):
+    """The baseline over a run's clusters and pairs, built as `run` does."""
+    clusters = {ip: cluster_candidates(snapshot.get(ip, []), merge_radius_km) for ip in ips}
+    return sol_baseline(clusters, extract_pairs(paths), cfg)
+
+
+def reference_sol_baseline(ips, snapshot, paths, cfg=None, merge_radius_km=20.0):
+    """The baseline as first written: every candidate against every
+    observation of every neighbor, one `pair_feasible` call at a time."""
+    cfg = cfg or RefineConfig()
+    clusters_by_ip = {
+        ip: cluster_candidates(snapshot.get(ip, []), merge_radius_km) for ip in ips
+    }
+    by_ip = {}
+    for pair in extract_pairs(paths):
+        by_ip.setdefault(pair.ip_a, []).append((pair, True))
+        by_ip.setdefault(pair.ip_b, []).append((pair, False))
+
+    out = {}
+    for ip in sorted(ips, key=ip_key):
+        clusters = clusters_by_ip.get(ip, [])
+        if not clusters:
+            continue
+        survivors = []
+        for cand in clusters:
+            ok = True
+            for pair, is_a in by_ip.get(ip, []):
+                other_ip = pair.ip_b if is_a else pair.ip_a
+                other_clusters = clusters_by_ip.get(other_ip, [])
+                if not other_clusters:
+                    continue
+                for obs in pair.observations:
+                    rtt_self = obs.rtt_a if is_a else obs.rtt_b
+                    rtt_other = obs.rtt_b if is_a else obs.rtt_a
+                    if not any(
+                        pair_feasible(cand.centroid, oc.centroid, rtt_self, rtt_other, cfg)
+                        for oc in other_clusters
+                    ):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                survivors.append(cand)
+        out[ip] = CandidateState(ip=ip, candidates=survivors)
+    return out
+
+
+class TestSolBaselineMatchesReference:
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_same_survivors_on_decoy_heavy_worlds(self, grid_catalog, seed):
+        world = generate_world(seed, 60, 12, 0.05, grid_catalog)
+        paths = simulate_traceroutes(world, 400, 0.05)
+        spec = InjectionSpec(
+            interface_error_fraction=0.05,
+            min_displacement_km=300.0,
+            db_count=4,
+            db_noise_km=2.0,
+            decoy_fraction=0.5,
+            decoy_db_count=1,
+        )
+        snapshot, _ = corrupt_geodb(world, spec, seed, grid_catalog)
+        ips = sorted({ip for p in paths for ip, _ in p.hops}, key=ip_key)
+
+        def survivors(states):
+            return {ip: [c.cluster_id for c in s.candidates] for ip, s in states.items()}
+
+        got = survivors(baseline_of(ips, snapshot, paths))
+        assert got == survivors(reference_sol_baseline(ips, snapshot, paths))
+        # The worlds exercise the filter: some candidates die, some live.
+        total = sum(len(cluster_candidates(snapshot[ip], 20.0)) for ip in ips)
+        assert 0 < sum(len(v) for v in got.values()) < total
+
+
 class TestSolBaseline:
     def test_single_pass_keeps_decoy_supported_candidates(self):
         ips, snapshot, paths = chain_snapshot()
         a, b, c = ips
-        states = sol_baseline(ips, snapshot, paths)
+        states = baseline_of(ips, snapshot, paths)
         assert [cl.city for cl in states[a].candidates] == ["origin"]
         # B's decoy dies even in one pass: A is 1000 km away on a 350 km
         # budget and A has nowhere else to be.
@@ -174,8 +257,7 @@ class TestSolBaseline:
     def test_iteration_beats_single_pass(self):
         ips, snapshot, paths = chain_snapshot()
         c = ips[2]
-        baseline = sol_baseline(ips, snapshot, paths)
-        from traceloc.geo import cluster_candidates
+        baseline = baseline_of(ips, snapshot, paths)
 
         refined = make_states(
             {ip: cluster_candidates(snapshot[ip], 20.0) for ip in ips}
@@ -192,7 +274,7 @@ class TestSolBaseline:
             GeoRecord(ip=loner, source="db1", lat=10.0, lon=10.0, city="x", country="FR"),
             GeoRecord(ip=loner, source="db2", lat=50.0, lon=50.0, city="y", country="FR"),
         ]
-        states = sol_baseline(ips + [loner], snapshot, paths)
+        states = baseline_of(ips + [loner], snapshot, paths)
         assert len(states[loner].candidates) == 2
 
     def test_can_strip_to_zero_clusters(self):
@@ -202,12 +284,12 @@ class TestSolBaseline:
 
         a, b = "203.0.1.1", "203.0.1.2"
         snapshot = {a: [rec(a, 0.0)], b: [rec(b, 5000.0)]}
-        states = sol_baseline([a, b], snapshot, [path("q", (a, 1.0), (b, 1.2))])
+        states = baseline_of([a, b], snapshot, [path("q", (a, 1.0), (b, 1.2))])
         assert states[b].candidates == []
 
     def test_missing_snapshot_ip_omitted(self):
         ips, snapshot, paths = chain_snapshot()
-        states = sol_baseline(ips + ["203.0.1.50"], snapshot, paths)
+        states = baseline_of(ips + ["203.0.1.50"], snapshot, paths)
         assert "203.0.1.50" not in states
 
 

@@ -30,17 +30,6 @@ from tests.conftest import write_plane_catalog
 
 
 @pytest.fixture(scope="module")
-def grid_catalog(tmp_path_factory):
-    """A 4x3 grid of cities 200 km apart."""
-    rows = [
-        (f"g{r}{c}", "FR", 200.0 * c, 200.0 * r) for r in range(3) for c in range(4)
-    ]
-    path = tmp_path_factory.mktemp("catalog") / "grid.csv"
-    write_plane_catalog(path, rows)
-    return load_city_catalog(path)
-
-
-@pytest.fixture(scope="module")
 def line_catalog(tmp_path_factory):
     rows = [(f"l{i}", "FR", 100.0 * i, 0.0) for i in range(6)]
     path = tmp_path_factory.mktemp("catalog") / "line.csv"
