@@ -167,19 +167,17 @@ def chain_snapshot():
     return [a, b, c], snapshot, paths
 
 
-def baseline_of(ips, snapshot, paths, cfg=None, merge_radius_km=20.0):
+def baseline_of(ips, snapshot, paths):
     """The baseline over a run's clusters and pairs, built as `run` does."""
-    clusters = {ip: cluster_candidates(snapshot.get(ip, []), merge_radius_km) for ip in ips}
-    return sol_baseline(clusters, extract_pairs(paths), cfg)
+    clusters = {ip: cluster_candidates(snapshot.get(ip, []), 20.0) for ip in ips}
+    return sol_baseline(clusters, extract_pairs(paths))
 
 
-def reference_sol_baseline(ips, snapshot, paths, cfg=None, merge_radius_km=20.0):
+def reference_sol_baseline(ips, snapshot, paths):
     """The baseline as first written: every candidate against every
     observation of every neighbor, one `pair_feasible` call at a time."""
-    cfg = cfg or RefineConfig()
-    clusters_by_ip = {
-        ip: cluster_candidates(snapshot.get(ip, []), merge_radius_km) for ip in ips
-    }
+    cfg = RefineConfig()
+    clusters_by_ip = {ip: cluster_candidates(snapshot.get(ip, []), 20.0) for ip in ips}
     by_ip = {}
     for pair in extract_pairs(paths):
         by_ip.setdefault(pair.ip_a, []).append((pair, True))
