@@ -1,8 +1,9 @@
 """Command-line entry points: ``run``, ``synth``, ``score``, ``fetch-geo``.
 
 Configuration is a flat key-value file (``key = value``, ``#`` comments).
-Every algorithm knob is overridable there; ``--out``, ``--threads`` and
-``--seed`` override their config counterparts.  Exit codes: 0 success,
+Every algorithm knob is overridable there; ``--out`` and ``--seed``
+override their config counterparts.  The ``threads`` key and
+``--threads`` are deprecated and ignored.  Exit codes: 0 success,
 1 fatal input problem, 2 configuration problem.  Given identical inputs,
 configuration, and seed, two runs produce byte-identical output trees.
 """
@@ -12,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import logging
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +21,7 @@ from pathlib import Path
 from . import ingest, report, synth
 from .diagnostics import Diagnostics, logger
 from .geo import CityCluster, GeoPoint, SpatialIndex, cluster_candidates, load_city_catalog
-from .ingest import CleanPath, ip_key
+from .ingest import CleanPath, ConfigError, ip_key
 from .refine import (
     CandidateState,
     IpStatus,
@@ -30,10 +32,6 @@ from .refine import (
     tag_anomalies,
 )
 from .resolve import ResolutionOutcome, ResolveConfig, Verdict, resolve_all
-
-
-class ConfigError(Exception):
-    """Bad or missing configuration; maps to exit code 2."""
 
 
 class InputError(Exception):
@@ -63,7 +61,6 @@ class PipelineConfig:
     geo_snapshot: str = ""
     city_catalog: str = ""
     out_dir: str = "out"
-    threads: int = 1
     seed: int = 0
     merge_radius_km: float = 20.0
     fetch_ips_file: str = ""
@@ -102,12 +99,13 @@ _TOP_KEYS = {
     "geo_snapshot": str,
     "city_catalog": str,
     "out_dir": str,
-    "threads": int,
     "seed": int,
     "merge_radius_km": float,
     "fetch_ips_file": str,
     "fetch_cache_dir": str,
 }
+
+_THREADS_DEPRECATED = "config key threads is deprecated and ignored"
 
 _SECTION_FIELDS = {
     "refine": RefineConfig,
@@ -142,6 +140,10 @@ def build_config(entries: dict[str, str]) -> PipelineConfig:
             value = _convert(key, raw, section_types[section][name])
             setattr(getattr(cfg, section), name, value)
             continue
+        if key == "threads":
+            _convert(key, raw, int)
+            logger.warning(_THREADS_DEPRECATED)
+            continue
         if key not in _TOP_KEYS:
             raise ConfigError(f"unknown config key: {key}")
         setattr(cfg, key, _convert(key, raw, _TOP_KEYS[key]))
@@ -164,7 +166,6 @@ def _validate_knobs(cfg: PipelineConfig) -> None:
         (cfg.resolve.tie_merge_max_km >= cfg.resolve.tie_merge_km, "resolve.tie_merge_max_km >= tie_merge_km"),
         (cfg.resolve.match_radius_km >= 0, "resolve.match_radius_km >= 0"),
         (cfg.resolve.min_anchors >= 1, "resolve.min_anchors >= 1"),
-        (cfg.threads >= 1, "threads >= 1"),
         (cfg.merge_radius_km >= 0, "merge_radius_km >= 0"),
         (cfg.traceroute_format in ("auto", "native", "atlas"), "traceroute_format one of auto|native|atlas"),
         (cfg.synth.n_routers >= 2, "synth.n_routers >= 2"),
@@ -189,7 +190,7 @@ def load_config(path: str | Path, args: argparse.Namespace | None = None) -> Pip
         if getattr(args, "out", None):
             cfg.out_dir = args.out
         if getattr(args, "threads", None) is not None:
-            cfg.threads = args.threads
+            logger.warning(_THREADS_DEPRECATED)
         if getattr(args, "seed", None) is not None:
             cfg.seed = args.seed
     _validate_knobs(cfg)
@@ -242,9 +243,9 @@ def run(cfg: PipelineConfig) -> int:
     states = make_states(clusters_by_ip)
 
     pairs = extract_pairs(paths)
-    iterate(states, pairs, cfg.refine, cfg.threads, diag)
+    iterate(states, pairs, cfg.refine, diag=diag)
     tag_anomalies(states, cfg.refine)
-    outcomes = resolve_all(states, paths, index, cfg.resolve, cfg.threads, diag)
+    outcomes = resolve_all(states, paths, index, cfg.resolve, diag=diag)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -446,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     def common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
         p.add_argument("--config", required=config_required, help="key=value config file")
         p.add_argument("--out", help="output directory (overrides out_dir)")
-        p.add_argument("--threads", type=int, help="worker thread cap")
+        p.add_argument("--threads", type=int, help="deprecated; ignored")
         p.add_argument("--seed", type=int, help="rng seed (overrides seed)")
 
     common(sub.add_parser("run", help="analyze a traceroute corpus"))
@@ -459,8 +460,6 @@ def main(argv: list[str] | None = None) -> int:
     common(sub.add_parser("fetch-geo", help="fetch geolocations into a snapshot"))
 
     args = parser.parse_args(argv)
-    import logging
-
     logging.basicConfig(
         level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
     )

@@ -271,9 +271,3 @@ class SpatialIndex:
             if haversine_km(center, poly.centroid) <= radius_km + poly.radius_km:
                 hits.append(pid)
         return sorted(hits)
-
-
-def query_overlaps(index: SpatialIndex, center: GeoPoint, radius_km: float) -> list[int]:
-    """All catalog discs intersecting the disc at ``center``; see
-    :meth:`SpatialIndex.query`."""
-    return index.query(center, radius_km)

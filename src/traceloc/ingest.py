@@ -389,6 +389,10 @@ class FetchError(RuntimeError):
     """Raised when every configured source is unreachable."""
 
 
+class ConfigError(Exception):
+    """Bad or missing configuration; maps to exit code 2."""
+
+
 class _RateLimiter:
     """Spaces calls at least 1/rate seconds apart, including before the
     first one, so N requests take at least N/rate seconds."""
@@ -514,23 +518,29 @@ def fetch_geo(
 
 
 def load_fetch_config(entries: dict[str, str]) -> dict[str, GeoSource]:
-    """Build GeoSource specs from flat ``source.<name>.<field>`` keys."""
+    """Build GeoSource specs from flat ``source.<name>.<field>`` keys.
+
+    Keys outside ``source.`` are skipped; a ``source.`` key whose field is
+    not one of ``url``, ``key`` or ``rate_per_s`` is a :class:`ConfigError`.
+    """
     grouped: dict[str, dict[str, str]] = {}
     for key, value in entries.items():
         parts = key.split(".")
-        if len(parts) != 3 or parts[0] != "source":
+        if parts[0] != "source":
             continue
+        if len(parts) != 3 or parts[2] not in ("url", "key", "rate_per_s"):
+            raise ConfigError(f"unknown config key: {key}")
         grouped.setdefault(parts[1], {})[parts[2]] = value
     sources: dict[str, GeoSource] = {}
     for name, fields in sorted(grouped.items()):
         if "url" not in fields:
-            raise ValueError(f"source.{name}: missing url")
+            raise ConfigError(f"source.{name}: missing url")
         try:
             rate = float(fields.get("rate_per_s", "1"))
         except ValueError as exc:
-            raise ValueError(f"source.{name}: bad rate_per_s") from exc
+            raise ConfigError(f"source.{name}: bad rate_per_s") from exc
         if rate <= 0:
-            raise ValueError(f"source.{name}: rate_per_s must be positive")
+            raise ConfigError(f"source.{name}: rate_per_s must be positive")
         sources[name] = GeoSource(
             name=name, url=fields["url"], key=fields.get("key", ""), rate_per_s=rate
         )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostics, logger
@@ -250,40 +249,29 @@ def _score_views(
     states: dict[str, CandidateState],
     by_ip: dict[str, list[tuple[_PairView, bool]]],
     order: list[str],
-    threads: int = 1,
 ) -> None:
     """One scoring round over every IP of ``order`` (the states' IPs in
-    address order), reading candidate sets as they stood at entry
-    (scoring never mutates candidate lists, so all IPs see the same
-    previous-round sets regardless of order or parallelism)."""
-
-    def work(ip: str) -> tuple[str, dict[int, _Tally] | None]:
-        return ip, _score_ip(states[ip], by_ip.get(ip, []), states)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(work, order))
-    else:
-        results = dict(map(work, order))
-
+    address order).  Scoring an IP reads only candidate lists and applying
+    its tallies writes only ratio maps and evaluation counts, so every IP
+    is scored against the previous round's candidate sets whatever the
+    order."""
     for ip in order:
-        tallies = results[ip]
-        if tallies is None:
-            continue  # no surviving neighbor candidates: ratios carry over
-        _apply_tallies(states[ip], tallies)
+        tallies = _score_ip(states[ip], by_ip.get(ip, []), states)
+        # None means no surviving neighbor candidates: ratios carry over.
+        if tallies is not None:
+            _apply_tallies(states[ip], tallies)
 
 
 def score_iteration(
     states: dict[str, CandidateState],
     pairs: list[NeighborPair],
     cfg: RefineConfig,
-    threads: int = 1,
 ) -> dict[str, CandidateState]:
     """Score one round: every candidate of every IP against every neighbor
     candidate and every observation.  Updates ratios in place and returns
     the states."""
     views = [_PairView(p, cfg) for p in pairs]
-    _score_views(states, _views_by_ip(views), sorted(states, key=ip_key), threads)
+    _score_views(states, _views_by_ip(views), sorted(states, key=ip_key))
     return states
 
 
@@ -318,7 +306,6 @@ def iterate(
     states: dict[str, CandidateState],
     pairs: list[NeighborPair],
     cfg: RefineConfig,
-    threads: int = 1,
     diag: Diagnostics | None = None,
 ) -> tuple[dict[str, CandidateState], int]:
     """Alternate scoring and pruning until a fixed point of the candidate
@@ -334,7 +321,7 @@ def iterate(
     iterations = 0
     for _ in range(max(1, cfg.max_iterations)):
         iterations += 1
-        _score_views(states, by_ip, order, threads)
+        _score_views(states, by_ip, order)
         changed = 0
         for ip in order:
             before = len(states[ip].candidates)

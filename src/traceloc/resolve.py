@@ -16,19 +16,11 @@ from __future__ import annotations
 
 import statistics
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 from .diagnostics import Diagnostics
-from .geo import (
-    CityCluster,
-    GeoPoint,
-    SpatialIndex,
-    haversine_km,
-    query_overlaps,
-    sol_km,
-)
+from .geo import CityCluster, GeoPoint, SpatialIndex, haversine_km, sol_km
 from .ingest import CleanPath, ip_key
 from .refine import CandidateState, IpStatus
 
@@ -261,7 +253,7 @@ def resolve_location(
         return LocationFix(point=None, polygon_id=None, max_overlap=0)
     counts: Counter[int] = Counter()
     for buf in buffers:
-        for pid in query_overlaps(index, buf.center, buf.radius_km):
+        for pid in index.query(buf.center, buf.radius_km):
             counts[pid] += 1
     if not counts:
         return LocationFix(point=None, polygon_id=None, max_overlap=0)
@@ -395,12 +387,11 @@ def resolve_all(
     paths: list[CleanPath],
     index: SpatialIndex,
     cfg: ResolveConfig,
-    threads: int = 1,
     diag: Diagnostics | None = None,
 ) -> dict[str, ResolutionOutcome]:
-    """Resolve every anomalous IP.  IPs demoted to false positives keep
-    anchor duty off-limits for the whole run: anchor selection reads the
-    tagging statuses, which are not revised mid-run."""
+    """Resolve every anomalous IP, in address order.  IPs demoted to false
+    positives keep anchor duty off-limits for the whole run: anchor
+    selection reads the tagging statuses, which are not revised mid-run."""
     diag = diag or Diagnostics()
     tagged = [ip for ip in sorted(states, key=ip_key) if states[ip].status is IpStatus.ANOMALOUS]
     paths_by_ip: dict[str, list[CleanPath]] = {}
@@ -410,18 +401,10 @@ def resolve_all(
                 bucket = paths_by_ip.setdefault(hop_ip, [])
                 if not bucket or bucket[-1] is not path:
                     bucket.append(path)
-
-    def work(ip: str) -> tuple[str, ResolutionOutcome]:
-        return ip, resolve_anomaly(ip, paths_by_ip.get(ip, []), states, index, cfg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(work, tagged))
-    else:
-        results = dict(map(work, tagged))
-
+    outcomes: dict[str, ResolutionOutcome] = {}
     for ip in tagged:
-        outcome = results[ip]
+        outcome = resolve_anomaly(ip, paths_by_ip.get(ip, []), states, index, cfg)
         if outcome.verdict is Verdict.MPLS_AFFECTED and outcome.reason == REASON_UNRESOLVABLE:
             diag.warn("resolve_unresolvable", f"{ip}: no usable anchor consensus")
-    return {ip: results[ip] for ip in tagged}
+        outcomes[ip] = outcome
+    return outcomes

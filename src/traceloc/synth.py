@@ -14,7 +14,8 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass
+import statistics
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .diagnostics import Diagnostics
@@ -26,6 +27,7 @@ from .geo import (
 )
 from .ingest import CleanPath, GeoRecord, ip_key
 from .refine import CandidateState, IpStatus
+from .report import _fmt
 from .resolve import ResolutionOutcome, Verdict
 
 _KM_PER_DEG = 111.19492664455873  # mean degree of latitude
@@ -566,37 +568,7 @@ class ScoreReport:
     true_city_retention: float | None = None
 
     def rows(self) -> list[tuple[str, str]]:
-        def fmt(v) -> str:
-            if v is None:
-                return "NA"
-            if isinstance(v, float):
-                return repr(round(v, 6))
-            return str(v)
-
-        return [
-            ("total_ips", fmt(self.total_ips)),
-            ("tagged_total", fmt(self.tagged_total)),
-            ("detected_total", fmt(self.detected_total)),
-            ("false_positive_count", fmt(self.false_positive_count)),
-            ("displaced_total", fmt(self.displaced_total)),
-            ("displaced_detected", fmt(self.displaced_detected)),
-            ("displaced_recall", fmt(self.displaced_recall)),
-            ("detected_non_tunnel", fmt(self.detected_non_tunnel)),
-            ("displaced_precision", fmt(self.displaced_precision)),
-            ("overall_precision", fmt(self.overall_precision)),
-            ("tunnel_interior_total", fmt(self.tunnel_interior_total)),
-            ("tunnel_interior_flagged", fmt(self.tunnel_interior_flagged)),
-            ("tunnel_interior_recall", fmt(self.tunnel_interior_recall)),
-            ("interface_count", fmt(self.interface_count)),
-            ("interface_within_100km", fmt(self.interface_within_100km)),
-            ("interface_within_100km_fraction", fmt(self.interface_within_100km_fraction)),
-            ("interface_distance_mean_km", fmt(self.interface_distance_mean_km)),
-            ("interface_distance_median_km", fmt(self.interface_distance_median_km)),
-            ("interface_distance_max_km", fmt(self.interface_distance_max_km)),
-            ("active_total", fmt(self.active_total)),
-            ("active_with_true_city", fmt(self.active_with_true_city)),
-            ("true_city_retention", fmt(self.true_city_retention)),
-        ]
+        return [(f.name, _fmt(getattr(self, f.name))) for f in fields(self)]
 
 
 def score_against_truth(
@@ -613,8 +585,6 @@ def score_against_truth(
     kind); ``overall_precision`` scores detections against the union of
     both ground-truth sets.
     """
-    import statistics as _stats
-
     truth = {r.ip: r for r in world.routers}
     t_members = tunnel_member_ips(world)
     t_interior = tunnel_interior_ips(world)
@@ -668,8 +638,8 @@ def score_against_truth(
         report.interface_within_100km_fraction = (
             report.interface_within_100km / len(distances)
         )
-        report.interface_distance_mean_km = _stats.fmean(distances)
-        report.interface_distance_median_km = float(_stats.median(distances))
+        report.interface_distance_mean_km = statistics.fmean(distances)
+        report.interface_distance_median_km = float(statistics.median(distances))
         report.interface_distance_max_km = max(distances)
 
     active = [

@@ -25,7 +25,6 @@ from traceloc.geo import (
     cluster_candidates,
     haversine_km,
     load_city_catalog,
-    query_overlaps,
 )
 from traceloc.geo import CityCluster
 from traceloc.ingest import CleanPath, ip_key
@@ -202,7 +201,7 @@ def test_overlap_query_equivalence():
         index = SpatialIndex(catalog)
         center = GeoPoint(rng.uniform(-85, 85), rng.uniform(-180, 180))
         radius = rng.uniform(0, 2500)
-        got = query_overlaps(index, center, radius)
+        got = index.query(center, radius)
         want = [
             p.polygon_id
             for p in catalog

@@ -77,7 +77,6 @@ class TestBuildConfig:
                 "source.a.url": "https://x/{ip}",
             }
         )
-        assert cfg.threads == 4
         assert cfg.merge_radius_km == 25.5
         assert cfg.refine.max_iterations == 7
         assert cfg.resolve.match_radius_km == 50.0
@@ -86,7 +85,6 @@ class TestBuildConfig:
 
     def test_defaults(self):
         cfg = build_config({})
-        assert cfg.threads == 1
         assert cfg.synth == SynthSettings()
         assert cfg.traceroute_format == "auto"
 
@@ -114,14 +112,7 @@ class TestBuildConfig:
         args = argparse.Namespace(out="from_flag", threads=3, seed=0)
         cfg = load_config(cfg_file, args)
         assert cfg.out_dir == "from_flag"
-        assert cfg.threads == 3
         assert cfg.seed == 0  # seed 0 is a real override, not "unset"
-
-    def test_threads_flag_zero_is_rejected(self, tmp_path):
-        cfg_file = write_config(tmp_path / "a.conf", ["threads = 2"])
-        args = argparse.Namespace(out=None, threads=0, seed=None)
-        with pytest.raises(ConfigError, match="threads"):
-            load_config(cfg_file, args)
 
 
 @pytest.fixture(scope="module")
@@ -230,18 +221,26 @@ class TestRunCommand:
         for name in ("ips.jsonl", "summary.csv", "clusters_hist.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_threads_do_not_change_results(self, small_corpus, tmp_path):
+    def test_threads_deprecated_and_ignored(self, small_corpus, tmp_path, caplog):
         root, catalog, synth_dir = small_corpus
-        serial, threaded = tmp_path / "t1", tmp_path / "t4"
-        assert main(["run", "--config", str(run_config(root, catalog, synth_dir, serial))]) == 0
-        assert (
-            main(
-                ["run", "--config", str(run_config(root, catalog, synth_dir, threaded)),
-                 "--threads", "4"]
-            )
-            == 0
-        )
-        assert (serial / "ips.jsonl").read_bytes() == (threaded / "ips.jsonl").read_bytes()
+        plain = tmp_path / "plain"
+        assert main(["run", "--config", str(run_config(root, catalog, synth_dir, plain))]) == 0
+        for out_dir, extra, flags in (
+            (tmp_path / "key", ["threads = 4"], []),
+            (tmp_path / "flag", [], ["--threads", "4"]),
+        ):
+            caplog.clear()
+            cfg = run_config(root, catalog, synth_dir, out_dir, extra)
+            assert main(["run", "--config", str(cfg), *flags]) == 0
+            deprecations = [
+                r for r in caplog.records
+                if r.getMessage() == "config key threads is deprecated and ignored"
+            ]
+            assert len(deprecations) == 1
+            names = sorted(p.name for p in plain.iterdir())
+            assert sorted(p.name for p in out_dir.iterdir()) == names
+            for name in names:
+                assert (out_dir / name).read_bytes() == (plain / name).read_bytes(), name
 
     def test_atlas_format_autodetected(self, small_corpus, tmp_path, data_dir):
         root, catalog, _ = small_corpus
@@ -270,11 +269,6 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg)]) == 0
         assert (out_dir / "summary.csv").exists()
-
-    def test_threads_zero_exits_2(self, small_corpus, tmp_path):
-        root, catalog, synth_dir = small_corpus
-        cfg = run_config(root, catalog, synth_dir, tmp_path / "t0")
-        assert main(["run", "--config", str(cfg), "--threads", "0"]) == 2
 
 
 class TestParseCount:
@@ -424,7 +418,7 @@ class TestFetchGeo:
                 f"fetch_cache_dir = {cache}",
                 f"out_dir = {out_dir}",
                 "source.geoa.url = https://geoa.example/{ip}",
-                "source.geoa.rate = 100",
+                "source.geoa.rate_per_s = 100",
             ],
         )
         assert main(["fetch-geo", "--config", str(cfg)]) == 0
@@ -448,6 +442,23 @@ class TestFetchGeo:
         cfg = write_config(tmp_path / "f.conf", [f"fetch_ips_file = {ips_file}"])
         assert main(["fetch-geo", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "bad_line", ["source.geoa.rate_per_s = abc", "source.geoa.rate = 100"]
+    )
+    def test_bad_source_field_exits_2(self, tmp_path, bad_line):
+        ips_file = tmp_path / "ips.txt"
+        ips_file.write_text("203.0.113.7\n")
+        cfg = write_config(
+            tmp_path / "f.conf",
+            [
+                f"fetch_ips_file = {ips_file}",
+                f"out_dir = {tmp_path / 'out'}",
+                "source.geoa.url = https://geoa.example/{ip}",
+                bad_line,
+            ],
+        )
+        assert main(["fetch-geo", "--config", str(cfg)]) == 2
+
     def test_fetch_all_sources_down(self, tmp_path, monkeypatch):
         def down(url):
             raise OSError("connection refused")
@@ -462,7 +473,7 @@ class TestFetchGeo:
                 f"fetch_cache_dir = {tmp_path / 'cache'}",
                 f"out_dir = {tmp_path / 'out'}",
                 "source.geoa.url = https://geoa.example/{ip}",
-                "source.geoa.rate = 100",
+                "source.geoa.rate_per_s = 100",
             ],
         )
         assert main(["fetch-geo", "--config", str(cfg)]) == 1

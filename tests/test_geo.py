@@ -18,7 +18,6 @@ from traceloc.geo import (
     haversine_km,
     load_city_catalog,
     normalize_city,
-    query_overlaps,
     sol_km,
 )
 from traceloc.ingest import GeoRecord
@@ -281,7 +280,7 @@ class TestSpatialIndex:
             index = SpatialIndex(polygons)
             center = GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180))
             radius = rng.uniform(1.0, 3000.0)
-            assert query_overlaps(index, center, radius) == linear_scan(
+            assert index.query(center, radius) == linear_scan(
                 polygons, center, radius
             )
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from traceloc.diagnostics import Diagnostics
 from traceloc.ingest import (
     CleanPath,
+    ConfigError,
     FetchError,
     GeoRecord,
     GeoSource,
@@ -509,11 +510,17 @@ class TestFetchConfig:
         assert sources["beta"].key == "s3cret"
 
     def test_missing_url_fatal(self):
-        with pytest.raises(ValueError, match="missing url"):
+        with pytest.raises(ConfigError, match="missing url"):
             load_fetch_config({"source.alpha.rate_per_s": "4"})
 
     def test_bad_rate_fatal(self):
-        with pytest.raises(ValueError, match="rate_per_s"):
+        with pytest.raises(ConfigError, match="rate_per_s"):
             load_fetch_config({"source.a.url": "u", "source.a.rate_per_s": "fast"})
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ConfigError, match="positive"):
             load_fetch_config({"source.a.url": "u", "source.a.rate_per_s": "0"})
+
+    def test_unknown_field_fatal(self):
+        with pytest.raises(ConfigError, match="unknown config key: source.a.rate"):
+            load_fetch_config({"source.a.url": "u", "source.a.rate": "4"})
+        with pytest.raises(ConfigError, match="unknown config key: source.a$"):
+            load_fetch_config({"source.a.url": "u", "source.a": "4"})

@@ -137,15 +137,6 @@ class TestScoringAndIteration:
         assert iterations == 1
         assert diag.count("refine_no_convergence") == 1
 
-    def test_threaded_scoring_matches_serial(self):
-        serial, pairs = two_ip_fixture()
-        threaded, _ = two_ip_fixture()
-        iterate(serial, pairs, RefineConfig())
-        iterate(threaded, pairs, RefineConfig(), threads=4)
-        assert {ip: st.ratio for ip, st in serial.items()} == {
-            ip: st.ratio for ip, st in threaded.items()
-        }
-
     def test_neighbor_without_candidates_contributes_nothing(self):
         states = make_states({IP_A: [cand(0, 0)]})
         paths = [CleanPath("p", [(IP_A, 1.0), (IP_B, 4.0)])]

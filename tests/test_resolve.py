@@ -431,12 +431,6 @@ class TestResolveAll:
         outcomes = resolve_all(states, paths, SpatialIndex(catalog), ResolveConfig())
         assert set(outcomes) == {X}
 
-    def test_threaded_matches_serial(self):
-        catalog, states, paths = integration_world()
-        serial = resolve_all(states, paths, SpatialIndex(catalog), ResolveConfig())
-        threaded = resolve_all(states, paths, SpatialIndex(catalog), ResolveConfig(), threads=4)
-        assert serial == threaded
-
     def test_statuses_not_revised(self):
         catalog, states, paths = integration_world()
         states[X] = tagged_state(X, [cluster(0, 0, city="truth")])  # will demote
