@@ -3,9 +3,10 @@
 Configuration is a flat key-value file (``key = value``, ``#`` comments).
 Every algorithm knob is overridable there; ``--out`` and ``--seed``
 override their config counterparts.  The ``threads`` key and
-``--threads`` are deprecated and ignored.  Exit codes: 0 success,
-1 fatal input problem, 2 configuration problem.  Given identical inputs,
-configuration, and seed, two runs produce byte-identical output trees.
+``--threads`` are deprecated and ignored (a value below 1 is still
+rejected).  Exit codes: 0 success, 1 fatal input problem,
+2 configuration problem.  Given identical inputs, configuration, and seed,
+two runs produce byte-identical output trees.
 """
 from __future__ import annotations
 
@@ -141,14 +142,21 @@ def build_config(entries: dict[str, str]) -> PipelineConfig:
             setattr(getattr(cfg, section), name, value)
             continue
         if key == "threads":
-            _convert(key, raw, int)
-            logger.warning(_THREADS_DEPRECATED)
+            _deprecated_threads(_convert(key, raw, int))
             continue
         if key not in _TOP_KEYS:
             raise ConfigError(f"unknown config key: {key}")
         setattr(cfg, key, _convert(key, raw, _TOP_KEYS[key]))
     _validate_knobs(cfg)
     return cfg
+
+
+def _deprecated_threads(value: int) -> None:
+    """Check a ``threads`` value as before its removal, then warn that it is
+    ignored: a config that was rejected then is rejected now."""
+    if value < 1:
+        raise ConfigError("config violates: threads >= 1")
+    logger.warning(_THREADS_DEPRECATED)
 
 
 def _validate_knobs(cfg: PipelineConfig) -> None:
@@ -190,7 +198,7 @@ def load_config(path: str | Path, args: argparse.Namespace | None = None) -> Pip
         if getattr(args, "out", None):
             cfg.out_dir = args.out
         if getattr(args, "threads", None) is not None:
-            logger.warning(_THREADS_DEPRECATED)
+            _deprecated_threads(args.threads)
         if getattr(args, "seed", None) is not None:
             cfg.seed = args.seed
     _validate_knobs(cfg)

@@ -114,6 +114,12 @@ class TestBuildConfig:
         assert cfg.out_dir == "from_flag"
         assert cfg.seed == 0  # seed 0 is a real override, not "unset"
 
+    def test_threads_flag_zero_is_rejected(self, tmp_path):
+        cfg_file = write_config(tmp_path / "a.conf", ["threads = 2"])
+        args = argparse.Namespace(out=None, threads=0, seed=None)
+        with pytest.raises(ConfigError, match="threads"):
+            load_config(cfg_file, args)
+
 
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
@@ -221,7 +227,7 @@ class TestRunCommand:
         for name in ("ips.jsonl", "summary.csv", "clusters_hist.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_threads_deprecated_and_ignored(self, small_corpus, tmp_path, caplog):
+    def test_threads_do_not_change_results(self, small_corpus, tmp_path, caplog):
         root, catalog, synth_dir = small_corpus
         plain = tmp_path / "plain"
         assert main(["run", "--config", str(run_config(root, catalog, synth_dir, plain))]) == 0
@@ -269,6 +275,13 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg)]) == 0
         assert (out_dir / "summary.csv").exists()
+
+    def test_threads_zero_exits_2(self, small_corpus, tmp_path):
+        root, catalog, synth_dir = small_corpus
+        cfg = run_config(root, catalog, synth_dir, tmp_path / "t0")
+        assert main(["run", "--config", str(cfg), "--threads", "0"]) == 2
+        cfg = run_config(root, catalog, synth_dir, tmp_path / "k0", ["threads = 0"])
+        assert main(["run", "--config", str(cfg)]) == 2
 
 
 class TestParseCount:
