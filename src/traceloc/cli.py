@@ -236,8 +236,11 @@ def run(cfg: PipelineConfig) -> int:
         if not value:
             raise ConfigError(f"config key {name} is required for run")
     paths = _read_traceroutes(cfg, diag)
-    snapshot = ingest.load_geo_snapshot(cfg.geo_snapshot, diag)
-    catalog = load_city_catalog(cfg.city_catalog)
+    try:
+        snapshot = ingest.load_geo_snapshot(cfg.geo_snapshot, diag)
+        catalog = load_city_catalog(cfg.city_catalog)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     index = SpatialIndex(catalog)
 
     all_ips = sorted({ip for p in paths for ip, _ in p.hops}, key=ip_key)
@@ -258,7 +261,7 @@ def run(cfg: PipelineConfig) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    table = report.summarize(states, outcomes, paths)
+    table = report.summarize(outcomes, paths)
     report.write_summary_csv(table, out_dir / "summary.csv")
     baseline = report.sol_baseline(clusters_by_ip, pairs, cfg.refine)
     hist = report.cluster_histogram(states, baseline)
@@ -322,7 +325,10 @@ def synth_cmd(cfg: PipelineConfig) -> int:
     diag = Diagnostics()
     if not cfg.city_catalog:
         raise ConfigError("config key city_catalog is required for synth")
-    catalog = load_city_catalog(cfg.city_catalog)
+    try:
+        catalog = load_city_catalog(cfg.city_catalog)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     s = cfg.synth
     try:
         world = synth.generate_world(

@@ -13,6 +13,7 @@ import csv
 import functools
 import ipaddress
 import json
+import math
 import os
 import statistics
 import time
@@ -129,7 +130,7 @@ def parse_atlas(stream: Iterable[str], diag: Diagnostics | None = None) -> list[
             continue
         try:
             rt, ipv6 = _atlas_record(doc, version)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             diag.warn("atlas_malformed", f"line {lineno}: {exc}")
             continue
         if ipv6:
@@ -168,7 +169,7 @@ def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTracer
                 ipv6 += v == 6
                 responder = None
             rtt = reply.get("rtt")
-            if not isinstance(rtt, (int, float)) or rtt < 0:
+            if not isinstance(rtt, (int, float)) or not 0 <= rtt < math.inf:
                 rtt = None
             hop.replies.append((responder, float(rtt) if rtt is not None else None))
     hops = [by_index[k] for k in sorted(by_index)]
@@ -275,11 +276,12 @@ def load_native(stream: Iterable[str], diag: Diagnostics | None = None) -> list[
             hops = [(h["ip"], float(h["rtt"])) for h in doc["hops"]]
             if not isinstance(path_id, str):
                 raise ValueError("path_id must be a string")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
             diag.warn("native_malformed", f"line {lineno}: bad native record")
             continue
         if len(hops) < 2 or any(
-            not isinstance(ip, str) or version(ip) != 4 or rtt < 0 for ip, rtt in hops
+            not isinstance(ip, str) or version(ip) != 4 or not 0 <= rtt < math.inf
+            for ip, rtt in hops
         ):
             diag.warn("native_malformed", f"line {lineno}: invalid hops")
             continue

@@ -248,18 +248,16 @@ def _views_by_ip(
 def _score_views(
     states: dict[str, CandidateState],
     by_ip: dict[str, list[tuple[_PairView, bool]]],
-    order: list[str],
 ) -> None:
-    """One scoring round over every IP of ``order`` (the states' IPs in
-    address order).  Scoring an IP reads only candidate lists and applying
-    its tallies writes only ratio maps and evaluation counts, so every IP
-    is scored against the previous round's candidate sets whatever the
-    order."""
-    for ip in order:
-        tallies = _score_ip(states[ip], by_ip.get(ip, []), states)
+    """One scoring round over every IP.  Scoring an IP reads only
+    candidate lists and applying its tallies writes only ratio maps and
+    evaluation counts, so every IP is scored against the previous round's
+    candidate sets whatever the order."""
+    for ip, state in states.items():
+        tallies = _score_ip(state, by_ip.get(ip, []), states)
         # None means no surviving neighbor candidates: ratios carry over.
         if tallies is not None:
-            _apply_tallies(states[ip], tallies)
+            _apply_tallies(state, tallies)
 
 
 def score_iteration(
@@ -271,7 +269,7 @@ def score_iteration(
     candidate and every observation.  Updates ratios in place and returns
     the states."""
     views = [_PairView(p, cfg) for p in pairs]
-    _score_views(states, _views_by_ip(views), sorted(states, key=ip_key))
+    _score_views(states, _views_by_ip(views))
     return states
 
 
@@ -317,16 +315,15 @@ def iterate(
     """
     views = [_PairView(p, cfg) for p in pairs]
     by_ip = _views_by_ip(views)
-    order = sorted(states, key=ip_key)
     iterations = 0
     for _ in range(max(1, cfg.max_iterations)):
         iterations += 1
-        _score_views(states, by_ip, order)
+        _score_views(states, by_ip)
         changed = 0
-        for ip in order:
-            before = len(states[ip].candidates)
-            prune(states[ip], cfg)
-            if len(states[ip].candidates) != before:
+        for state in states.values():
+            before = len(state.candidates)
+            prune(state, cfg)
+            if len(state.candidates) != before:
                 changed += 1
         if changed == 0:
             break
@@ -355,8 +352,7 @@ def tag_anomalies(
     threshold.  IPs with fewer than ``min_observations`` total evaluations
     are never tagged.  A missing directional ratio counts as healthy.
     """
-    for ip in sorted(states, key=ip_key):
-        state = states[ip]
+    for state in states.values():
         if not state.candidates or state.evaluations < cfg.min_observations:
             continue
         best = max(

@@ -82,7 +82,6 @@ def table_from_counts(
 
 
 def summarize(
-    states: dict[str, CandidateState],
     outcomes: dict[str, ResolutionOutcome],
     paths: list[CleanPath],
 ) -> SummaryTable:
@@ -289,8 +288,7 @@ def country_delta(
     lost: dict[str, int] = {}
     changed = 0
     considered = 0
-    for ip in sorted(outcomes, key=ip_key):
-        out = outcomes[ip]
+    for ip, out in outcomes.items():
         if out.verdict is not Verdict.INTERFACE_AFFECTED or out.resolved is None:
             continue
         records = snapshot.get(ip)

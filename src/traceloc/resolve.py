@@ -15,6 +15,7 @@ the anomaly to a false positive.
 from __future__ import annotations
 
 import statistics
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -48,7 +49,7 @@ REASON_COUNTRY_DISPERSED = "country_dispersed"
 REASON_UNRESOLVABLE = "unresolvable"
 
 
-@dataclass
+@dataclass(slots=True)
 class AnchorObservation:
     """One path's vote: the nearest trustworthy hop and the RTT gap to it."""
 
@@ -108,58 +109,52 @@ class ResolutionOutcome:
     max_overlap: int = 0
 
 
-def _is_anchor(state: CandidateState | None) -> bool:
-    return (
-        state is not None
-        and state.status is IpStatus.ACTIVE
-        and len(state.candidates) == 1
-    )
-
-
 def select_anchors(
-    ip: str, paths: list[CleanPath], states: dict[str, CandidateState]
-) -> list[AnchorObservation]:
-    """Scan each path containing ``ip`` outward for the nearest anchor on
-    each side; keep the side with the smaller absolute RTT difference
-    (ties prefer the preceding side).  Paths with no anchor contribute
-    nothing."""
-    observations: list[AnchorObservation] = []
+    paths: list[CleanPath], states: dict[str, CandidateState]
+) -> dict[str, list[AnchorObservation]]:
+    """Each anomalous IP's observations, in path order.
+
+    An anchor is an IP still marked active that kept exactly one
+    candidate.  Each path is walked once: at the first occurrence of each
+    anomalous hop, the nearest anchor before it and the nearest after it
+    are compared and the side with the smaller absolute RTT difference
+    wins (ties prefer the preceding side).  A path with no anchor
+    contributes nothing."""
+    anchors = {
+        ip: state.candidates[0]
+        for ip, state in states.items()
+        if state.status is IpStatus.ACTIVE and len(state.candidates) == 1
+    }
+    tagged = {ip for ip, state in states.items() if state.status is IpStatus.ANOMALOUS}
+    observations: dict[str, list[AnchorObservation]] = {}
     for path in paths:
-        position = next((i for i, (hop, _) in enumerate(path.hops) if hop == ip), None)
-        if position is None:
+        hops = path.hops
+        marks: list[int] = []
+        firsts: dict[str, int] = {}
+        for i, (hop_ip, _) in enumerate(hops):
+            if hop_ip in anchors:
+                marks.append(i)
+            elif hop_ip in tagged:
+                firsts.setdefault(hop_ip, i)
+        if not marks:
             continue
-        rtt_here = path.hops[position][1]
-
-        def first_anchor(indices) -> tuple[str, float] | None:
-            for j in indices:
-                hop_ip, hop_rtt = path.hops[j]
-                if _is_anchor(states.get(hop_ip)):
-                    return hop_ip, hop_rtt
-            return None
-
-        before = first_anchor(range(position - 1, -1, -1))
-        after = first_anchor(range(position + 1, len(path.hops)))
-        chosen = None
-        if before and after:
-            delta_b = abs(rtt_here - before[1])
-            delta_a = abs(rtt_here - after[1])
-            chosen = before if delta_b <= delta_a else after
-        else:
-            chosen = before or after
-        if chosen is None:
-            continue
-        anchor_ip, anchor_rtt = chosen
-        anchor_cluster = states[anchor_ip].candidates[0]
-        observations.append(
-            AnchorObservation(
-                anomalous_ip=ip,
-                anchor_ip=anchor_ip,
-                anchor_location=anchor_cluster.centroid,
-                anchor_country=anchor_cluster.country,
-                delta_rtt_ms=rtt_here - anchor_rtt,
-                anchor_rtt_ms=anchor_rtt,
+        for ip, position in firsts.items():
+            rtt_here = hops[position][1]
+            k = bisect_left(marks, position)
+            # min keeps the first of equals: the preceding side wins ties.
+            sides = [hops[marks[j]] for j in (k - 1, k) if 0 <= j < len(marks)]
+            anchor_ip, anchor_rtt = min(sides, key=lambda hop: abs(rtt_here - hop[1]))
+            anchor_cluster = anchors[anchor_ip]
+            observations.setdefault(ip, []).append(
+                AnchorObservation(
+                    anomalous_ip=ip,
+                    anchor_ip=anchor_ip,
+                    anchor_location=anchor_cluster.centroid,
+                    anchor_country=anchor_cluster.country,
+                    delta_rtt_ms=rtt_here - anchor_rtt,
+                    anchor_rtt_ms=anchor_rtt,
+                )
             )
-        )
     return observations
 
 
@@ -336,19 +331,19 @@ def classify(
 
 def resolve_anomaly(
     ip: str,
-    paths: list[CleanPath],
+    observations: list[AnchorObservation],
     states: dict[str, CandidateState],
     index: SpatialIndex,
     cfg: ResolveConfig,
 ) -> ResolutionOutcome:
-    """Full resolution of one anomalous IP.
+    """Full resolution of one anomalous IP from its anchor observations
+    (see :func:`select_anchors`).
 
     No anchors at all, or a tie that survives merging, yields an
     unresolvable tunnel verdict; country-dispersed anchors yield the
     dispersed tunnel verdict; otherwise the corrected location is
     classified against the IP's original candidates.
     """
-    observations = select_anchors(ip, paths, states)
     anchors = aggregate_medians(observations)
     if not anchors:
         return ResolutionOutcome(
@@ -394,16 +389,10 @@ def resolve_all(
     selection reads the tagging statuses, which are not revised mid-run."""
     diag = diag or Diagnostics()
     tagged = [ip for ip in sorted(states, key=ip_key) if states[ip].status is IpStatus.ANOMALOUS]
-    paths_by_ip: dict[str, list[CleanPath]] = {}
-    for path in paths:
-        for hop_ip, _ in path.hops:
-            if hop_ip in states and states[hop_ip].status is IpStatus.ANOMALOUS:
-                bucket = paths_by_ip.setdefault(hop_ip, [])
-                if not bucket or bucket[-1] is not path:
-                    bucket.append(path)
+    observations = select_anchors(paths, states)
     outcomes: dict[str, ResolutionOutcome] = {}
     for ip in tagged:
-        outcome = resolve_anomaly(ip, paths_by_ip.get(ip, []), states, index, cfg)
+        outcome = resolve_anomaly(ip, observations.get(ip, []), states, index, cfg)
         if outcome.verdict is Verdict.MPLS_AFFECTED and outcome.reason == REASON_UNRESOLVABLE:
             diag.warn("resolve_unresolvable", f"{ip}: no usable anchor consensus")
         outcomes[ip] = outcome

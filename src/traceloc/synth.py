@@ -25,7 +25,7 @@ from .geo import (
     haversine_km,
     normalize_city,
 )
-from .ingest import CleanPath, GeoRecord, ip_key
+from .ingest import CleanPath, GeoRecord
 from .refine import CandidateState, IpStatus
 from .report import _fmt
 from .resolve import ResolutionOutcome, Verdict
@@ -629,7 +629,7 @@ def score_against_truth(
         report.tunnel_interior_recall = len(flagged) / len(t_interior)
 
     distances = []
-    for ip, out in sorted(outcomes.items(), key=lambda kv: ip_key(kv[0])):
+    for ip, out in outcomes.items():
         if out.verdict is Verdict.INTERFACE_AFFECTED and out.resolved and ip in truth:
             distances.append(haversine_km(out.resolved, truth[ip].location))
     report.interface_count = len(distances)

@@ -423,7 +423,7 @@ def test_affected_summary_exactness():
             ip=ips["G"], verdict=Verdict.INTERFACE_AFFECTED, resolved=GeoPoint(2, 2)
         ),
     }
-    table = summarize({}, outcomes, paths)
+    table = summarize(outcomes, paths)
     got = {
         row.category: (
             row.ip_count, row.ip_pct, row.link_count, row.link_pct,

@@ -408,6 +408,36 @@ class TestExitCodes:
         )
         assert main(["synth", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, key, text",
+        [
+            ("run", "city_catalog", "name,country,lat\nx,FR,1.0\n"),
+            ("run", "city_catalog", "name,country,lat,lon\nx,FR,abc,2.0\n"),
+            ("run", "geo_snapshot", "ip,source,lat,lon,city\n198.51.100.1,db1,1.0,2.0,x\n"),
+            ("synth", "city_catalog", "name,country,lat,lon\nx,FR,abc,2.0\n"),
+        ],
+        ids=["catalog-without-lon", "catalog-bad-lat", "snapshot-without-country", "synth-bad-lat"],
+    )
+    def test_malformed_catalog_or_snapshot_is_input_error(
+        self, small_corpus, tmp_path, caplog, command, key, text
+    ):
+        root, catalog, synth_dir = small_corpus
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        settings = {
+            "traceroutes": synth_dir / "traceroutes.jsonl",
+            "geo_snapshot": synth_dir / "snapshot.csv",
+            "city_catalog": catalog,
+            "out_dir": tmp_path / "out",
+            key: bad,
+        }
+        cfg = write_config(tmp_path / "a.conf", [f"{k} = {v}" for k, v in settings.items()])
+        caplog.clear()
+        assert main([command, "--config", str(cfg)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith("input error: ") and str(bad) in errors[0]
+
 
 class TestFetchGeo:
     def test_fetch_uses_config_sources_and_cache(self, tmp_path, monkeypatch):

@@ -118,6 +118,27 @@ class TestParseAtlas:
         (path,) = clean_paths([rt])
         assert [ip for ip, _ in path.hops] == ["198.51.100.1", "198.51.100.3"]
 
+    @pytest.mark.parametrize("rtt", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rtt_is_no_response(self, rtt):
+        # json.loads reads these literals; a reply carrying one has no RTT.
+        line = (
+            '{"msm_id": 1, "prb_id": 2, "timestamp": 100, "result": [{"hop": 1, "result": '
+            f'[{{"from": "198.51.100.1", "rtt": {rtt}}}, {{"from": "198.51.100.1", "rtt": 2.0}}]}}]}}'
+        )
+        diag = Diagnostics()
+        (rt,) = parse_atlas([line], diag)
+        assert rt.hops[0].replies == [("198.51.100.1", None), ("198.51.100.1", 2.0)]
+        assert diag.count("atlas_malformed") == 0
+
+    def test_rtt_beyond_float_range_is_malformed(self):
+        line = (
+            '{"msm_id": 1, "prb_id": 2, "timestamp": 100, "result": [{"hop": 1, "result": '
+            f'[{{"from": "198.51.100.1", "rtt": 1{"0" * 400}}}]}}]}}'
+        )
+        diag = Diagnostics()
+        assert parse_atlas([line], diag) == []
+        assert diag.count("atlas_malformed") == 1
+
     def test_duplicate_hop_numbers_merge_replies(self):
         doc = {
             "msm_id": 1,
@@ -285,6 +306,22 @@ class TestNativeFormat:
         ]
         assert load_native(lines, diag) == []
         assert diag.count("native_malformed") == 8
+
+    @pytest.mark.parametrize(
+        "rtt",
+        ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+        ids=["NaN", "Infinity", "-Infinity", "huge-int"],
+    )
+    def test_rejects_non_finite_rtt(self, rtt):
+        # json.loads reads NaN and the infinities; a 400-digit integer has
+        # no float value.
+        line = (
+            '{"path_id": "p", "hops": [{"ip": "198.51.100.1", "rtt": 1.0}, '
+            f'{{"ip": "198.51.100.2", "rtt": {rtt}}}]}}'
+        )
+        diag = Diagnostics()
+        assert load_native([line], diag) == []
+        assert diag.count("native_malformed") == 1
 
     def test_dump_then_load(self, tmp_path):
         paths = [

@@ -106,7 +106,7 @@ def ten_ip_corpus():
 class TestSummarize:
     def test_hand_counted_table(self):
         _, paths, outcomes = ten_ip_corpus()
-        table = summarize({}, outcomes, paths)
+        table = summarize(outcomes, paths)
         by_cat = {row.category: row for row in table.rows}
 
         assert (table.total_ips, table.total_links, table.total_traceroutes) == (10, 9, 4)
@@ -140,7 +140,7 @@ class TestSummarize:
         assert by_cat["corrected"].traceroute_pct == pytest.approx(100 * 1 / 3)
 
     def test_empty_corpus(self):
-        table = summarize({}, {}, [])
+        table = summarize({}, [])
         assert table.total_ips == 0
         assert all(row.ip_pct == 0.0 for row in table.rows)
 

@@ -1,6 +1,8 @@
 """Anchor selection, median aggregation, buffer voting, classification."""
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 import random
 
@@ -13,7 +15,7 @@ from traceloc.geo import (
     SpatialIndex,
     haversine_km,
 )
-from traceloc.ingest import CleanPath
+from traceloc.ingest import CleanPath, load_native
 from traceloc.refine import CandidateState, IpStatus, make_states
 from traceloc.resolve import (
     REASON_COUNTRY_DISPERSED,
@@ -79,7 +81,7 @@ class TestSelectAnchors:
     def test_smaller_delta_side_wins(self):
         states = self._states()
         path = CleanPath("p", [(A1, 10.0), (X, 12.0), (A2, 30.0)])
-        (obs,) = select_anchors(X, [path], states)
+        (obs,) = select_anchors([path], states).get(X, [])
         assert obs.anchor_ip == A1
         assert obs.delta_rtt_ms == pytest.approx(2.0)
         assert obs.anchor_rtt_ms == 10.0
@@ -87,13 +89,13 @@ class TestSelectAnchors:
     def test_tie_prefers_preceding(self):
         states = self._states()
         path = CleanPath("p", [(A1, 10.0), (X, 12.0), (A2, 14.0)])
-        (obs,) = select_anchors(X, [path], states)
+        (obs,) = select_anchors([path], states).get(X, [])
         assert obs.anchor_ip == A1
 
     def test_following_only(self):
         states = self._states()
         path = CleanPath("p", [(X, 12.0), (A2, 14.0)])
-        (obs,) = select_anchors(X, [path], states)
+        (obs,) = select_anchors([path], states).get(X, [])
         assert obs.anchor_ip == A2
         assert obs.delta_rtt_ms == pytest.approx(-2.0)
 
@@ -101,19 +103,19 @@ class TestSelectAnchors:
         states = self._states()
         # M has two candidate clusters; the scan must pass over it.
         path = CleanPath("p", [(A1, 10.0), (M, 11.0), (X, 12.0)])
-        (obs,) = select_anchors(X, [path], states)
+        (obs,) = select_anchors([path], states).get(X, [])
         assert obs.anchor_ip == A1
 
     def test_anomalous_hop_is_not_an_anchor(self):
         states = self._states()
         states[A2].status = IpStatus.ANOMALOUS
         path = CleanPath("p", [(X, 12.0), (A2, 14.0), (Y, 16.0)])
-        assert select_anchors(X, [path], states) == []
+        assert select_anchors([path], states).get(X, []) == []
 
     def test_paths_without_ip_contribute_nothing(self):
         states = self._states()
         path = CleanPath("p", [(A1, 10.0), (A2, 14.0)])
-        assert select_anchors(X, [path], states) == []
+        assert select_anchors([path], states).get(X, []) == []
 
     def test_one_observation_per_path(self):
         states = self._states()
@@ -122,8 +124,147 @@ class TestSelectAnchors:
             CleanPath("p2", [(A2, 13.0), (X, 12.0)]),
             CleanPath("p3", [(Y, 1.0), (M, 2.0)]),
         ]
-        obs = select_anchors(X, paths, states)
+        obs = select_anchors(paths, states).get(X, [])
         assert [o.anchor_ip for o in obs] == [A1, A2]
+
+
+def reference_select_anchors(paths, states):
+    """The per-IP scan that the one-pass :func:`select_anchors` replaced,
+    kept as its reference: bucket each tagged IP's paths, then scan every
+    such path outward from the IP's first position.  Observations come
+    out as field tuples in :class:`AnchorObservation` order."""
+
+    def is_anchor(state):
+        return (
+            state is not None
+            and state.status is IpStatus.ACTIVE
+            and len(state.candidates) == 1
+        )
+
+    paths_by_ip = {}
+    for path in paths:
+        for hop_ip, _ in path.hops:
+            if hop_ip in states and states[hop_ip].status is IpStatus.ANOMALOUS:
+                bucket = paths_by_ip.setdefault(hop_ip, [])
+                if not bucket or bucket[-1] is not path:
+                    bucket.append(path)
+    out = {}
+    for ip, ip_paths in paths_by_ip.items():
+        for path in ip_paths:
+            position = next(i for i, (hop, _) in enumerate(path.hops) if hop == ip)
+            rtt_here = path.hops[position][1]
+
+            def first_anchor(indices):
+                for j in indices:
+                    hop_ip, hop_rtt = path.hops[j]
+                    if is_anchor(states.get(hop_ip)):
+                        return hop_ip, hop_rtt
+                return None
+
+            before = first_anchor(range(position - 1, -1, -1))
+            after = first_anchor(range(position + 1, len(path.hops)))
+            if before and after:
+                delta_b = abs(rtt_here - before[1])
+                delta_a = abs(rtt_here - after[1])
+                chosen = before if delta_b <= delta_a else after
+            else:
+                chosen = before or after
+            if chosen is None:
+                continue
+            anchor_ip, anchor_rtt = chosen
+            anchor_cluster = states[anchor_ip].candidates[0]
+            out.setdefault(ip, []).append(
+                (
+                    ip,
+                    anchor_ip,
+                    anchor_cluster.centroid,
+                    anchor_cluster.country,
+                    rtt_here - anchor_rtt,
+                    anchor_rtt,
+                )
+            )
+    return out
+
+
+def random_anchor_world(rng):
+    """States over 10 IPs with random roles (anchor, multi-candidate,
+    tagged, no geolocation), and native paths read by ``load_native``:
+    hops may repeat non-consecutively, and RTTs are small integers so
+    the two sides often tie."""
+    ips = [f"203.0.113.{i}" for i in range(1, 11)]
+    clusters = {}
+    roles = {}
+    for ip in ips:
+        role = rng.choice(["anchor", "anchor", "multi", "tagged", "tagged", "none"])
+        if role == "none":
+            continue
+        n = 2 if role == "multi" else rng.choice([1, 2]) if role == "tagged" else 1
+        clusters[ip] = [
+            cluster(c, rng.uniform(-500, 500), country=rng.choice(["FR", "GB"]))
+            for c in range(n)
+        ]
+        roles[ip] = role
+    states = make_states(clusters)
+    for ip, role in roles.items():
+        if role == "tagged":
+            states[ip].status = IpStatus.ANOMALOUS
+    lines = []
+    for p in range(30):
+        hops = [rng.choice(ips)]
+        for _ in range(rng.randint(1, 7)):
+            hops.append(rng.choice([ip for ip in ips if ip != hops[-1]]))
+        lines.append(
+            json.dumps(
+                {
+                    "path_id": f"p{p}",
+                    "hops": [{"ip": ip, "rtt": float(rng.randint(0, 8))} for ip in hops],
+                }
+            )
+        )
+    paths = load_native(lines)
+    assert len(paths) == len(lines)
+    return states, paths
+
+
+def observation_fields(obs):
+    return tuple(getattr(obs, f.name) for f in dataclasses.fields(obs))
+
+
+class TestSelectAnchorsMatchesReference:
+    def test_random_worlds(self):
+        rng = random.Random(2024)
+        seen = {"repeat": 0, "tie": 0, "no_anchor": 0}
+        for trial in range(300):
+            states, paths = random_anchor_world(rng)
+            got = select_anchors(paths, states)
+            want = reference_select_anchors(paths, states)
+            tagged = [ip for ip, st in states.items() if st.status is IpStatus.ANOMALOUS]
+            for ip in tagged:
+                assert [observation_fields(o) for o in got.get(ip, [])] == want.get(ip, []), (
+                    f"trial {trial}, ip {ip}"
+                )
+            assert set(got) <= set(tagged)
+            # Count the cases the worlds are drawn to contain.
+            for path in paths:
+                hops = [hop for hop, _ in path.hops]
+                anchors = [
+                    i for i, hop in enumerate(hops)
+                    if hop in states
+                    and states[hop].status is IpStatus.ACTIVE
+                    and len(states[hop].candidates) == 1
+                ]
+                for ip in set(hops) & set(tagged):
+                    i = hops.index(ip)
+                    seen["repeat"] += hops.count(ip) > 1
+                    seen["no_anchor"] += not anchors
+                    before = [j for j in anchors if j < i]
+                    after = [j for j in anchors if j > i]
+                    if before and after:
+                        rtt = path.hops[i][1]
+                        seen["tie"] += abs(rtt - path.hops[before[-1]][1]) == abs(
+                            rtt - path.hops[after[0]][1]
+                        )
+        assert all(n > 0 for n in seen.values()), seen
 
 
 def make_obs(anchor_ip, delta, anchor_rtt=10.0, country="FR", x_km=0.0):
@@ -395,7 +536,9 @@ def integration_world(a2_country="FR"):
 class TestResolveAnomalyEndToEnd:
     def test_interface_affected_resolution(self):
         catalog, states, paths = integration_world()
-        out = resolve_anomaly(X, paths, states, SpatialIndex(catalog), ResolveConfig())
+        out = resolve_anomaly(
+            X, select_anchors(paths, states).get(X, []), states, SpatialIndex(catalog), ResolveConfig()
+        )
         assert out.verdict is Verdict.INTERFACE_AFFECTED
         assert out.polygon_id == 0  # the true city wins the overlap vote
         assert out.resolved_country == "FR"
@@ -404,7 +547,9 @@ class TestResolveAnomalyEndToEnd:
 
     def test_country_dispersed_verdict(self):
         catalog, states, paths = integration_world(a2_country="GB")
-        out = resolve_anomaly(X, paths, states, SpatialIndex(catalog), ResolveConfig())
+        out = resolve_anomaly(
+            X, select_anchors(paths, states).get(X, []), states, SpatialIndex(catalog), ResolveConfig()
+        )
         assert out.verdict is Verdict.MPLS_AFFECTED
         assert out.reason == REASON_COUNTRY_DISPERSED
         assert out.anchor_count == 2
@@ -420,7 +565,9 @@ class TestResolveAnomalyEndToEnd:
         catalog, states, paths = integration_world()
         # Same tag, but the databases actually agree with the anchors.
         states[X] = tagged_state(X, [cluster(0, 0, city="truth")])
-        out = resolve_anomaly(X, paths, states, SpatialIndex(catalog), ResolveConfig())
+        out = resolve_anomaly(
+            X, select_anchors(paths, states).get(X, []), states, SpatialIndex(catalog), ResolveConfig()
+        )
         assert out.verdict is Verdict.FALSE_POSITIVE
         assert out.confirmed.city == "truth"
 
