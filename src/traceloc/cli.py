@@ -94,24 +94,25 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
-_TOP_KEYS = {
-    "traceroutes": str,
-    "traceroute_format": str,
-    "geo_snapshot": str,
-    "city_catalog": str,
-    "out_dir": str,
-    "seed": int,
-    "merge_radius_km": float,
-    "fetch_ips_file": str,
-    "fetch_cache_dir": str,
-}
-
 _THREADS_DEPRECATED = "config key threads is deprecated and ignored"
 
-_SECTION_FIELDS = {
-    "refine": RefineConfig,
-    "resolve": ResolveConfig,
-    "synth": SynthSettings,
+
+def _field_types(klass: type) -> dict[str, type]:
+    """Each field's type, read off its default value."""
+    defaults = klass()
+    return {f.name: type(getattr(defaults, f.name)) for f in dataclasses.fields(klass)}
+
+
+_SECTION_TYPES = {
+    "refine": _field_types(RefineConfig),
+    "resolve": _field_types(ResolveConfig),
+    "synth": _field_types(SynthSettings),
+}
+
+_TOP_KEYS = {
+    name: typ
+    for name, typ in _field_types(PipelineConfig).items()
+    if name not in _SECTION_TYPES and name != "sources"
 }
 
 
@@ -124,21 +125,15 @@ def _convert(key: str, raw: str, typ: type):
 
 def build_config(entries: dict[str, str]) -> PipelineConfig:
     cfg = PipelineConfig()
-    section_types: dict[str, dict[str, type]] = {}
-    for section, klass in _SECTION_FIELDS.items():
-        section_types[section] = {
-            f.name: type(getattr(klass(), f.name)) for f in dataclasses.fields(klass)
-        }
-
     for key, raw in entries.items():
         if key.startswith("source."):
             cfg.sources[key] = raw
             continue
         if "." in key:
             section, _, name = key.partition(".")
-            if section not in section_types or name not in section_types[section]:
+            if section not in _SECTION_TYPES or name not in _SECTION_TYPES[section]:
                 raise ConfigError(f"unknown config key: {key}")
-            value = _convert(key, raw, section_types[section][name])
+            value = _convert(key, raw, _SECTION_TYPES[section][name])
             setattr(getattr(cfg, section), name, value)
             continue
         if key == "threads":
@@ -201,7 +196,6 @@ def load_config(path: str | Path, args: argparse.Namespace | None = None) -> Pip
             _deprecated_threads(args.threads)
         if getattr(args, "seed", None) is not None:
             cfg.seed = args.seed
-    _validate_knobs(cfg)
     return cfg
 
 

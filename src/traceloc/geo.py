@@ -177,7 +177,12 @@ def load_city_catalog(path: str | Path) -> list[CityPolygon]:
             if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
                 raise ValueError(f"city catalog {path} row {lineno + 2}: coordinates out of range")
             raw_radius = (row.get("radius_km") or "").strip()
-            radius = float(raw_radius) if raw_radius else DEFAULT_CITY_RADIUS_KM
+            try:
+                radius = float(raw_radius) if raw_radius else DEFAULT_CITY_RADIUS_KM
+                if not math.isfinite(radius):
+                    raise ValueError(f"non-finite radius {raw_radius!r}")
+            except ValueError as exc:
+                raise ValueError(f"city catalog {path} row {lineno + 2}: bad radius") from exc
             if radius < 0:
                 raise ValueError(f"city catalog {path} row {lineno + 2}: negative radius")
             polygons.append(

@@ -62,6 +62,11 @@ def _ip_version(text: str) -> int:
         return 0
 
 
+# The types of a JSON number as ``json.loads`` returns it, compared exactly:
+# ``true``/``false`` come back as bools, which ``isinstance`` takes for ints.
+_JSON_NUMBER = {int, float}
+
+
 def is_bogon(ip: str, networks: Iterable[ipaddress.IPv4Network] = DEFAULT_BOGONS) -> bool:
     addr = ipaddress.IPv4Address(ip)
     return any(addr in net for net in networks)
@@ -169,7 +174,7 @@ def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTracer
                 ipv6 += v == 6
                 responder = None
             rtt = reply.get("rtt")
-            if not isinstance(rtt, (int, float)) or not 0 <= rtt < math.inf:
+            if type(rtt) not in _JSON_NUMBER or not 0 <= rtt < math.inf:
                 rtt = None
             hop.replies.append((responder, float(rtt) if rtt is not None else None))
     hops = [by_index[k] for k in sorted(by_index)]
@@ -276,6 +281,8 @@ def load_native(stream: Iterable[str], diag: Diagnostics | None = None) -> list[
             hops = [(h["ip"], float(h["rtt"])) for h in doc["hops"]]
             if not isinstance(path_id, str):
                 raise ValueError("path_id must be a string")
+            if not {type(h["rtt"]) for h in doc["hops"]} <= _JSON_NUMBER:
+                raise TypeError("rtt must be a number")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
             diag.warn("native_malformed", f"line {lineno}: bad native record")
             continue

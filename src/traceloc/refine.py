@@ -16,7 +16,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .diagnostics import Diagnostics, logger
+from .diagnostics import Diagnostics
 from .geo import CityCluster, GeoPoint, haversine_km, sol_km
 from .ingest import CleanPath, ip_key
 
@@ -170,94 +170,55 @@ def _feasible_count(sorted_budgets: list[float], distance_km: float) -> int:
     return len(sorted_budgets) - bisect_left(sorted_budgets, distance_km)
 
 
-@dataclass
-class _Tally:
-    feas: int = 0
-    total: int = 0
-    prev_feas: int = 0
-    prev_total: int = 0
-    next_feas: int = 0
-    next_total: int = 0
-
-
 def _score_ip(
     state: CandidateState,
     views: list[tuple[_PairView, bool]],
     states: dict[str, CandidateState],
-) -> dict[int, _Tally] | None:
-    """Tally feasible/total evaluation counts for one IP's candidates
-    against the candidate sets its neighbors currently hold."""
-    tallies = {c.cluster_id: _Tally() for c in state.candidates}
-    any_eval = False
+) -> None:
+    """Score one IP's candidates against the candidate sets its neighbors
+    currently hold and store the ratios.  Every candidate meets the same
+    neighbor candidates and observations, so the evaluation totals are per
+    IP and only the feasible counts are per candidate.  When no neighbor
+    holds candidates the ratios carry over."""
+    prev_feas = {c.cluster_id: 0 for c in state.candidates}
+    next_feas = dict(prev_feas)
+    prev_total = next_total = 0
+    evaluated = False
     for view, is_a in views:
-        other_ip = view.ip_b if is_a else view.ip_a
-        other = states.get(other_ip)
+        other = states.get(view.ip_b if is_a else view.ip_a)
         if other is None or not other.candidates:
             continue
+        evaluated = True
         # Budgets where the neighbor came first count toward the previous-
         # direction ratio; the rest toward the next-direction ratio.
         prev_budgets = view.budgets_b_first if is_a else view.budgets_a_first
         next_budgets = view.budgets_a_first if is_a else view.budgets_b_first
-        n_prev, n_next = len(prev_budgets), len(next_budgets)
+        prev_total += len(prev_budgets) * len(other.candidates)
+        next_total += len(next_budgets) * len(other.candidates)
         for cand in state.candidates:
-            tally = tallies[cand.cluster_id]
+            cid = cand.cluster_id
             for other_cand in other.candidates:
-                if is_a:
-                    d = view.distance(cand, other_cand)
-                else:
-                    d = view.distance(other_cand, cand)
-                pf = _feasible_count(prev_budgets, d)
-                nf = _feasible_count(next_budgets, d)
-                tally.prev_feas += pf
-                tally.prev_total += n_prev
-                tally.next_feas += nf
-                tally.next_total += n_next
-                tally.feas += pf + nf
-                tally.total += n_prev + n_next
-                any_eval = True
-    return tallies if any_eval else None
-
-
-def _apply_tallies(state: CandidateState, tallies: dict[int, _Tally]) -> None:
-    ratio: dict[int, float] = {}
-    prev_ratio: dict[int, float | None] = {}
-    next_ratio: dict[int, float | None] = {}
-    total = 0
-    for cand in state.candidates:
-        t = tallies[cand.cluster_id]
-        ratio[cand.cluster_id] = t.feas / t.total if t.total else 1.0
-        prev_ratio[cand.cluster_id] = t.prev_feas / t.prev_total if t.prev_total else None
-        next_ratio[cand.cluster_id] = t.next_feas / t.next_total if t.next_total else None
-        total = t.total
-    state.ratio = ratio
-    state.prev_ratio = prev_ratio
-    state.next_ratio = next_ratio
+                d = view.distance(cand, other_cand) if is_a else view.distance(other_cand, cand)
+                prev_feas[cid] += _feasible_count(prev_budgets, d)
+                next_feas[cid] += _feasible_count(next_budgets, d)
+    if not evaluated:
+        return
+    total = prev_total + next_total
+    state.ratio = {k: (prev_feas[k] + next_feas[k]) / total if total else 1.0 for k in prev_feas}
+    state.prev_ratio = {k: f / prev_total if prev_total else None for k, f in prev_feas.items()}
+    state.next_ratio = {k: f / next_total if next_total else None for k, f in next_feas.items()}
     state.evaluations = total
 
 
 def _views_by_ip(
-    views: list[_PairView],
+    pairs: list[NeighborPair], cfg: RefineConfig
 ) -> dict[str, list[tuple[_PairView, bool]]]:
     by_ip: dict[str, list[tuple[_PairView, bool]]] = {}
-    for view in views:
+    for pair in pairs:
+        view = _PairView(pair, cfg)
         by_ip.setdefault(view.ip_a, []).append((view, True))
         by_ip.setdefault(view.ip_b, []).append((view, False))
     return by_ip
-
-
-def _score_views(
-    states: dict[str, CandidateState],
-    by_ip: dict[str, list[tuple[_PairView, bool]]],
-) -> None:
-    """One scoring round over every IP.  Scoring an IP reads only
-    candidate lists and applying its tallies writes only ratio maps and
-    evaluation counts, so every IP is scored against the previous round's
-    candidate sets whatever the order."""
-    for ip, state in states.items():
-        tallies = _score_ip(state, by_ip.get(ip, []), states)
-        # None means no surviving neighbor candidates: ratios carry over.
-        if tallies is not None:
-            _apply_tallies(state, tallies)
 
 
 def score_iteration(
@@ -267,9 +228,12 @@ def score_iteration(
 ) -> dict[str, CandidateState]:
     """Score one round: every candidate of every IP against every neighbor
     candidate and every observation.  Updates ratios in place and returns
-    the states."""
-    views = [_PairView(p, cfg) for p in pairs]
-    _score_views(states, _views_by_ip(views))
+    the states.  Scoring an IP reads only candidate lists and writes only
+    ratio maps and evaluation counts, so every IP is scored against the
+    same candidate sets whatever the order."""
+    by_ip = _views_by_ip(pairs, cfg)
+    for ip, state in states.items():
+        _score_ip(state, by_ip.get(ip, []), states)
     return states
 
 
@@ -313,12 +277,13 @@ def iterate(
     the sets that survived the previous round, then prunes all IPs at
     once.  Returns ``(states, iterations_run)``.
     """
-    views = [_PairView(p, cfg) for p in pairs]
-    by_ip = _views_by_ip(views)
+    diag = diag or Diagnostics()
+    by_ip = _views_by_ip(pairs, cfg)
     iterations = 0
     for _ in range(max(1, cfg.max_iterations)):
         iterations += 1
-        _score_views(states, by_ip)
+        for ip, state in states.items():
+            _score_ip(state, by_ip.get(ip, []), states)
         changed = 0
         for state in states.values():
             before = len(state.candidates)
@@ -328,16 +293,10 @@ def iterate(
         if changed == 0:
             break
     else:
-        if diag is not None:
-            diag.warn(
-                "refine_no_convergence",
-                f"candidate sets still changing after {cfg.max_iterations} iterations",
-            )
-        else:
-            logger.warning(
-                "refine_no_convergence: candidate sets still changing after %d iterations",
-                cfg.max_iterations,
-            )
+        diag.warn(
+            "refine_no_convergence",
+            f"candidate sets still changing after {cfg.max_iterations} iterations",
+        )
     return states, iterations
 
 

@@ -415,8 +415,15 @@ class TestExitCodes:
             ("run", "city_catalog", "name,country,lat,lon\nx,FR,abc,2.0\n"),
             ("run", "geo_snapshot", "ip,source,lat,lon,city\n198.51.100.1,db1,1.0,2.0,x\n"),
             ("synth", "city_catalog", "name,country,lat,lon\nx,FR,abc,2.0\n"),
+            ("run", "city_catalog", "name,country,lat,lon,radius_km\nx,FR,1.0,2.0,nan\n"),
         ],
-        ids=["catalog-without-lon", "catalog-bad-lat", "snapshot-without-country", "synth-bad-lat"],
+        ids=[
+            "catalog-without-lon",
+            "catalog-bad-lat",
+            "snapshot-without-country",
+            "synth-bad-lat",
+            "catalog-nan-radius",
+        ],
     )
     def test_malformed_catalog_or_snapshot_is_input_error(
         self, small_corpus, tmp_path, caplog, command, key, text

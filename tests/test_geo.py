@@ -240,6 +240,14 @@ class TestCityCatalog:
         with pytest.raises(ValueError, match="out of range"):
             load_city_catalog(p)
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "abc"])
+    def test_bad_radius_is_fatal(self, tmp_path, radius):
+        # A NaN disc matches no query and an infinite one every grid cell.
+        p = tmp_path / "bad.csv"
+        p.write_text(f"name,country,lat,lon,radius_km\nParis,FR,48.85,2.35,{radius}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv row 2: bad radius"):
+            load_city_catalog(p)
+
     def test_duplicate_rows_keep_distinct_ids(self, tmp_path):
         p = tmp_path / "dup.csv"
         p.write_text("name,country,lat,lon\nParis,FR,48.85,2.35\nParis,FR,48.85,2.35\n")

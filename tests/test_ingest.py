@@ -118,9 +118,10 @@ class TestParseAtlas:
         (path,) = clean_paths([rt])
         assert [ip for ip, _ in path.hops] == ["198.51.100.1", "198.51.100.3"]
 
-    @pytest.mark.parametrize("rtt", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("rtt", ["NaN", "Infinity", "-Infinity", "true", "false"])
     def test_non_finite_rtt_is_no_response(self, rtt):
         # json.loads reads these literals; a reply carrying one has no RTT.
+        # Booleans are ints to isinstance but are not RTTs.
         line = (
             '{"msm_id": 1, "prb_id": 2, "timestamp": 100, "result": [{"hop": 1, "result": '
             f'[{{"from": "198.51.100.1", "rtt": {rtt}}}, {{"from": "198.51.100.1", "rtt": 2.0}}]}}]}}'
@@ -309,12 +310,12 @@ class TestNativeFormat:
 
     @pytest.mark.parametrize(
         "rtt",
-        ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
-        ids=["NaN", "Infinity", "-Infinity", "huge-int"],
+        ["NaN", "Infinity", "-Infinity", "1" + "0" * 400, "true", "false", '"7"'],
+        ids=["NaN", "Infinity", "-Infinity", "huge-int", "true", "false", "string"],
     )
     def test_rejects_non_finite_rtt(self, rtt):
         # json.loads reads NaN and the infinities; a 400-digit integer has
-        # no float value.
+        # no float value; booleans and numeric strings are not numbers.
         line = (
             '{"path_id": "p", "hops": [{"ip": "198.51.100.1", "rtt": 1.0}, '
             f'{{"ip": "198.51.100.2", "rtt": {rtt}}}]}}'

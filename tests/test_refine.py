@@ -1,18 +1,21 @@
 """Refinement engine: pair extraction, feasibility, iteration, tagging."""
 from __future__ import annotations
 
+import logging
 import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from traceloc.diagnostics import Diagnostics
-from traceloc.geo import CityCluster, GeoPoint
-from traceloc.ingest import CleanPath
+from traceloc.geo import CityCluster, GeoPoint, cluster_candidates, haversine_km
+from traceloc.ingest import CleanPath, ip_key
 from traceloc.refine import (
     IpStatus,
     RefineConfig,
+    budget_km,
     extract_pairs,
     iterate,
     make_states,
@@ -21,6 +24,7 @@ from traceloc.refine import (
     score_iteration,
     tag_anomalies,
 )
+from traceloc.synth import InjectionSpec, corrupt_geodb, generate_world, simulate_traceroutes
 from tests.conftest import plane_latlon
 
 IP_A = "198.51.100.1"
@@ -137,6 +141,17 @@ class TestScoringAndIteration:
         assert iterations == 1
         assert diag.count("refine_no_convergence") == 1
 
+    def test_iteration_cap_without_diagnostics_logs_once(self, caplog):
+        states, pairs = two_ip_fixture()
+        with caplog.at_level(logging.WARNING, logger="traceloc"):
+            iterate(states, pairs, RefineConfig(max_iterations=1))
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            (
+                "WARNING",
+                "refine_no_convergence: candidate sets still changing after 1 iterations",
+            )
+        ]
+
     def test_neighbor_without_candidates_contributes_nothing(self):
         states = make_states({IP_A: [cand(0, 0)]})
         paths = [CleanPath("p", [(IP_A, 1.0), (IP_B, 4.0)])]
@@ -144,6 +159,141 @@ class TestScoringAndIteration:
         # No evaluations happened; the vacuous perfect ratio stands.
         assert states[IP_A].ratio[0] == 1.0
         assert states[IP_A].evaluations == 0
+
+
+@dataclass
+class _Tally:
+    feas: int = 0
+    total: int = 0
+    prev_feas: int = 0
+    prev_total: int = 0
+    next_feas: int = 0
+    next_total: int = 0
+
+
+def reference_score_round(states, pairs, cfg):
+    """The scoring round as first written: six counters per candidate, four
+    of them the same for every candidate of an IP, tallied against the
+    previous round's candidate sets and then applied."""
+    by_ip = {}
+    for pair in pairs:
+        a_first = [budget_km(o.rtt_a, o.rtt_b, cfg) for o in pair.observations if o.a_first]
+        b_first = [budget_km(o.rtt_a, o.rtt_b, cfg) for o in pair.observations if not o.a_first]
+        by_ip.setdefault(pair.ip_a, []).append((pair.ip_b, True, b_first, a_first))
+        by_ip.setdefault(pair.ip_b, []).append((pair.ip_a, False, a_first, b_first))
+    all_tallies = {}
+    for ip, state in states.items():
+        tallies = {c.cluster_id: _Tally() for c in state.candidates}
+        any_eval = False
+        for other_ip, is_a, prev_budgets, next_budgets in by_ip.get(ip, []):
+            other = states.get(other_ip)
+            if other is None or not other.candidates:
+                continue
+            for c in state.candidates:
+                t = tallies[c.cluster_id]
+                for oc in other.candidates:
+                    if is_a:
+                        d = haversine_km(c.centroid, oc.centroid)
+                    else:
+                        d = haversine_km(oc.centroid, c.centroid)
+                    pf = sum(b >= d for b in prev_budgets)
+                    nf = sum(b >= d for b in next_budgets)
+                    t.prev_feas += pf
+                    t.prev_total += len(prev_budgets)
+                    t.next_feas += nf
+                    t.next_total += len(next_budgets)
+                    t.feas += pf + nf
+                    t.total += len(prev_budgets) + len(next_budgets)
+                    any_eval = True
+        if any_eval:
+            all_tallies[ip] = tallies
+    for ip, tallies in all_tallies.items():
+        state = states[ip]
+        state.ratio, state.prev_ratio, state.next_ratio = {}, {}, {}
+        for c in state.candidates:
+            t = tallies[c.cluster_id]
+            state.ratio[c.cluster_id] = t.feas / t.total if t.total else 1.0
+            state.prev_ratio[c.cluster_id] = t.prev_feas / t.prev_total if t.prev_total else None
+            state.next_ratio[c.cluster_id] = t.next_feas / t.next_total if t.next_total else None
+            state.evaluations = t.total
+    return states
+
+
+def reference_iterate(states, pairs, cfg):
+    for iterations in range(1, cfg.max_iterations + 1):
+        reference_score_round(states, pairs, cfg)
+        sizes = [len(s.candidates) for s in states.values()]
+        for state in states.values():
+            prune(state, cfg)
+        if sizes == [len(s.candidates) for s in states.values()]:
+            break
+    return states, iterations
+
+
+def gappy_world(grid_catalog, seed):
+    """A seeded world with decoys where every seventh IP has no candidates."""
+    world = generate_world(seed, 60, 12, 0.05, grid_catalog)
+    paths = simulate_traceroutes(world, 300, 0.05)
+    spec = InjectionSpec(
+        interface_error_fraction=0.05,
+        min_displacement_km=300.0,
+        db_count=4,
+        db_noise_km=2.0,
+        decoy_fraction=0.5,
+        decoy_db_count=1,
+    )
+    snapshot, _ = corrupt_geodb(world, spec, seed, grid_catalog)
+    ips = sorted({ip for p in paths for ip, _ in p.hops}, key=ip_key)
+    clusters = {
+        ip: cluster_candidates(snapshot.get(ip, []), 20.0)
+        for i, ip in enumerate(ips)
+        if i % 7 != 3
+    }
+    return clusters, extract_pairs(paths)
+
+
+def scored_fields(states):
+    return {
+        ip: (
+            [c.cluster_id for c in s.candidates],
+            s.ratio,
+            s.prev_ratio,
+            s.next_ratio,
+            s.evaluations,
+        )
+        for ip, s in states.items()
+    }
+
+
+WORLD_SEEDS = range(6)
+
+
+class TestScoringMatchesReference:
+    def test_score_iteration(self, grid_catalog):
+        cases = {"stateless neighbor": 0, "one direction": 0, "no evaluations": 0}
+        for seed in WORLD_SEEDS:
+            clusters, pairs = gappy_world(grid_catalog, seed)
+            want = reference_score_round(make_states(clusters), pairs, RefineConfig())
+            got = score_iteration(make_states(clusters), pairs, RefineConfig())
+            assert scored_fields(got) == scored_fields(want)
+            cases["stateless neighbor"] += sum(
+                p.ip_a not in got or p.ip_b not in got for p in pairs
+            )
+            for s in got.values():
+                c = s.candidates[0].cluster_id
+                cases["one direction"] += (s.prev_ratio[c] is None) != (s.next_ratio[c] is None)
+                cases["no evaluations"] += s.evaluations == 0
+        assert all(cases.values()), cases
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3])
+    def test_iterate(self, grid_catalog, max_iterations):
+        cfg = RefineConfig(max_iterations=max_iterations)
+        for seed in WORLD_SEEDS:
+            clusters, pairs = gappy_world(grid_catalog, seed)
+            want, want_n = reference_iterate(make_states(clusters), pairs, cfg)
+            got, got_n = iterate(make_states(clusters), pairs, cfg)
+            assert got_n == want_n
+            assert scored_fields(got) == scored_fields(want)
 
 
 class TestPrune:
