@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import sys
@@ -203,21 +204,13 @@ def _read_traceroutes(cfg: PipelineConfig, diag: Diagnostics) -> list[CleanPath]
     path = Path(cfg.traceroutes)
     if not path.exists():
         raise ConfigError(f"traceroutes file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    if not text.strip():
-        raise InputError(f"traceroute file is empty: {path}")
-    lines = text.splitlines()
-    fmt = cfg.traceroute_format
-    if fmt == "auto":
-        first = next(line for line in lines if line.strip())
-        try:
-            fmt = "native" if "path_id" in json.loads(first) else "atlas"
-        except (json.JSONDecodeError, TypeError):
-            fmt = "atlas"
-    if fmt == "native":
-        paths = ingest.load_native(lines, diag)
-    else:
-        paths = ingest.clean_paths(ingest.parse_atlas(lines, diag), diag=diag)
+    # A bad byte reads as a lone surrogate, and the reader counts its line.
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        fmt, head = cfg.traceroute_format, []
+        if fmt == "auto":
+            fmt, head = ingest.sniff_format(fh)
+        load = ingest.load_native if fmt == "native" else ingest.load_atlas
+        paths = load(itertools.chain(head, fh), diag)
     if not paths:
         raise InputError(f"no usable traceroutes in {path}")
     return paths

@@ -2,10 +2,13 @@
 
 Two traceroute encodings are understood: the RIPE Atlas result export
 (newline-delimited JSON, one measurement result per line) and a native
-line format holding already-cleaned paths.  Atlas records pass through
-:func:`normalize` to become :class:`CleanPath` objects; native files are
-parsed directly.  Geolocation data arrives either as a snapshot CSV or
-through the rate-limited :func:`fetch_geo` client.
+line format holding already-cleaned paths.  Both are read one line at a
+time: :func:`load_atlas` takes each Atlas record straight to a
+:class:`CleanPath` by the rules of :func:`normalize`, and
+:func:`load_native` parses native lines directly.  A line that is not
+valid UTF-8 or not JSON is counted and skipped.  Geolocation data arrives
+either as a snapshot CSV or through the rate-limited :func:`fetch_geo`
+client.
 """
 from __future__ import annotations
 
@@ -15,11 +18,10 @@ import ipaddress
 import json
 import math
 import os
-import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .diagnostics import Diagnostics
 
@@ -76,12 +78,13 @@ def _cached_bogon(networks: Iterable[ipaddress.IPv4Network]) -> Callable[[str], 
     return functools.cache(functools.partial(is_bogon, networks=tuple(networks)))
 
 
+Reply = tuple[str | None, float | None]  # (responder ip, rtt ms); a timeout is (None, None)
+
+
 @dataclass
 class RawHop:
     hop_index: int
-    # (responder ip or None, rtt ms or None) per probe reply; timeouts keep
-    # their slot as (None, None).
-    replies: list[tuple[str | None, float | None]] = field(default_factory=list)
+    replies: list[Reply] = field(default_factory=list)
 
 
 @dataclass
@@ -111,6 +114,60 @@ class GeoRecord:
     country: str
 
 
+def _json_lines(
+    stream: Iterable[str], diag: Diagnostics, kind: str, bad_json: str
+) -> Iterator[tuple[int, object]]:
+    """Number and JSON value of each non-blank line; a line with a bad byte
+    (read as a lone surrogate) or not valid JSON is counted under ``kind``."""
+    for lineno, line in enumerate(stream, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            if not line.isascii():
+                line.encode("utf-8")
+            doc = json.loads(line)
+        except UnicodeEncodeError:
+            diag.warn(kind, f"line {lineno}: not valid UTF-8")
+            continue
+        except (ValueError, RecursionError):
+            diag.warn(kind, f"line {lineno}: {bad_json}")
+            continue
+        yield lineno, doc
+
+
+def sniff_format(lines: Iterator[str]) -> tuple[str, list[str]]:
+    """``native`` if the first line holding a JSON object has a ``path_id``,
+    else ``atlas``; and the lines read to decide, for a reader to take first."""
+    head: list[str] = []
+    for line in lines:
+        head.append(line)
+        try:
+            doc = json.loads(line)
+        except (ValueError, RecursionError):
+            continue
+        if isinstance(doc, dict):
+            return ("native" if "path_id" in doc else "atlas"), head
+    return "atlas", head
+
+
+def _atlas_records(
+    stream: Iterable[str], diag: Diagnostics
+) -> Iterator[tuple[tuple[str, str, int], dict[int, list[Reply]]]]:
+    """``(msm_id, prb_id, timestamp)`` and the replies by hop number of each
+    well-formed record of an Atlas export, in line order."""
+    version = functools.cache(_ip_version)
+    for lineno, doc in _json_lines(stream, diag, "atlas_malformed", "not valid JSON"):
+        try:
+            key, by_hop, ipv6 = _atlas_record(doc, version)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            diag.warn("atlas_malformed", f"line {lineno}: {exc}")
+            continue
+        if ipv6:
+            diag.warn("atlas_ipv6", f"line {lineno}: {ipv6} IPv6 replies kept as no response", ipv6)
+        yield key, by_hop
+
+
 def parse_atlas(stream: Iterable[str], diag: Diagnostics | None = None) -> list[RawTraceroute]:
     """Parse a RIPE Atlas newline-delimited JSON export.
 
@@ -121,31 +178,17 @@ def parse_atlas(stream: Iterable[str], diag: Diagnostics | None = None) -> list[
     never fails outright.  IPv6 responders are counted (``atlas_ipv6``,
     one per reply) and kept as no response, like any non-IPv4 ``from``.
     """
-    diag = diag or Diagnostics()
-    version = functools.cache(_ip_version)
-    out: list[RawTraceroute] = []
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError:
-            diag.warn("atlas_malformed", f"line {lineno}: not valid JSON")
-            continue
-        try:
-            rt, ipv6 = _atlas_record(doc, version)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            diag.warn("atlas_malformed", f"line {lineno}: {exc}")
-            continue
-        if ipv6:
-            diag.warn("atlas_ipv6", f"line {lineno}: {ipv6} IPv6 replies kept as no response", ipv6)
-        out.append(rt)
-    return out
+    return [
+        RawTraceroute(msm, prb, ts, [RawHop(n, by_hop[n]) for n in sorted(by_hop)])
+        for (msm, prb, ts), by_hop in _atlas_records(stream, diag or Diagnostics())
+    ]
 
 
-def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTraceroute, int]:
-    """One export record and its number of IPv6 replies."""
+def _atlas_record(
+    doc: object, version: Callable[[str], int]
+) -> tuple[tuple[str, str, int], dict[int, list[Reply]], int]:
+    """One export record's key, its replies by hop number and its number
+    of IPv6 replies."""
     if not isinstance(doc, dict):
         raise ValueError("record is not an object")
     msm = doc["msm_id"]
@@ -156,7 +199,7 @@ def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTracer
     hops_raw = doc.get("result", [])
     if not isinstance(hops_raw, list):
         raise ValueError("result must be a list")
-    by_index: dict[int, RawHop] = {}
+    by_hop: dict[int, list[Reply]] = {}
     ipv6 = 0
     for entry in hops_raw:
         if not isinstance(entry, dict) or "hop" not in entry:
@@ -164,7 +207,7 @@ def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTracer
         hop_no = entry["hop"]
         if not isinstance(hop_no, int) or hop_no < 1:
             continue
-        hop = by_index.setdefault(hop_no, RawHop(hop_index=hop_no))
+        replies = by_hop.setdefault(hop_no, [])
         for reply in entry.get("result", []) or []:
             if not isinstance(reply, dict):
                 continue
@@ -176,10 +219,8 @@ def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTracer
             rtt = reply.get("rtt")
             if type(rtt) not in _JSON_NUMBER or not 0 <= rtt < math.inf:
                 rtt = None
-            hop.replies.append((responder, float(rtt) if rtt is not None else None))
-    hops = [by_index[k] for k in sorted(by_index)]
-    rt = RawTraceroute(measurement_id=str(msm), probe_id=str(prb), timestamp=ts, hops=hops)
-    return rt, ipv6
+            replies.append((responder, float(rtt) if rtt is not None else None))
+    return (str(msm), str(prb), ts), by_hop, ipv6
 
 
 def normalize(
@@ -197,64 +238,54 @@ def normalize(
     or fewer than two hops survive.  Running the result through
     normalization again would change nothing.
     """
-    return _normalize(rt, _cached_bogon(bogon_filter), diag or Diagnostics())
+    ident = f"{rt.measurement_id}-{rt.probe_id}-{rt.timestamp}"
+    hops = (hop.replies for hop in rt.hops)
+    return _clean_path(ident, hops, _cached_bogon(bogon_filter), diag or Diagnostics())
 
 
-def _normalize(
-    rt: RawTraceroute, bogon: Callable[[str], bool], diag: Diagnostics
+def _clean_path(
+    ident: str, hops: Iterable[list[Reply]], bogon: Callable[[str], bool], diag: Diagnostics
 ) -> CleanPath | None:
-    hops: list[tuple[str, float]] = []
-    for hop in rt.hops:
-        responders = [ip for ip, _ in hop.replies if ip is not None]
-        rtts = [rtt for _, rtt in hop.replies if rtt is not None]
+    """The rules of :func:`normalize`, over each hop's replies in hop order."""
+    kept: list[tuple[str, float]] = []
+    seen: set[str] = set()
+    for replies in hops:
+        responders = [ip for ip, _ in replies if ip is not None]
+        rtts = sorted(rtt for _, rtt in replies if rtt is not None)
         if not responders or not rtts:
             continue
-        counts: dict[str, int] = {}
-        for ip in responders:
-            counts[ip] = counts.get(ip, 0) + 1
-        best = max(counts.values())
-        ip = next(r for r in responders if counts[r] == best)
-        if bogon(ip):
-            continue
-        hops.append((ip, float(statistics.median(rtts))))
-
-    collapsed: list[tuple[str, float]] = []
-    for ip, rtt in hops:
-        if collapsed and collapsed[-1][0] == ip:
-            continue  # duplicate hop; the first occurrence keeps its RTT
-        collapsed.append((ip, rtt))
-
-    ident = f"{rt.measurement_id}-{rt.probe_id}-{rt.timestamp}"
-    seen = set()
-    for ip, _ in collapsed:
+        ip = max(responders, key=responders.count)  # the first of a tie
+        if bogon(ip) or (kept and kept[-1][0] == ip):
+            continue  # a bogon, or a repeat of the hop before, which keeps its RTT
         if ip in seen:
             diag.warn("path_loop", f"{ident}: ip {ip} repeats non-consecutively")
             return None
         seen.add(ip)
-
-    if len(collapsed) < 2:
+        mid = len(rtts) // 2
+        kept.append((ip, float(rtts[mid] if len(rtts) % 2 else (rtts[mid - 1] + rtts[mid]) / 2)))
+    if len(kept) < 2:
         diag.warn("path_short", f"{ident}: fewer than 2 hops survive")
         return None
-    return CleanPath(path_id=ident, hops=collapsed, source_traceroute=ident)
+    return CleanPath(path_id=ident, hops=kept, source_traceroute=ident)
 
 
-def clean_paths(
-    raws: Iterable[RawTraceroute],
-    bogon_filter: Iterable[ipaddress.IPv4Network] = DEFAULT_BOGONS,
-    diag: Diagnostics | None = None,
-) -> list[CleanPath]:
-    """Normalize a batch, disambiguating colliding path ids with a suffix.
-    Each distinct responder's bogon status is decided once per batch."""
+def load_atlas(stream: Iterable[str], diag: Diagnostics | None = None) -> list[CleanPath]:
+    """Read a RIPE Atlas export one line at a time into clean paths.
+
+    Each record is parsed as by :func:`parse_atlas` and normalised as by
+    :func:`normalize` before the next line is read; no raw record is kept.
+    A path id seen before gets a ``-2``, ``-3``, ... suffix.  Each distinct
+    responder is validated and bogon-checked once per call.
+    """
     diag = diag or Diagnostics()
-    bogon = _cached_bogon(bogon_filter)
+    bogon = _cached_bogon(DEFAULT_BOGONS)
     out: list[CleanPath] = []
     seen: dict[str, int] = {}
-    for rt in raws:
-        path = _normalize(rt, bogon, diag)
+    for (msm, prb, ts), by_hop in _atlas_records(stream, diag):
+        path = _clean_path(f"{msm}-{prb}-{ts}", (by_hop[n] for n in sorted(by_hop)), bogon, diag)
         if path is None:
             continue
-        n = seen.get(path.path_id, 0) + 1
-        seen[path.path_id] = n
+        n = seen[path.path_id] = seen.get(path.path_id, 0) + 1
         if n > 1:
             path.path_id = f"{path.path_id}-{n}"
         out.append(path)
@@ -271,19 +302,15 @@ def load_native(stream: Iterable[str], diag: Diagnostics | None = None) -> list[
     diag = diag or Diagnostics()
     version = functools.cache(_ip_version)
     out: list[CleanPath] = []
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, doc in _json_lines(stream, diag, "native_malformed", "bad native record"):
         try:
-            doc = json.loads(line)
             path_id = doc["path_id"]
             hops = [(h["ip"], float(h["rtt"])) for h in doc["hops"]]
             if not isinstance(path_id, str):
                 raise ValueError("path_id must be a string")
             if not {type(h["rtt"]) for h in doc["hops"]} <= _JSON_NUMBER:
                 raise TypeError("rtt must be a number")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             diag.warn("native_malformed", f"line {lineno}: bad native record")
             continue
         if len(hops) < 2 or any(

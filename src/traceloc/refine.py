@@ -295,7 +295,7 @@ def iterate(
     else:
         diag.warn(
             "refine_no_convergence",
-            f"candidate sets still changing after {cfg.max_iterations} iterations",
+            f"candidate sets still changing after {iterations} iterations",
         )
     return states, iterations
 

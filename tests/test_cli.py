@@ -5,6 +5,9 @@ from __future__ import annotations
 import argparse
 import ipaddress
 import json
+import logging
+import os
+import threading
 
 import pytest
 
@@ -166,6 +169,13 @@ def run_config(root, catalog, synth_dir, out_dir, extra=()):
     )
 
 
+def assert_same_tree(out_dir, expected_dir):
+    names = sorted(p.name for p in expected_dir.iterdir())
+    assert sorted(p.name for p in out_dir.iterdir()) == names
+    for name in names:
+        assert (out_dir / name).read_bytes() == (expected_dir / name).read_bytes(), name
+
+
 class TestSynthCommand:
     def test_outputs(self, small_corpus):
         _, _, synth_dir = small_corpus
@@ -247,6 +257,64 @@ class TestRunCommand:
             assert sorted(p.name for p in out_dir.iterdir()) == names
             for name in names:
                 assert (out_dir / name).read_bytes() == (plain / name).read_bytes(), name
+
+    def test_damaged_lines_cost_only_themselves(self, small_corpus, tmp_path, caplog):
+        # A cut-off first line and a bad byte in a later line's path_id are
+        # each counted and skipped: auto-detection reads past the first, and
+        # the results are those of the undamaged corpus.
+        root, catalog, synth_dir = small_corpus
+        clean = (synth_dir / "traceroutes.jsonl").read_bytes().splitlines(keepends=True)
+        damaged = tmp_path / "damaged.jsonl"
+        damaged.write_bytes(b"".join([
+            clean[0][:25] + b"\n",
+            *clean[:3],
+            clean[3].replace(b'"path_id":"', b'"path_id":"\xff', 1),
+            *clean[3:],
+        ]))
+        plain, out = tmp_path / "plain", tmp_path / "damaged"
+        assert main(["run", "--config", str(run_config(root, catalog, synth_dir, plain))]) == 0
+        caplog.clear()
+        cfg = write_config(
+            tmp_path / "damaged.conf",
+            [
+                f"traceroutes = {damaged}",
+                f"geo_snapshot = {synth_dir / 'snapshot.csv'}",
+                f"city_catalog = {catalog}",
+                f"out_dir = {out}",
+            ],
+        )
+        with caplog.at_level(logging.INFO, logger="traceloc"):
+            assert main(["run", "--config", str(cfg)]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        assert "native_malformed: line 1: bad native record" in messages
+        assert "native_malformed: line 5: not valid UTF-8" in messages
+        assert "native_malformed=2" in messages[-1].split()
+        assert_same_tree(out, plain)
+
+    def test_corpus_from_a_pipe(self, small_corpus, tmp_path):
+        # Auto-detection reads ahead without rewinding, so a corpus that
+        # cannot seek (a named pipe here) gives the results of the file.
+        root, catalog, synth_dir = small_corpus
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+        corpus = (synth_dir / "traceroutes.jsonl").read_bytes()
+        writer = threading.Thread(target=fifo.write_bytes, args=(corpus,), daemon=True)
+        writer.start()
+        plain, piped = tmp_path / "plain", tmp_path / "piped"
+        cfg = write_config(
+            tmp_path / "piped.conf",
+            [
+                f"traceroutes = {fifo}",
+                f"geo_snapshot = {synth_dir / 'snapshot.csv'}",
+                f"city_catalog = {catalog}",
+                f"out_dir = {piped}",
+            ],
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert main(["run", "--config", str(run_config(root, catalog, synth_dir, plain))]) == 0
+        assert_same_tree(piped, plain)
 
     def test_atlas_format_autodetected(self, small_corpus, tmp_path, data_dir):
         root, catalog, _ = small_corpus

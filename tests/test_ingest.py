@@ -1,13 +1,19 @@
 """Ingestion: Atlas parsing vs an independent reference, normalization,
-the native format round-trip, snapshots, and the fetch client."""
+the streaming Atlas reader vs the two-pass pipeline it replaced, the
+native format round-trip, reader fuzzing, snapshots, and the fetch client."""
 from __future__ import annotations
 
+import csv
+import io
 import ipaddress
 import json
+import logging
 import statistics
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceloc.diagnostics import Diagnostics
@@ -19,17 +25,18 @@ from traceloc.ingest import (
     GeoSource,
     RawHop,
     RawTraceroute,
-    clean_paths,
     dump_native,
     fetch_geo,
     ip_key,
     is_bogon,
+    load_atlas,
     load_fetch_config,
     load_geo_snapshot,
     load_native,
     normalize,
     parse_atlas,
     serialize_native,
+    sniff_format,
     write_geo_snapshot,
 )
 
@@ -70,6 +77,121 @@ def reference_parse(lines):
                 hops.setdefault(hop_no, []).append((ip, float(rtt) if rtt is not None else None))
         out.append((str(msm), str(prb), ts, {k: hops[k] for k in sorted(hops)}))
     return out
+
+
+def reference_load_atlas(lines, diag):
+    """The two-pass Atlas reading that ``load_atlas`` replaced: parse every
+    line into a ``RawTraceroute``, then normalise the whole batch and
+    suffix colliding path ids.  Kept as written, ``statistics.median``
+    included, to pin the streaming reader to its old results."""
+
+    def parse(doc):
+        if not isinstance(doc, dict):
+            raise ValueError("record is not an object")
+        msm, prb, ts = doc["msm_id"], doc["prb_id"], doc["timestamp"]
+        if not isinstance(ts, int) or ts <= 0:
+            raise ValueError("timestamp must be a positive integer")
+        hops_raw = doc.get("result", [])
+        if not isinstance(hops_raw, list):
+            raise ValueError("result must be a list")
+        by_index, ipv6 = {}, 0
+        for entry in hops_raw:
+            if not isinstance(entry, dict) or "hop" not in entry:
+                continue
+            hop_no = entry["hop"]
+            if not isinstance(hop_no, int) or hop_no < 1:
+                continue
+            hop = by_index.setdefault(hop_no, RawHop(hop_index=hop_no))
+            for reply in entry.get("result", []) or []:
+                if not isinstance(reply, dict):
+                    continue
+                responder = reply.get("from")
+                try:
+                    v = ipaddress.ip_address(responder).version if isinstance(responder, str) else 0
+                except ValueError:
+                    v = 0
+                if v != 4:
+                    ipv6 += v == 6
+                    responder = None
+                rtt = reply.get("rtt")
+                if type(rtt) not in (int, float) or not 0 <= rtt < float("inf"):
+                    rtt = None
+                hop.replies.append((responder, float(rtt) if rtt is not None else None))
+        hops = [by_index[k] for k in sorted(by_index)]
+        return RawTraceroute(str(msm), str(prb), ts, hops), ipv6
+
+    def normalise(rt):
+        hops = []
+        for hop in rt.hops:
+            responders = [ip for ip, _ in hop.replies if ip is not None]
+            rtts = [rtt for _, rtt in hop.replies if rtt is not None]
+            if not responders or not rtts:
+                continue
+            counts = {}
+            for ip in responders:
+                counts[ip] = counts.get(ip, 0) + 1
+            best = max(counts.values())
+            ip = next(r for r in responders if counts[r] == best)
+            if is_bogon(ip):
+                continue
+            hops.append((ip, float(statistics.median(rtts))))
+        collapsed = []
+        for ip, rtt in hops:
+            if not collapsed or collapsed[-1][0] != ip:
+                collapsed.append((ip, rtt))
+        ident = f"{rt.measurement_id}-{rt.probe_id}-{rt.timestamp}"
+        seen = set()
+        for ip, _ in collapsed:
+            if ip in seen:
+                diag.warn("path_loop", f"{ident}: ip {ip} repeats non-consecutively")
+                return None
+            seen.add(ip)
+        if len(collapsed) < 2:
+            diag.warn("path_short", f"{ident}: fewer than 2 hops survive")
+            return None
+        return CleanPath(path_id=ident, hops=collapsed, source_traceroute=ident)
+
+    raws = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError:
+            diag.warn("atlas_malformed", f"line {lineno}: not valid JSON")
+            continue
+        try:
+            rt, ipv6 = parse(doc)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            diag.warn("atlas_malformed", f"line {lineno}: {exc}")
+            continue
+        if ipv6:
+            diag.warn("atlas_ipv6", f"line {lineno}: {ipv6} IPv6 replies kept as no response", ipv6)
+        raws.append(rt)
+    out, seen = [], {}
+    for rt in raws:
+        path = normalise(rt)
+        if path is None:
+            continue
+        n = seen[path.path_id] = seen.get(path.path_id, 0) + 1
+        if n > 1:
+            path.path_id = f"{path.path_id}-{n}"
+        out.append(path)
+    return out
+
+
+def atlas_line(hops, msm=1, prb=2, ts=100):
+    """One export line whose hop i+1 carries ``hops[i]``'s (from, rtt) replies."""
+    return json.dumps({
+        "msm_id": msm,
+        "prb_id": prb,
+        "timestamp": ts,
+        "result": [
+            {"hop": i + 1, "result": [{"from": ip, "rtt": rtt} for ip, rtt in replies]}
+            for i, replies in enumerate(hops)
+        ],
+    })
 
 
 class TestParseAtlas:
@@ -115,7 +237,7 @@ class TestParseAtlas:
         assert diag.count("atlas_ipv6") == 6  # three replies on each of two lines
         assert diag.count("atlas_malformed") == 0
         # A hop answered only over IPv6 normalizes like a timeout.
-        (path,) = clean_paths([rt])
+        (path,) = load_atlas([json.dumps(doc)])
         assert [ip for ip, _ in path.hops] == ["198.51.100.1", "198.51.100.3"]
 
     @pytest.mark.parametrize("rtt", ["NaN", "Infinity", "-Infinity", "true", "false"])
@@ -168,7 +290,7 @@ class TestNormalize:
     def test_sample_corpus_yields_eight_paths(self, data_dir):
         diag = Diagnostics()
         lines = (data_dir / "atlas_sample.jsonl").read_text().splitlines()
-        paths = clean_paths(parse_atlas(lines, diag), diag=diag)
+        paths = load_atlas(lines, diag)
         assert len(paths) == 8
         assert diag.count("path_loop") == 1
         assert diag.count("path_short") == 1
@@ -254,14 +376,214 @@ class TestNormalize:
         )
         assert again.hops == once.hops
 
-    def test_clean_paths_disambiguates_id_collisions(self):
-        rts = [
-            raw([[("198.51.100.1", 1.0)], [("198.51.100.9", 9.0)]]),
-            raw([[("198.51.100.2", 1.0)], [("198.51.100.8", 9.0)]]),
+
+class LineIterator:
+    """Lines from an iterator object with no ``read`` or ``readlines``;
+    ``pulled`` counts the lines taken so far."""
+
+    def __init__(self, lines):
+        self._lines = iter(lines)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = next(self._lines)
+        self.pulled += 1
+        return line
+
+
+class RecordingDiagnostics(Diagnostics):
+    """Diagnostics that also keep every warning's (name, message, n)."""
+
+    def __init__(self):
+        super().__init__()
+        self.warnings = []
+
+    def warn(self, name, message, n=1):
+        super().warn(name, message, n)
+        self.warnings.append((name, message, n))
+
+
+# Generated exports.  The draws are weighted towards valid values (a reply
+# from the hop's own address with a plain RTT), so most records keep a
+# path; the rest give every case the reader handles: repeated and bad hop
+# numbers, responders seen on other hops (loops), bogons, IPv6 and invalid
+# ``from``, null/bool/NaN/negative/string RTTs, short paths, and ids
+# drawn from a small pool, so they collide.
+BAD_RTTS = [None, True, False, float("nan"), float("inf"), -1.0, "7"]
+
+
+@st.composite
+def rtts(draw):
+    """A plain RTT five times in six, else one that is no RTT."""
+    if draw(st.integers(min_value=0, max_value=5)) < 5:
+        return draw(st.floats(min_value=0.0, max_value=50.0) | st.integers(0, 50))
+    return draw(st.sampled_from(BAD_RTTS))
+
+
+OTHER_FROM = ["10.0.0.1", "192.168.4.4", "2001:db8::1", "not-an-ip", "", 3325256705, None]
+
+
+@st.composite
+def atlas_records(draw):
+    """One export record as a dict, before it is dumped as a line."""
+    result = []
+    hop = 0
+    for _ in range(draw(st.integers(min_value=1, max_value=7))):
+        hop += draw(st.sampled_from([1, 0, 2]))  # 0 repeats a hop number
+        replies = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            kind = draw(st.sampled_from(["own", "own", "seen", "other", "timeout"]))
+            if kind == "timeout":
+                replies.append({"x": "*"})
+                continue
+            ip = {
+                "own": f"198.51.100.{hop}",
+                "seen": f"198.51.100.{draw(st.integers(min_value=1, max_value=max(hop, 1)))}",
+                "other": draw(st.sampled_from(OTHER_FROM)),
+            }[kind]
+            replies.append({"from": ip, "rtt": draw(rtts())})
+        result.append({"hop": hop, "result": replies})
+    if draw(st.booleans()):  # back to the first hop's address: a loop
+        result.append({"hop": hop + 1, "result": [{"from": "198.51.100.1", "rtt": 9.0}]})
+    result += draw(st.lists(st.sampled_from([
+        {"hop": 0, "result": [{"from": "198.51.100.9", "rtt": 1.0}]},
+        {"hop": "2", "result": []},
+        {"hop": 3, "result": None},
+        {"error": "no hop"},
+        "junk",
+    ]), max_size=2))
+    return {
+        "msm_id": draw(st.sampled_from([1, 2])),
+        "prb_id": draw(st.sampled_from([7, "p"])),
+        "timestamp": draw(st.sampled_from([100] * 4 + [101] * 4 + [-1, 1.5])),
+        "result": result,
+    }
+
+
+@st.composite
+def atlas_lines(draw):
+    """A whole record six times in eight, else a cut-off one or junk."""
+    roll = draw(st.integers(min_value=0, max_value=7))
+    if roll < 7:
+        line = json.dumps(draw(atlas_records()))
+        return line if roll < 6 else line[:-3]
+    return draw(st.sampled_from(["", "   ", "not json", '{"msm_id": 1, "timestamp": 100}', "[1]"]))
+
+
+atlas_exports = st.lists(atlas_lines(), max_size=12)
+
+# Hypothesis settings for the generated-input tests: a fixed example
+# sequence and few enough examples to keep the suite fast.
+GENERATED = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def assert_matches_reference(lines):
+    """``load_atlas`` gives the reference's paths and the same warnings,
+    whose order alone may differ."""
+    diag, ref_diag = RecordingDiagnostics(), RecordingDiagnostics()
+    paths = load_atlas(lines, diag)
+    expected = reference_load_atlas(lines, ref_diag)
+    assert [(p.path_id, p.hops, p.source_traceroute) for p in paths] == [
+        (p.path_id, p.hops, p.source_traceroute) for p in expected
+    ]
+    assert diag.counters == ref_diag.counters
+    assert sorted(diag.warnings) == sorted(ref_diag.warnings)
+
+
+class TestLoadAtlas:
+    def test_matches_reference_on_sample(self, data_dir):
+        assert_matches_reference((data_dir / "atlas_sample.jsonl").read_text().splitlines())
+
+    @GENERATED
+    @given(atlas_exports)
+    def test_matches_reference_on_generated_exports(self, lines):
+        assert_matches_reference(lines)
+
+    def test_disambiguates_id_collisions(self):
+        lines = [
+            atlas_line([[("198.51.100.1", 1.0)], [("198.51.100.9", 9.0)]]),
+            atlas_line([[("198.51.100.2", 1.0)], [("198.51.100.8", 9.0)]]),
         ]
-        paths = clean_paths(rts)
-        assert paths[0].path_id == "1-2-100"
-        assert paths[1].path_id == "1-2-100-2"
+        paths = load_atlas(lines)
+        assert [p.path_id for p in paths] == ["1-2-100", "1-2-100-2"]
+        assert [p.source_traceroute for p in paths] == ["1-2-100", "1-2-100"]
+
+    def test_streams_one_line_at_a_time(self):
+        # Each warning is given while its own line is the last one read,
+        # so no line is read ahead and parse and path warnings interleave.
+        lines = LineIterator([
+            atlas_line([[("198.51.100.1", 1.0)], [("198.51.100.9", 9.0)]]),
+            "not json",
+            atlas_line([[("198.51.100.1", 1.0)], [("198.51.100.5", 3.0)], [("198.51.100.1", 5.0)]]),
+            atlas_line([[("2001:db8::1", 1.0)], [("198.51.100.9", 9.0)]], ts=101),
+        ])
+        pulled_at = []
+
+        class Watching(Diagnostics):
+            def warn(self, name, message, n=1):
+                super().warn(name, message, n)
+                pulled_at.append((name, lines.pulled))
+
+        paths = load_atlas(lines, Watching())
+        assert [p.path_id for p in paths] == ["1-2-100"]
+        assert pulled_at == [
+            ("atlas_malformed", 2), ("path_loop", 3), ("atlas_ipv6", 4), ("path_short", 4)
+        ]
+
+    def test_undecodable_line_is_counted(self, tmp_path, caplog):
+        good = atlas_line([[("198.51.100.1", 1.0)], [("198.51.100.9", 9.0)]]).encode()
+        f = tmp_path / "export.jsonl"
+        f.write_bytes(good + b"\n" + good.replace(b"198.51.100.9", b"198.51.100.\xff") + b"\n")
+        diag = Diagnostics()
+        with caplog.at_level(logging.WARNING, logger="traceloc"):
+            with f.open(encoding="utf-8", errors="surrogateescape") as fh:
+                paths = load_atlas(fh, diag)
+        assert [p.path_id for p in paths] == ["1-2-100"]
+        assert diag.counters == {"atlas_malformed": 1}
+        assert caplog.messages == ["atlas_malformed: line 2: not valid UTF-8"]
+
+    @pytest.mark.parametrize(
+        "line",
+        ["[" * 100_000, '{"msm_id": ' + "1" * 5000 + "}"],
+        ids=["deep-nesting", "huge-int"],
+    )
+    def test_unreadable_json_is_malformed(self, line):
+        # json.loads raises RecursionError and a plain ValueError here, not
+        # JSONDecodeError.
+        diag = Diagnostics()
+        assert load_atlas([line], diag) == []
+        assert diag.counters == {"atlas_malformed": 1}
+
+
+class TestSniffFormat:
+    NATIVE = '{"path_id": "p", "hops": []}'
+    ATLAS = '{"msm_id": 1, "prb_id": 2, "timestamp": 100, "result": []}'
+
+    @pytest.mark.parametrize(
+        "lines,expected,read",
+        [
+            ([NATIVE, ATLAS], "native", 1),
+            ([ATLAS, NATIVE], "atlas", 1),
+            (["", "   ", '{"path_id": "cut', NATIVE, ATLAS], "native", 4),
+            (["[" * 100_000, NATIVE], "native", 2),
+            # Only an object decides: a list or a string naming path_id does not.
+            (['["path_id"]', '"path_id"', ATLAS], "atlas", 3),
+            (["not json", '["path_id"]'], "atlas", 2),
+            ([], "atlas", 0),
+        ],
+        ids=["native", "atlas", "past-blank-and-cut", "past-deep-nesting", "objects-only",
+             "no-object", "empty"],
+    )
+    def test_first_json_object_decides(self, lines, expected, read):
+        # The lines read to decide come back, so a stream need not be rewound.
+        rest = iter(lines)
+        fmt, head = sniff_format(rest)
+        assert fmt == expected
+        assert head == lines[:read]
+        assert head + list(rest) == lines
 
 
 octet = st.integers(min_value=1, max_value=254)
@@ -333,6 +655,121 @@ class TestNativeFormat:
         with f.open("w") as fh:
             dump_native(paths, fh)
         assert load_native(f.read_text().splitlines()) == paths
+
+    def test_undecodable_line_is_counted(self, tmp_path, caplog):
+        # The bad byte sits inside a path_id; the line is still rejected.
+        good = serialize_native(
+            CleanPath("p", [("198.51.100.1", 1.0), ("198.51.100.2", 2.0)], "p")
+        ).encode()
+        f = tmp_path / "paths.jsonl"
+        f.write_bytes(good.replace(b'"p"', b'"p\xff"') + b"\n" + good + b"\n")
+        diag = Diagnostics()
+        with caplog.at_level(logging.WARNING, logger="traceloc"):
+            with f.open(encoding="utf-8", errors="surrogateescape") as fh:
+                paths = load_native(fh, diag)
+        assert [p.path_id for p in paths] == ["p"]
+        assert diag.counters == {"native_malformed": 1}
+        assert caplog.messages == ["native_malformed: line 1: not valid UTF-8"]
+
+    @pytest.mark.parametrize(
+        "line",
+        ["[" * 100_000, '{"path_id": ' + "1" * 5000 + "}"],
+        ids=["deep-nesting", "huge-int"],
+    )
+    def test_unreadable_json_is_malformed(self, line):
+        diag = Diagnostics()
+        assert load_native([line], diag) == []
+        assert diag.counters == {"native_malformed": 1}
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def native_records(draw):
+    """Mostly valid native records; the other draws give bad ids, addresses
+    and RTTs, repeated addresses and missing fields."""
+    hops = []
+    for n in range(draw(st.integers(min_value=0, max_value=5))):
+        ip = draw(st.sampled_from([f"198.51.100.{n}"] * 6 + ["198.51.100.1", *OTHER_FROM]))
+        hop = {"ip": ip, "rtt": draw(rtts())}
+        if draw(st.integers(min_value=0, max_value=9)) == 9:
+            del hop[draw(st.sampled_from(["ip", "rtt"]))]
+        hops.append(hop)
+    return {"path_id": draw(st.sampled_from(["p", "p", "q", 7])), "hops": hops}
+
+
+# Arbitrary text, arbitrary JSON values, and lines close to each format.
+any_lines = st.one_of(
+    st.lists(st.text(max_size=40), max_size=8),
+    st.lists(json_values.map(json.dumps), max_size=8),
+    atlas_exports,
+    st.lists(native_records().map(json.dumps), max_size=8),
+)
+
+
+def csv_rows(rows):
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+snapshot_fields = st.one_of(
+    st.sampled_from(["198.51.100.1", "10.0.0.1", "2001:db8::1", "x", "", "db1",
+                     "48.8", "2.3", "999", "nan", "inf", "1e400", "Paris", "fr"]),
+    st.text(max_size=6),
+)
+# Snapshot bodies under a valid header: arbitrary text, or CSV rows of
+# any width built from plausible and arbitrary fields.
+snapshot_bodies = st.one_of(
+    st.text(max_size=200),
+    st.lists(st.lists(snapshot_fields, max_size=8), max_size=8).map(csv_rows),
+)
+
+
+def non_blank(lines):
+    return sum(1 for line in lines if line.strip())
+
+
+class TestReaderFuzz:
+    """No reader raises on any input short of its documented fatal errors,
+    and every non-blank line (snapshot row) is either kept or counted."""
+
+    @GENERATED
+    @given(any_lines)
+    def test_load_atlas_keeps_or_counts_each_line(self, lines):
+        diag = Diagnostics()
+        paths = load_atlas(lines, diag)
+        rejected = sum(diag.count(k) for k in ("atlas_malformed", "path_loop", "path_short"))
+        assert len(paths) + rejected == non_blank(lines)
+
+    @GENERATED
+    @given(any_lines)
+    def test_load_native_keeps_or_counts_each_line(self, lines):
+        diag = Diagnostics()
+        paths = load_native(lines, diag)
+        assert len(paths) + diag.count("native_malformed") == non_blank(lines)
+
+    @GENERATED
+    @given(snapshot_bodies)
+    def test_load_geo_snapshot_keeps_or_counts_each_row(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "snapshot.csv"
+            f.write_text("ip,source,lat,lon,city,country\n" + body, encoding="utf-8", newline="")
+            diag = Diagnostics()
+            by_ip = load_geo_snapshot(f, diag)
+        rows = sum(1 for row in csv.reader(io.StringIO(body, newline="")) if row)
+        kept = sum(len(records) for records in by_ip.values())
+        rejected = sum(
+            diag.count(k) for k in ("snapshot_malformed", "snapshot_range", "snapshot_duplicate")
+        )
+        assert kept + rejected == rows
 
 
 class TestBogonsAndKeys:

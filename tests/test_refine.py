@@ -152,6 +152,17 @@ class TestScoringAndIteration:
             )
         ]
 
+    def test_zero_iteration_cap_runs_and_reports_one_round(self, caplog):
+        # The library takes max_iterations=0 (the CLI rejects it); one
+        # round still runs, and the warning names that round.
+        states, pairs = two_ip_fixture()
+        with caplog.at_level(logging.WARNING, logger="traceloc"):
+            _, iterations = iterate(states, pairs, RefineConfig(max_iterations=0))
+        assert iterations == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "refine_no_convergence: candidate sets still changing after 1 iterations"
+        ]
+
     def test_neighbor_without_candidates_contributes_nothing(self):
         states = make_states({IP_A: [cand(0, 0)]})
         paths = [CleanPath("p", [(IP_A, 1.0), (IP_B, 4.0)])]
