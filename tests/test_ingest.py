@@ -376,6 +376,15 @@ class TestNormalize:
         )
         assert again.hops == once.hops
 
+    def test_clean_paths_disambiguates_id_collisions(self):
+        lines = [
+            atlas_line([[("198.51.100.1", 1.0)], [("198.51.100.9", 9.0)]]),
+            atlas_line([[("198.51.100.2", 1.0)], [("198.51.100.8", 9.0)]]),
+        ]
+        paths = load_atlas(lines)
+        assert [p.path_id for p in paths] == ["1-2-100", "1-2-100-2"]
+        assert [p.source_traceroute for p in paths] == ["1-2-100", "1-2-100"]
+
 
 class LineIterator:
     """Lines from an iterator object with no ``read`` or ``readlines``;
@@ -501,15 +510,6 @@ class TestLoadAtlas:
     @given(atlas_exports)
     def test_matches_reference_on_generated_exports(self, lines):
         assert_matches_reference(lines)
-
-    def test_disambiguates_id_collisions(self):
-        lines = [
-            atlas_line([[("198.51.100.1", 1.0)], [("198.51.100.9", 9.0)]]),
-            atlas_line([[("198.51.100.2", 1.0)], [("198.51.100.8", 9.0)]]),
-        ]
-        paths = load_atlas(lines)
-        assert [p.path_id for p in paths] == ["1-2-100", "1-2-100-2"]
-        assert [p.source_traceroute for p in paths] == ["1-2-100", "1-2-100"]
 
     def test_streams_one_line_at_a_time(self):
         # Each warning is given while its own line is the last one read,
