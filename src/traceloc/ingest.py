@@ -2,19 +2,19 @@
 
 Two traceroute encodings are understood: the RIPE Atlas result export
 (newline-delimited JSON, one measurement result per line) and a native
-line format holding already-cleaned paths.  Both are read one line at a
-time: :func:`load_atlas` takes each Atlas record straight to a
-:class:`CleanPath` by the rules of :func:`normalize`, and
-:func:`load_native` parses native lines directly.  A line that is not
-valid UTF-8 or not JSON is counted and skipped.  Geolocation data arrives
-either as a snapshot CSV or through the rate-limited :func:`fetch_geo`
-client.
+line format holding already-cleaned paths, both read a few lines at a
+time: :func:`load_atlas` parses Atlas records and normalizes each with
+:func:`clean_paths`; :func:`load_native` parses native lines directly.  A
+line that is not valid UTF-8 or JSON is counted and skipped.  Geolocation
+data arrives either as a snapshot CSV or through the rate-limited
+:func:`fetch_geo` client.
 """
 from __future__ import annotations
 
 import csv
 import functools
 import ipaddress
+import itertools
 import json
 import math
 import os
@@ -78,13 +78,12 @@ def _cached_bogon(networks: Iterable[ipaddress.IPv4Network]) -> Callable[[str], 
     return functools.cache(functools.partial(is_bogon, networks=tuple(networks)))
 
 
-Reply = tuple[str | None, float | None]  # (responder ip, rtt ms); a timeout is (None, None)
-
-
 @dataclass
 class RawHop:
     hop_index: int
-    replies: list[Reply] = field(default_factory=list)
+    # (responder ip or None, rtt ms or None) per probe reply; timeouts keep
+    # their slot as (None, None).
+    replies: list[tuple[str | None, float | None]] = field(default_factory=list)
 
 
 @dataclass
@@ -115,11 +114,11 @@ class GeoRecord:
 
 
 def _json_lines(
-    stream: Iterable[str], diag: Diagnostics, kind: str, bad_json: str
+    stream: Iterable[str], diag: Diagnostics, kind: str, bad_json: str, first_line: int = 1
 ) -> Iterator[tuple[int, object]]:
     """Number and JSON value of each non-blank line; a line with a bad byte
     (read as a lone surrogate) or not valid JSON is counted under ``kind``."""
-    for lineno, line in enumerate(stream, start=1):
+    for lineno, line in enumerate(stream, start=first_line):
         line = line.strip()
         if not line:
             continue
@@ -151,24 +150,10 @@ def sniff_format(lines: Iterator[str]) -> tuple[str, list[str]]:
     return "atlas", head
 
 
-def _atlas_records(
-    stream: Iterable[str], diag: Diagnostics
-) -> Iterator[tuple[tuple[str, str, int], dict[int, list[Reply]]]]:
-    """``(msm_id, prb_id, timestamp)`` and the replies by hop number of each
-    well-formed record of an Atlas export, in line order."""
-    version = functools.cache(_ip_version)
-    for lineno, doc in _json_lines(stream, diag, "atlas_malformed", "not valid JSON"):
-        try:
-            key, by_hop, ipv6 = _atlas_record(doc, version)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            diag.warn("atlas_malformed", f"line {lineno}: {exc}")
-            continue
-        if ipv6:
-            diag.warn("atlas_ipv6", f"line {lineno}: {ipv6} IPv6 replies kept as no response", ipv6)
-        yield key, by_hop
-
-
-def parse_atlas(stream: Iterable[str], diag: Diagnostics | None = None) -> list[RawTraceroute]:
+def parse_atlas(
+    stream: Iterable[str], diag: Diagnostics | None = None, *,
+    first_line: int = 1, version: Callable[[str], int] | None = None,
+) -> list[RawTraceroute]:
     """Parse a RIPE Atlas newline-delimited JSON export.
 
     Consumes ``msm_id``, ``prb_id``, ``timestamp`` and, per hop entry,
@@ -177,18 +162,26 @@ def parse_atlas(stream: Iterable[str], diag: Diagnostics | None = None) -> list[
     replies.  Malformed lines are counted and skipped — parsing a corpus
     never fails outright.  IPv6 responders are counted (``atlas_ipv6``,
     one per reply) and kept as no response, like any non-IPv4 ``from``.
+    ``first_line`` (the number of ``stream``'s first line in warnings) and
+    ``version`` (the address check) let :func:`load_atlas` parse in parts.
     """
-    return [
-        RawTraceroute(msm, prb, ts, [RawHop(n, by_hop[n]) for n in sorted(by_hop)])
-        for (msm, prb, ts), by_hop in _atlas_records(stream, diag or Diagnostics())
-    ]
+    diag = diag or Diagnostics()
+    version = version or functools.cache(_ip_version)
+    out: list[RawTraceroute] = []
+    for lineno, doc in _json_lines(stream, diag, "atlas_malformed", "not valid JSON", first_line):
+        try:
+            rt, ipv6 = _atlas_record(doc, version)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            diag.warn("atlas_malformed", f"line {lineno}: {exc}")
+            continue
+        if ipv6:
+            diag.warn("atlas_ipv6", f"line {lineno}: {ipv6} IPv6 replies kept as no response", ipv6)
+        out.append(rt)
+    return out
 
 
-def _atlas_record(
-    doc: object, version: Callable[[str], int]
-) -> tuple[tuple[str, str, int], dict[int, list[Reply]], int]:
-    """One export record's key, its replies by hop number and its number
-    of IPv6 replies."""
+def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTraceroute, int]:
+    """One export record and its number of IPv6 replies."""
     if not isinstance(doc, dict):
         raise ValueError("record is not an object")
     msm = doc["msm_id"]
@@ -199,7 +192,7 @@ def _atlas_record(
     hops_raw = doc.get("result", [])
     if not isinstance(hops_raw, list):
         raise ValueError("result must be a list")
-    by_hop: dict[int, list[Reply]] = {}
+    by_index: dict[int, RawHop] = {}
     ipv6 = 0
     for entry in hops_raw:
         if not isinstance(entry, dict) or "hop" not in entry:
@@ -207,7 +200,7 @@ def _atlas_record(
         hop_no = entry["hop"]
         if not isinstance(hop_no, int) or hop_no < 1:
             continue
-        replies = by_hop.setdefault(hop_no, [])
+        hop = by_index.setdefault(hop_no, RawHop(hop_index=hop_no))
         for reply in entry.get("result", []) or []:
             if not isinstance(reply, dict):
                 continue
@@ -219,8 +212,10 @@ def _atlas_record(
             rtt = reply.get("rtt")
             if type(rtt) not in _JSON_NUMBER or not 0 <= rtt < math.inf:
                 rtt = None
-            replies.append((responder, float(rtt) if rtt is not None else None))
-    return (str(msm), str(prb), ts), by_hop, ipv6
+            hop.replies.append((responder, float(rtt) if rtt is not None else None))
+    hops = [by_index[k] for k in sorted(by_index)]
+    rt = RawTraceroute(measurement_id=str(msm), probe_id=str(prb), timestamp=ts, hops=hops)
+    return rt, ipv6
 
 
 def normalize(
@@ -238,20 +233,18 @@ def normalize(
     or fewer than two hops survive.  Running the result through
     normalization again would change nothing.
     """
-    ident = f"{rt.measurement_id}-{rt.probe_id}-{rt.timestamp}"
-    hops = (hop.replies for hop in rt.hops)
-    return _clean_path(ident, hops, _cached_bogon(bogon_filter), diag or Diagnostics())
+    return _normalize(rt, _cached_bogon(bogon_filter), diag or Diagnostics())
 
 
-def _clean_path(
-    ident: str, hops: Iterable[list[Reply]], bogon: Callable[[str], bool], diag: Diagnostics
+def _normalize(
+    rt: RawTraceroute, bogon: Callable[[str], bool], diag: Diagnostics
 ) -> CleanPath | None:
-    """The rules of :func:`normalize`, over each hop's replies in hop order."""
+    ident = f"{rt.measurement_id}-{rt.probe_id}-{rt.timestamp}"
     kept: list[tuple[str, float]] = []
     seen: set[str] = set()
-    for replies in hops:
-        responders = [ip for ip, _ in replies if ip is not None]
-        rtts = sorted(rtt for _, rtt in replies if rtt is not None)
+    for hop in rt.hops:
+        responders = [ip for ip, _ in hop.replies if ip is not None]
+        rtts = sorted(rtt for _, rtt in hop.replies if rtt is not None)
         if not responders or not rtts:
             continue
         ip = max(responders, key=responders.count)  # the first of a tie
@@ -269,20 +262,19 @@ def _clean_path(
     return CleanPath(path_id=ident, hops=kept, source_traceroute=ident)
 
 
-def load_atlas(stream: Iterable[str], diag: Diagnostics | None = None) -> list[CleanPath]:
-    """Read a RIPE Atlas export one line at a time into clean paths.
-
-    Each record is parsed as by :func:`parse_atlas` and normalised as by
-    :func:`normalize` before the next line is read; no raw record is kept.
-    A path id seen before gets a ``-2``, ``-3``, ... suffix.  Each distinct
-    responder is validated and bogon-checked once per call.
-    """
+def clean_paths(
+    raws: Iterable[RawTraceroute],
+    bogon_filter: Iterable[ipaddress.IPv4Network] = DEFAULT_BOGONS,
+    diag: Diagnostics | None = None,
+) -> list[CleanPath]:
+    """Normalize each raw traceroute as it comes, disambiguating colliding
+    path ids with a suffix.  Each responder's bogon status is decided once."""
     diag = diag or Diagnostics()
-    bogon = _cached_bogon(DEFAULT_BOGONS)
+    bogon = _cached_bogon(bogon_filter)
     out: list[CleanPath] = []
     seen: dict[str, int] = {}
-    for (msm, prb, ts), by_hop in _atlas_records(stream, diag):
-        path = _clean_path(f"{msm}-{prb}-{ts}", (by_hop[n] for n in sorted(by_hop)), bogon, diag)
+    for rt in raws:
+        path = _normalize(rt, bogon, diag)
         if path is None:
             continue
         n = seen[path.path_id] = seen.get(path.path_id, 0) + 1
@@ -290,6 +282,25 @@ def load_atlas(stream: Iterable[str], diag: Diagnostics | None = None) -> list[C
             path.path_id = f"{path.path_id}-{n}"
         out.append(path)
     return out
+
+
+_ATLAS_PART = 32  # lines per parse_atlas call in load_atlas
+
+
+def load_atlas(stream: Iterable[str], diag: Diagnostics | None = None) -> list[CleanPath]:
+    """Read a RIPE Atlas export into clean paths: :func:`parse_atlas` takes
+    ``_ATLAS_PART`` lines at a time and :func:`clean_paths` each record as it
+    comes, so only one part's raw records are ever held."""
+    diag = diag or Diagnostics()
+    version = functools.cache(_ip_version)  # shared by the parts
+    lines = iter(stream)
+    parts = iter(lambda: list(itertools.islice(lines, _ATLAS_PART)), [])
+    raws = (
+        rt
+        for i, part in enumerate(parts)
+        for rt in parse_atlas(part, diag, first_line=1 + i * _ATLAS_PART, version=version)
+    )
+    return clean_paths(raws, diag=diag)
 
 
 def load_native(stream: Iterable[str], diag: Diagnostics | None = None) -> list[CleanPath]:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traceloc import ingest
 from traceloc.diagnostics import Diagnostics
 from traceloc.ingest import (
     CleanPath,
@@ -25,6 +26,7 @@ from traceloc.ingest import (
     GeoSource,
     RawHop,
     RawTraceroute,
+    clean_paths,
     dump_native,
     fetch_geo,
     ip_key,
@@ -80,10 +82,11 @@ def reference_parse(lines):
 
 
 def reference_load_atlas(lines, diag):
-    """The two-pass Atlas reading that ``load_atlas`` replaced: parse every
-    line into a ``RawTraceroute``, then normalise the whole batch and
-    suffix colliding path ids.  Kept as written, ``statistics.median``
-    included, to pin the streaming reader to its old results."""
+    """Atlas reading in two passes over the whole export, as ``run`` did
+    before ``load_atlas``: parse every line into a ``RawTraceroute``, then
+    normalise them all and suffix colliding path ids.  Kept as written,
+    ``statistics.median`` included, to pin the streaming reader to its old
+    results."""
 
     def parse(doc):
         if not isinstance(doc, dict):
@@ -237,7 +240,7 @@ class TestParseAtlas:
         assert diag.count("atlas_ipv6") == 6  # three replies on each of two lines
         assert diag.count("atlas_malformed") == 0
         # A hop answered only over IPv6 normalizes like a timeout.
-        (path,) = load_atlas([json.dumps(doc)])
+        (path,) = clean_paths([rt])
         assert [ip for ip, _ in path.hops] == ["198.51.100.1", "198.51.100.3"]
 
     @pytest.mark.parametrize("rtt", ["NaN", "Infinity", "-Infinity", "true", "false"])
@@ -290,7 +293,7 @@ class TestNormalize:
     def test_sample_corpus_yields_eight_paths(self, data_dir):
         diag = Diagnostics()
         lines = (data_dir / "atlas_sample.jsonl").read_text().splitlines()
-        paths = load_atlas(lines, diag)
+        paths = clean_paths(parse_atlas(lines, diag), diag=diag)
         assert len(paths) == 8
         assert diag.count("path_loop") == 1
         assert diag.count("path_short") == 1
@@ -377,13 +380,13 @@ class TestNormalize:
         assert again.hops == once.hops
 
     def test_clean_paths_disambiguates_id_collisions(self):
-        lines = [
-            atlas_line([[("198.51.100.1", 1.0)], [("198.51.100.9", 9.0)]]),
-            atlas_line([[("198.51.100.2", 1.0)], [("198.51.100.8", 9.0)]]),
+        rts = [
+            raw([[("198.51.100.1", 1.0)], [("198.51.100.9", 9.0)]]),
+            raw([[("198.51.100.2", 1.0)], [("198.51.100.8", 9.0)]]),
         ]
-        paths = load_atlas(lines)
-        assert [p.path_id for p in paths] == ["1-2-100", "1-2-100-2"]
-        assert [p.source_traceroute for p in paths] == ["1-2-100", "1-2-100"]
+        paths = clean_paths(rts)
+        assert paths[0].path_id == "1-2-100"
+        assert paths[1].path_id == "1-2-100-2"
 
 
 class LineIterator:
@@ -511,15 +514,28 @@ class TestLoadAtlas:
     def test_matches_reference_on_generated_exports(self, lines):
         assert_matches_reference(lines)
 
-    def test_streams_one_line_at_a_time(self):
-        # Each warning is given while its own line is the last one read,
-        # so no line is read ahead and parse and path warnings interleave.
-        lines = LineIterator([
+    def test_matches_reference_across_parts(self, data_dir):
+        # Long enough for several parts: ids collide across part borders
+        # and warnings past the first part give file line numbers.
+        sample = (data_dir / "atlas_sample.jsonl").read_text().splitlines()
+        assert_matches_reference((sample + ["", "not json"]) * 8)
+
+    def test_disambiguates_id_collisions(self):
+        lines = [
             atlas_line([[("198.51.100.1", 1.0)], [("198.51.100.9", 9.0)]]),
-            "not json",
-            atlas_line([[("198.51.100.1", 1.0)], [("198.51.100.5", 3.0)], [("198.51.100.1", 5.0)]]),
-            atlas_line([[("2001:db8::1", 1.0)], [("198.51.100.9", 9.0)]], ts=101),
-        ])
+            atlas_line([[("198.51.100.2", 1.0)], [("198.51.100.8", 9.0)]]),
+        ]
+        paths = load_atlas(lines)
+        assert [p.path_id for p in paths] == ["1-2-100", "1-2-100-2"]
+        assert [p.source_traceroute for p in paths] == ["1-2-100", "1-2-100"]
+
+    def test_streams_a_part_at_a_time(self):
+        # A warning is given before the lines of the next part are read,
+        # so no more than one part is held.
+        part = ingest._ATLAS_PART
+        loop = atlas_line([[("198.51.100.1", 1.0)], [("198.51.100.5", 3.0)], [("198.51.100.1", 5.0)]])
+        good = atlas_line([[("198.51.100.1", 1.0)], [("198.51.100.9", 9.0)]])
+        lines = LineIterator(["not json", loop] + [good] * (3 * part - 2))
         pulled_at = []
 
         class Watching(Diagnostics):
@@ -528,10 +544,9 @@ class TestLoadAtlas:
                 pulled_at.append((name, lines.pulled))
 
         paths = load_atlas(lines, Watching())
-        assert [p.path_id for p in paths] == ["1-2-100"]
-        assert pulled_at == [
-            ("atlas_malformed", 2), ("path_loop", 3), ("atlas_ipv6", 4), ("path_short", 4)
-        ]
+        assert len(paths) == 3 * part - 2
+        assert pulled_at == [("atlas_malformed", part), ("path_loop", part)]
+        assert lines.pulled == 3 * part
 
     def test_undecodable_line_is_counted(self, tmp_path, caplog):
         good = atlas_line([[("198.51.100.1", 1.0)], [("198.51.100.9", 9.0)]]).encode()
