@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import ingest, report, synth
 from .diagnostics import Diagnostics, logger
-from .geo import CityCluster, GeoPoint, SpatialIndex, cluster_candidates, load_city_catalog
+from .geo import SpatialIndex, cluster_candidates, load_city_catalog
 from .ingest import CleanPath, ConfigError, ip_key
 from .refine import (
     CandidateState,
@@ -280,30 +280,7 @@ def _write_ips_jsonl(
     path: Path,
 ) -> None:
     with path.open("w", encoding="utf-8") as fh:
-        for ip in sorted(states, key=ip_key):
-            state = states[ip]
-            outcome = outcomes.get(ip)
-            record = {
-                "ip": ip,
-                "status": state.status.value,
-                "verdict": outcome.verdict.value if outcome else None,
-                "clusters": [
-                    {
-                        "lat": c.centroid.lat,
-                        "lon": c.centroid.lon,
-                        "city": c.city,
-                        "country": c.country,
-                        "ratio": state.ratio.get(c.cluster_id, 1.0),
-                    }
-                    for c in state.candidates
-                ],
-                "resolved": (
-                    {"lat": outcome.resolved.lat, "lon": outcome.resolved.lon}
-                    if outcome and outcome.resolved
-                    else None
-                ),
-                "anchors": outcome.anchor_count if outcome else 0,
-            }
+        for record in report.ip_records(states, outcomes):
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
@@ -368,42 +345,18 @@ def score_cmd(results_dir: str | Path, world_file: str | Path,
     if not displaced_file.exists():
         raise InputError(f"displaced-set file not found: {displaced_file}")
 
-    world = synth.load_world(world_file)
-    displaced = set(json.loads(displaced_file.read_text(encoding="utf-8"))["displaced"])
+    try:
+        world = synth.load_world(world_file)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{world_file}: bad world file ({type(exc).__name__}: {exc})") from exc
+    try:
+        displaced = set(json.loads(displaced_file.read_text(encoding="utf-8"))["displaced"])
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{displaced_file}: bad displaced set ({type(exc).__name__}: {exc})") from exc
     router_ips = {r.ip for r in world.routers}
+    records = _read_ips_jsonl(ips_file, router_ips)
 
-    states: dict[str, CandidateState] = {}
-    outcomes: dict[str, ResolutionOutcome] = {}
-    for line in ips_file.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        ip = rec["ip"]
-        if ip not in router_ips:
-            raise InputError(f"results do not match world: {ip} is not a world router")
-        states[ip] = CandidateState(
-            ip=ip,
-            candidates=[
-                CityCluster(
-                    cluster_id=i,
-                    centroid=GeoPoint(c["lat"], c["lon"]),
-                    city=c["city"],
-                    country=c["country"],
-                    supporting_sources={"run"},
-                )
-                for i, c in enumerate(rec["clusters"])
-            ],
-            status=IpStatus(rec["status"]),
-        )
-        if rec.get("verdict"):
-            outcomes[ip] = ResolutionOutcome(
-                ip=ip,
-                verdict=Verdict(rec["verdict"]),
-                resolved=GeoPoint(**rec["resolved"]) if rec.get("resolved") else None,
-                anchor_count=rec.get("anchors", 0),
-            )
-
-    report_obj = synth.score_against_truth(outcomes, states, world, displaced)
+    report_obj = synth.score_against_truth(records, world, displaced)
     out_path = results_dir / "score.csv"
     with out_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -411,6 +364,34 @@ def score_cmd(results_dir: str | Path, world_file: str | Path,
         writer.writerows(report_obj.rows())
     logger.info("score written to %s", out_path)
     return 0
+
+
+def _read_ips_jsonl(path: Path, router_ips: set[str]) -> list[dict]:
+    """The records of a results file, each checked for what scoring reads:
+    a world router's ``ip``, a known ``status`` and ``verdict``, string
+    cluster cities and a null or numeric ``resolved``.  A repeated ip keeps
+    its last record."""
+    records: dict[str, dict] = {}
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                ip, resolved = rec["ip"], rec["resolved"]
+                IpStatus(rec["status"])
+                if rec["verdict"] is not None:
+                    Verdict(rec["verdict"])
+                if not all(isinstance(c["city"], str) for c in rec["clusters"]):
+                    raise TypeError("cluster city must be a string")
+                if resolved is not None and {type(resolved[k]) for k in ("lat", "lon")} - {int, float}:
+                    raise TypeError("resolved lat and lon must be numbers")
+                if ip not in router_ips:
+                    raise InputError(f"results do not match world: {ip} is not a world router")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"{path}:{lineno}: bad record ({type(exc).__name__}: {exc})") from exc
+            records[ip] = rec
+    return list(records.values())
 
 
 def fetch_cmd(cfg: PipelineConfig) -> int:
@@ -476,10 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return 2
-    except InputError as exc:
-        logger.error("input error: %s", exc)
-        return 1
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError) as exc:
         logger.error("input error: %s", exc)
         return 1
     return 0

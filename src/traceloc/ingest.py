@@ -353,7 +353,8 @@ def load_geo_snapshot(
 ) -> dict[str, list[GeoRecord]]:
     """Load a geolocation snapshot CSV (``ip,source,lat,lon,city,country``).
 
-    Coordinate-range violations are skipped with a warning; duplicate
+    Malformed rows (a bad byte in source, city or country among them) and
+    coordinate-range violations are skipped with a warning; duplicate
     (ip, source) rows keep the first occurrence.  A missing file is fatal.
     """
     diag = diag or Diagnostics()
@@ -363,7 +364,8 @@ def load_geo_snapshot(
         raise FileNotFoundError(f"geolocation snapshot not found: {path}")
     by_ip: dict[str, list[GeoRecord]] = {}
     seen: set[tuple[str, str]] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
+    # A bad byte reads as a lone surrogate, and the check below counts its row.
+    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.DictReader(fh)
         required = {"ip", "source", "lat", "lon", "city", "country"}
         header = set(reader.fieldnames or [])
@@ -374,6 +376,13 @@ def load_geo_snapshot(
             source = (row["source"] or "").strip()
             if version(ip) != 4 or not source:
                 diag.warn("snapshot_malformed", f"{path}:{lineno}: bad ip/source")
+                continue
+            city = (row["city"] or "").strip()
+            country = (row["country"] or "").strip().upper()
+            try:
+                (source + city + country).encode("utf-8")
+            except UnicodeEncodeError:
+                diag.warn("snapshot_malformed", f"{path}:{lineno}: not valid UTF-8")
                 continue
             try:
                 lat = float(row["lat"])
@@ -394,8 +403,8 @@ def load_geo_snapshot(
                     source=source,
                     lat=lat,
                     lon=lon,
-                    city=(row["city"] or "").strip(),
-                    country=(row["country"] or "").strip().upper(),
+                    city=city,
+                    country=country,
                 )
             )
     return by_ip

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostics
 from .geo import CityCluster, GeoPoint, haversine_km, sol_km
-from .ingest import CleanPath, ip_key
+from .ingest import CleanPath
 
 
 @dataclass
@@ -40,8 +40,9 @@ class IpStatus(enum.Enum):
 
 @dataclass
 class PairObservation:
-    """One adjacency sighting: RTTs for the numerically-lower ip (``rtt_a``)
-    and higher ip (``rtt_b``), plus which one the packet reached first."""
+    """One adjacency sighting: RTTs for the string-lower ip (``rtt_a``) and
+    the string-higher ip (``rtt_b``), plus which one the packet reached
+    first."""
 
     rtt_a: float
     rtt_b: float
@@ -52,7 +53,7 @@ class PairObservation:
 class NeighborPair:
     """All observations of two IPs appearing adjacent in some path.
 
-    ``ip_a`` < ``ip_b`` numerically; observations accumulate across every
+    ``ip_a`` < ``ip_b`` as strings; observations accumulate across every
     path regardless of travel direction.
     """
 
@@ -77,10 +78,10 @@ class CandidateState:
 
 
 def make_states(clusters_by_ip: dict[str, list[CityCluster]]) -> dict[str, CandidateState]:
-    """Initial states: every candidate starts with a vacuous perfect ratio."""
+    """Initial states, in the order of ``clusters_by_ip``: every candidate
+    starts with a vacuous perfect ratio.  IPs without clusters are left out."""
     states: dict[str, CandidateState] = {}
-    for ip in sorted(clusters_by_ip, key=ip_key):
-        clusters = clusters_by_ip[ip]
+    for ip, clusters in clusters_by_ip.items():
         if not clusters:
             continue
         states[ip] = CandidateState(
@@ -96,26 +97,18 @@ def make_states(clusters_by_ip: dict[str, list[CityCluster]]) -> dict[str, Candi
 def extract_pairs(paths: list[CleanPath]) -> list[NeighborPair]:
     """Collect unordered adjacent-IP pairs and their RTT observations.
 
-    Pairs come out sorted by (``ip_a``, ``ip_b``) in numeric address
-    order.  The corpus's distinct IPs are sorted by :func:`ip_key` once;
-    orienting and ordering pairs then compares their ranks in that order.
+    Each pair is oriented by string comparison of its two addresses, and
+    pairs come out in the order they are first seen.  No address is parsed.
     """
-    rank = {
-        ip: i
-        for i, ip in enumerate(sorted({ip for p in paths for ip, _ in p.hops}, key=ip_key))
-    }
     acc: dict[tuple[str, str], list[PairObservation]] = {}
     for path in paths:
         for (ip_x, rtt_x), (ip_y, rtt_y) in zip(path.hops, path.hops[1:]):
-            if rank[ip_x] <= rank[ip_y]:
+            if ip_x <= ip_y:
                 key, obs = (ip_x, ip_y), PairObservation(rtt_x, rtt_y, a_first=True)
             else:
                 key, obs = (ip_y, ip_x), PairObservation(rtt_y, rtt_x, a_first=False)
             acc.setdefault(key, []).append(obs)
-    return [
-        NeighborPair(ip_a=a, ip_b=b, observations=acc[(a, b)])
-        for a, b in sorted(acc, key=lambda k: (rank[k[0]], rank[k[1]]))
-    ]
+    return [NeighborPair(ip_a=a, ip_b=b, observations=obs) for (a, b), obs in acc.items()]
 
 
 def pair_feasible(

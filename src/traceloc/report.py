@@ -8,10 +8,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .diagnostics import Diagnostics
 from .geo import CityCluster, GeoPoint, haversine_km, normalize_city
-from .ingest import CleanPath, GeoRecord, ip_key
+from .ingest import CleanPath, GeoRecord
 from .refine import CandidateState, NeighborPair, RefineConfig, budget_km
 from .resolve import ResolutionOutcome, Verdict
 
@@ -257,11 +258,11 @@ def distance_cdf(
 ) -> tuple[list[float], float | None]:
     """Sorted distances from each corrected location to the majority-vote
     database location, plus the fraction under 20 km.  Corrected IPs
-    missing from the snapshot are excluded with a warning."""
+    missing from the snapshot are excluded with a warning, in the order
+    of ``outcomes``."""
     diag = diag or Diagnostics()
     distances: list[float] = []
-    for ip in sorted(outcomes, key=ip_key):
-        out = outcomes[ip]
+    for ip, out in outcomes.items():
         if out.verdict is not Verdict.INTERFACE_AFFECTED or out.resolved is None:
             continue
         records = snapshot.get(ip)
@@ -305,6 +306,27 @@ def country_delta(
         for country in sorted(set(gained) | set(lost))
     }
     return deltas, (changed / considered if considered else None)
+
+
+def ip_records(
+    states: dict[str, CandidateState], outcomes: dict[str, ResolutionOutcome]
+) -> Iterator[dict]:
+    """Each IP's ``ips.jsonl`` record, in the order of ``states``."""
+    for ip, state in states.items():
+        out = outcomes.get(ip)
+        resolved = out.resolved if out else None
+        yield {
+            "ip": ip,
+            "status": state.status.value,
+            "verdict": out.verdict.value if out else None,
+            "clusters": [
+                {"lat": c.centroid.lat, "lon": c.centroid.lon, "city": c.city,
+                 "country": c.country, "ratio": state.ratio.get(c.cluster_id, 1.0)}
+                for c in state.candidates
+            ],
+            "resolved": {"lat": resolved.lat, "lon": resolved.lon} if resolved else None,
+            "anchors": out.anchor_count if out else 0,
+        }
 
 
 # --- CSV writers -----------------------------------------------------------

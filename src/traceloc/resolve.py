@@ -22,7 +22,7 @@ from enum import Enum
 
 from .diagnostics import Diagnostics
 from .geo import CityCluster, GeoPoint, SpatialIndex, haversine_km, sol_km
-from .ingest import CleanPath, ip_key
+from .ingest import CleanPath
 from .refine import CandidateState, IpStatus
 
 BUFFER_FLOOR_KM = 20.0
@@ -160,13 +160,12 @@ def select_anchors(
 
 def aggregate_medians(observations: list[AnchorObservation]) -> list[AnchorSummary]:
     """Group observations by anchor IP and take medians (an even count
-    averages the middle two).  Sorted by anchor IP."""
+    averages the middle two).  Anchors keep the order they are first seen."""
     by_anchor: dict[str, list[AnchorObservation]] = {}
     for obs in observations:
         by_anchor.setdefault(obs.anchor_ip, []).append(obs)
     summaries = []
-    for anchor_ip in sorted(by_anchor, key=ip_key):
-        group = by_anchor[anchor_ip]
+    for anchor_ip, group in by_anchor.items():
         summaries.append(
             AnchorSummary(
                 anchor_ip=anchor_ip,
@@ -384,11 +383,11 @@ def resolve_all(
     cfg: ResolveConfig,
     diag: Diagnostics | None = None,
 ) -> dict[str, ResolutionOutcome]:
-    """Resolve every anomalous IP, in address order.  IPs demoted to false
-    positives keep anchor duty off-limits for the whole run: anchor
+    """Resolve every anomalous IP, in the order of ``states``.  IPs demoted
+    to false positives keep anchor duty off-limits for the whole run: anchor
     selection reads the tagging statuses, which are not revised mid-run."""
     diag = diag or Diagnostics()
-    tagged = [ip for ip in sorted(states, key=ip_key) if states[ip].status is IpStatus.ANOMALOUS]
+    tagged = [ip for ip, state in states.items() if state.status is IpStatus.ANOMALOUS]
     observations = select_anchors(paths, states)
     outcomes: dict[str, ResolutionOutcome] = {}
     for ip in tagged:

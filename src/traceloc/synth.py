@@ -26,9 +26,9 @@ from .geo import (
     normalize_city,
 )
 from .ingest import CleanPath, GeoRecord
-from .refine import CandidateState, IpStatus
+from .refine import IpStatus
 from .report import _fmt
-from .resolve import ResolutionOutcome, Verdict
+from .resolve import Verdict
 
 _KM_PER_DEG = 111.19492664455873  # mean degree of latitude
 
@@ -572,12 +572,13 @@ class ScoreReport:
 
 
 def score_against_truth(
-    outcomes: dict[str, ResolutionOutcome],
-    states: dict[str, CandidateState],
+    records: list[dict],
     world: World,
     displaced_set: set[str],
 ) -> ScoreReport:
-    """Grade a run against the world that generated its corpus.
+    """Grade a run's ``ips.jsonl`` records, as
+    :func:`traceloc.report.ip_records` yields them, against the world that
+    generated its corpus.
 
     Detection counts an IP once it is tagged anomalous and not demoted to
     a false positive.  Precision against displacement excludes tunnel
@@ -589,16 +590,15 @@ def score_against_truth(
     t_members = tunnel_member_ips(world)
     t_interior = tunnel_interior_ips(world)
 
-    tagged = {ip for ip, st in states.items() if st.status is IpStatus.ANOMALOUS}
-    false_pos = {
-        ip
-        for ip, out in outcomes.items()
-        if out.verdict is Verdict.FALSE_POSITIVE
-    }
+    def ips(field: str, value: str) -> set[str]:
+        return {rec["ip"] for rec in records if rec[field] == value}
+
+    tagged = ips("status", IpStatus.ANOMALOUS.value)
+    false_pos = ips("verdict", Verdict.FALSE_POSITIVE.value)
     detected = tagged - false_pos
 
     report = ScoreReport(
-        total_ips=len(states),
+        total_ips=len(records),
         tagged_total=len(tagged),
         detected_total=len(detected),
         false_positive_count=len(false_pos),
@@ -620,18 +620,17 @@ def score_against_truth(
         )
 
     report.tunnel_interior_total = len(t_interior)
-    mpls_classified = {
-        ip for ip, out in outcomes.items() if out.verdict is Verdict.MPLS_AFFECTED
-    }
-    flagged = t_interior & (tagged | mpls_classified)
+    flagged = t_interior & (tagged | ips("verdict", Verdict.MPLS_AFFECTED.value))
     report.tunnel_interior_flagged = len(flagged)
     if t_interior:
         report.tunnel_interior_recall = len(flagged) / len(t_interior)
 
     distances = []
-    for ip, out in outcomes.items():
-        if out.verdict is Verdict.INTERFACE_AFFECTED and out.resolved and ip in truth:
-            distances.append(haversine_km(out.resolved, truth[ip].location))
+    for rec in records:
+        resolved = rec["resolved"]
+        if rec["verdict"] == Verdict.INTERFACE_AFFECTED.value and resolved and rec["ip"] in truth:
+            point = GeoPoint(resolved["lat"], resolved["lon"])
+            distances.append(haversine_km(point, truth[rec["ip"]].location))
     report.interface_count = len(distances)
     if distances:
         report.interface_within_100km = sum(1 for d in distances if d <= 100.0)
@@ -643,17 +642,13 @@ def score_against_truth(
         report.interface_distance_max_km = max(distances)
 
     active = [
-        (ip, st)
-        for ip, st in states.items()
-        if st.status is IpStatus.ACTIVE and ip in truth
+        rec for rec in records if rec["status"] == IpStatus.ACTIVE.value and rec["ip"] in truth
     ]
     report.active_total = len(active)
-    for ip, st in active:
-        router = truth[ip]
+    for rec in active:
+        router = truth[rec["ip"]]
         key = (normalize_city(router.city), router.country)
-        if any(
-            (normalize_city(c.city), c.country) == key for c in st.candidates
-        ):
+        if any((normalize_city(c["city"]), c["country"]) == key for c in rec["clusters"]):
             report.active_with_true_city += 1
     if active:
         report.true_city_retention = report.active_with_true_city / len(active)

@@ -37,7 +37,13 @@ from traceloc.refine import (
     pair_feasible,
     tag_anomalies,
 )
-from traceloc.report import single_cluster_fraction, sol_baseline, summarize, country_delta
+from traceloc.report import (
+    country_delta,
+    ip_records,
+    single_cluster_fraction,
+    sol_baseline,
+    summarize,
+)
 from traceloc.resolve import (
     AnchorObservation,
     ResolveConfig,
@@ -124,7 +130,7 @@ def corpus(tmp_path_factory):
     outcomes = resolve_all(states, paths, SpatialIndex(catalog), ResolveConfig())
     elapsed = time.perf_counter() - t0
 
-    score = score_against_truth(outcomes, states, world, displaced)
+    score = score_against_truth(list(ip_records(states, outcomes)), world, displaced)
     return SimpleNamespace(
         catalog=catalog,
         world=world,

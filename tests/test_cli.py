@@ -12,6 +12,7 @@ import threading
 import pytest
 
 import traceloc.ingest
+import traceloc.report
 from traceloc.cli import (
     ConfigError,
     SynthSettings,
@@ -20,6 +21,7 @@ from traceloc.cli import (
     main,
     parse_config_file,
 )
+from traceloc.report import ip_records
 from tests.conftest import write_plane_catalog
 
 VALID_STATUSES = {"active", "anomalous"}
@@ -291,6 +293,28 @@ class TestRunCommand:
         assert "native_malformed=2" in messages[-1].split()
         assert_same_tree(out, plain)
 
+    def test_bad_snapshot_byte_costs_only_its_row(self, small_corpus, tmp_path, caplog):
+        # A bad byte in one snapshot row's city is counted and that row is
+        # skipped: the results are those of the snapshot without the row.
+        root, catalog, synth_dir = small_corpus
+        header, row, *rest = (synth_dir / "snapshot.csv").read_bytes().splitlines(keepends=True)
+        ip, source, lat, lon, city, country = row.split(b",")
+        bad_row = b",".join([ip, source, lat, lon, city + b"\xff", country])
+        damaged, trimmed = tmp_path / "damaged", tmp_path / "trimmed"
+        for folder, rows in ((damaged, [bad_row]), (trimmed, [])):
+            folder.mkdir()
+            (folder / "traceroutes.jsonl").write_bytes((synth_dir / "traceroutes.jsonl").read_bytes())
+            (folder / "snapshot.csv").write_bytes(b"".join([header, *rows, *rest]))
+        out, plain = tmp_path / "out_damaged", tmp_path / "out_trimmed"
+        assert main(["run", "--config", str(run_config(root, catalog, trimmed, plain))]) == 0
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="traceloc"):
+            assert main(["run", "--config", str(run_config(root, catalog, damaged, out))]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        assert f"snapshot_malformed: {damaged / 'snapshot.csv'}:2: not valid UTF-8" in messages
+        assert "snapshot_malformed=1" in messages[-1].split()
+        assert_same_tree(out, plain)
+
     def test_corpus_from_a_pipe(self, small_corpus, tmp_path):
         # Auto-detection reads ahead without rewinding, so a corpus that
         # cannot seek (a named pipe here) gives the results of the file.
@@ -393,6 +417,23 @@ class TestParseCount:
         )
         assert 0 < twice <= once
 
+    def test_at_most_three_parses_per_address(self, small_corpus, tmp_path, monkeypatch):
+        # The corpus check, the snapshot check and the run's one sort.
+        root, catalog, synth_dir = small_corpus
+        corpus = {
+            hop["ip"]
+            for line in (synth_dir / "traceroutes.jsonl").read_text().splitlines()
+            for hop in json.loads(line)["hops"]
+        }
+        snapshot = {
+            line.split(",", 1)[0]
+            for line in (synth_dir / "snapshot.csv").read_text().splitlines()[1:]
+        }
+        parses = self.count_parses(
+            monkeypatch, run_config(root, catalog, synth_dir, tmp_path / "out")
+        )
+        assert 0 < parses <= 3 * len(corpus | snapshot)
+
 
 class TestScoreCommand:
     def test_score_round_trip(self, small_corpus, tmp_path):
@@ -406,18 +447,53 @@ class TestScoreCommand:
         metrics = {line.split(",", 1)[0] for line in score[1:]}
         assert {"displaced_recall", "displaced_precision", "true_city_retention"} <= metrics
 
-    def test_results_must_match_world(self, small_corpus, tmp_path):
+    def test_results_must_match_world(self, small_corpus, tmp_path, caplog):
         _, _, synth_dir = small_corpus
+        world_file = synth_dir / "world.json"
+        world = json.loads(world_file.read_text())
+        good = {"ip": world["routers"][0]["ip"], "status": "active", "verdict": None,
+                "clusters": [], "resolved": None, "anchors": 0}
         bogus = tmp_path / "bogus"
         bogus.mkdir()
-        (bogus / "ips.jsonl").write_text(
-            json.dumps(
-                {"ip": "9.9.9.9", "status": "active", "verdict": None,
-                 "clusters": [], "resolved": None, "anchors": 0}
+        broken_world = tmp_path / "broken_world.json"
+        broken_world.write_text(json.dumps({k: v for k, v in world.items() if k != "routers"}))
+        broken_displaced = tmp_path / "broken_displaced.json"
+        broken_displaced.write_text('{"displaced": [')
+        ips_file = bogus / "ips.jsonl"
+        cases = [  # (ips.jsonl lines, world file, extra args, expected in the message)
+            ([{**good, "ip": "9.9.9.9"}], world_file, [], "9.9.9.9 is not a world router"),
+            ([good, json.dumps(good)[:30]], world_file, [], f"{ips_file}:2: bad record"),
+            ([{**good, "status": "lost"}], world_file, [], f"{ips_file}:1: bad record (ValueError"),
+            ([good, {**good, "verdict": "maybe"}], world_file, [], "'maybe' is not a valid Verdict"),
+            ([good], broken_world, ["--displaced", str(synth_dir / "displaced.json")], "'routers'"),
+            ([good], world_file, ["--displaced", str(broken_displaced)], str(broken_displaced)),
+        ]
+        for lines, world_path, extra, expected in cases:
+            ips_file.write_text(
+                "".join((line if isinstance(line, str) else json.dumps(line)) + "\n" for line in lines)
             )
-            + "\n"
-        )
-        assert main(["score", str(bogus), str(synth_dir / "world.json")]) == 1
+            caplog.clear()
+            assert main(["score", str(bogus), str(world_path), *extra]) == 1, expected
+            errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            assert len(errors) == 1 and errors[0].startswith("input error: "), errors
+            assert expected in errors[0], errors
+
+    def test_records_match_ips_jsonl(self, small_corpus, tmp_path, monkeypatch):
+        # What the run hands the writer is what score reads back.
+        root, catalog, synth_dir = small_corpus
+        seen: list[dict] = []
+
+        def capturing(states, outcomes):
+            for record in ip_records(states, outcomes):
+                seen.append(record)
+                yield record
+
+        monkeypatch.setattr(traceloc.report, "ip_records", capturing)
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(run_config(root, catalog, synth_dir, out_dir))]) == 0
+        lines = (out_dir / "ips.jsonl").read_text().splitlines()
+        assert seen
+        assert seen == [json.loads(line) for line in lines]
 
     def test_missing_results(self, small_corpus, tmp_path):
         _, _, synth_dir = small_corpus

@@ -845,6 +845,30 @@ class TestGeoSnapshot:
         assert diag.count("snapshot_range") == 1
         assert diag.count("snapshot_duplicate") == 1
 
+    def test_bad_byte_costs_only_its_row(self, tmp_path, caplog):
+        # A non-UTF-8 byte in source, city or country is counted against
+        # its own row, with file and line; the rows around it still load.
+        f = tmp_path / "snap.csv"
+        f.write_bytes(
+            b"ip,source,lat,lon,city,country\n"
+            b"198.51.100.1,db\xff,48.85,2.35,Paris,FR\n"
+            b"198.51.100.1,db2,48.85,2.35,Par\xffis,FR\n"
+            b"198.51.100.1,db3,48.85,2.35,Paris,F\xff\n"
+            b"198.51.100.1,db4,48.86,2.36,Paris,FR\n"
+            b"198.51.100.2,db1,52.52,13.40,Berlin,DE\n"
+        )
+        diag = Diagnostics()
+        with caplog.at_level(logging.WARNING, logger="traceloc"):
+            loaded = load_geo_snapshot(f, diag)
+        assert loaded == {
+            "198.51.100.1": [GeoRecord("198.51.100.1", "db4", 48.86, 2.36, "Paris", "FR")],
+            "198.51.100.2": [GeoRecord("198.51.100.2", "db1", 52.52, 13.40, "Berlin", "DE")],
+        }
+        assert diag.total() == diag.count("snapshot_malformed") == 3
+        assert [r.getMessage() for r in caplog.records] == [
+            f"snapshot_malformed: {f}:{line}: not valid UTF-8" for line in (2, 3, 4)
+        ]
+
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_geo_snapshot(tmp_path / "nope.csv")

@@ -413,6 +413,6 @@ class TestTagAnomalies:
 class TestMakeStates:
     def test_skips_empty_and_sorts(self):
         states = make_states({IP_C: [cand(0, 0)], IP_A: [], IP_B: [cand(0, 10)]})
-        assert list(states) == [IP_B, IP_C]
+        assert list(states) == [IP_C, IP_B]
         assert states[IP_B].ratio == {0: 1.0}
         assert states[IP_B].status is IpStatus.ACTIVE

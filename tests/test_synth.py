@@ -11,6 +11,7 @@ import pytest
 from traceloc.geo import GeoPoint, haversine_km, load_city_catalog
 from traceloc.ingest import write_geo_snapshot
 from traceloc.refine import CandidateState, IpStatus, make_states
+from traceloc.report import ip_records
 from traceloc.resolve import ResolutionOutcome, Verdict
 from traceloc.synth import (
     InjectionSpec,
@@ -358,7 +359,7 @@ class TestScoreAgainstTruth:
                 confirmed=states[r[5]].candidates[0],
             ),
         }
-        report = score_against_truth(outcomes, states, world, displaced)
+        report = score_against_truth(list(ip_records(states, outcomes)), world, displaced)
         assert report.total_ips == 6
         assert report.tagged_total == 3
         assert report.false_positive_count == 1
@@ -387,7 +388,7 @@ class TestScoreAgainstTruth:
             r.ip: state_for(r.ip, IpStatus.ACTIVE, city=r.city, lat=r.location.lat)
             for r in world.routers
         }
-        report = score_against_truth({}, states, world, set())
+        report = score_against_truth(list(ip_records(states, {})), world, set())
         assert report.displaced_recall is None
         assert report.displaced_precision is None
         assert report.overall_precision is None
