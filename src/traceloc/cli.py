@@ -182,6 +182,7 @@ def _validate_knobs(cfg: PipelineConfig) -> None:
         (cfg.synth.db_count >= 1, "synth.db_count >= 1"),
         (cfg.synth.db_noise_km >= 0, "synth.db_noise_km >= 0"),
         (0.0 <= cfg.synth.decoy_fraction <= 1.0, "synth.decoy_fraction in [0,1]"),
+        (cfg.synth.decoy_db_count >= 0, "synth.decoy_db_count >= 0"),
     ]
     for ok, message in checks:
         if not ok:
@@ -311,6 +312,12 @@ def synth_cmd(cfg: PipelineConfig) -> int:
         snapshot, displaced = synth.corrupt_geodb(world, spec, cfg.seed, catalog, diag)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if len(paths) < s.n_paths:
+        diag.warn(
+            "synth_paths_short",
+            f"wrote {len(paths)} of {s.n_paths} paths after "
+            f"{synth.max_path_attempts(s.n_paths)} attempts",
+        )
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -372,7 +379,11 @@ def _read_ips_jsonl(path: Path, router_ips: set[str]) -> list[dict]:
     cluster cities and a null or numeric ``resolved``.  A repeated ip keeps
     its last record."""
     records: dict[str, dict] = {}
-    with path.open("rb") as fh:
+    try:
+        fh = path.open("rb")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read results ({type(exc).__name__}: {exc})") from exc
+    with fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue

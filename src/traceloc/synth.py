@@ -6,11 +6,15 @@ experiment needs.
 Determinism matters more than realism here: identical seeds must yield
 byte-identical corpora, so the module carries its own Dijkstra with
 explicit tie-breaking and derives all randomness from string-seeded
-generators (stable across processes).
+generators (stable across processes).  Each (source, variant) search is
+kept and resumed only as far as the next destination needs; it makes the
+same pops and coin flips in the same order as one search over the whole
+graph, so the routes do not depend on which destinations were asked for.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import random
@@ -124,11 +128,15 @@ def generate_world(
         )
 
     n = len(routers)
+    # Router i sits on city i % n_cities, so every router distance is a
+    # city-pair distance: compute those once (in both argument orders, as
+    # the router pair i < j would) and index them.
+    city_dist = [[haversine_km(a.centroid, b.centroid) for b in cities] for a in cities]
     dist = [[0.0] * n for _ in range(n)]
     for i in range(n):
+        row, city_row = dist[i], city_dist[i % n_cities]
         for j in range(i + 1, n):
-            d = haversine_km(routers[i].location, routers[j].location)
-            dist[i][j] = dist[j][i] = d
+            row[j] = dist[j][i] = city_row[j % n_cities]
 
     # Prim's MST with (distance, node) tie-breaking.
     in_tree = [False] * n
@@ -152,8 +160,9 @@ def generate_world(
 
     links = set(backbone)
     for i in range(n):
-        order = sorted((dist[i][j], j) for j in range(n) if j != i)
-        for _, j in order[:extra_degree]:
+        row = dist[i]
+        nearest = heapq.nsmallest(extra_degree, ((row[j], j) for j in range(n) if j != i))
+        for _, j in nearest:
             links.add((min(i, j), max(i, j)))
 
     mst_adj: dict[int, list[int]] = {i: [] for i in range(n)}
@@ -213,29 +222,47 @@ _ROUTE_VARIANTS = 4
 def _shortest_path(
     adj: dict[int, list[tuple[int, float]]],
     key: tuple[int, int],
-    cache: dict[tuple[int, int], tuple[list, list]],
+    dst: int,
+    cache: dict[tuple[int, int], tuple],
     route_seed: str,
 ) -> tuple[list[float], list[int]]:
-    if key in cache:
-        return cache[key]
-    src, variant = key
-    rng = random.Random(f"route:{route_seed}:{src}:{variant}")
-    n = len(adj)
-    dist = [math.inf] * n
-    pred = [-1] * n
-    dist[src] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, src)]
+    """Route tree of ``key`` = (source, variant), searched until ``dst`` is
+    settled or the graph is exhausted.
+
+    The search state (distances, predecessors, settled flags, heap and the
+    key's own tie-breaking generator) stays in ``cache``, and the next query
+    for the same key resumes where this one stopped.  That makes exactly the
+    pushes, pops and coin flips of one search over the whole graph, in the
+    same order.  Pops come in non-decreasing distance, so a settled node can
+    be neither improved nor tied later (a tie needs ``w > eps``, and then
+    ``nd - dist[v] >= w``): every node on the route back from a settled
+    ``dst`` already has its final predecessor.
+    """
+    state = cache.get(key)
+    if state is None:
+        src, variant = key
+        n = len(adj)
+        dist = [math.inf] * n
+        dist[src] = 0.0
+        coin = random.Random(f"route:{route_seed}:{src}:{variant}").random
+        state = cache[key] = (dist, [-1] * n, [False] * n, [(0.0, src)], coin)
+    dist, pred, settled, heap, coin = state
+    if settled[dst]:
+        return dist, pred
+    pop, push, eps = heapq.heappop, heapq.heappush, _TIE_EPS_KM
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = pop(heap)
         if d > dist[u]:
             continue
+        settled[u] = True
         for v, w in adj[u]:
             nd = d + w
-            if nd < dist[v] - _TIE_EPS_KM:
+            dv = dist[v]
+            if nd < dv - eps:
                 dist[v] = nd
                 pred[v] = u
-                heapq.heappush(heap, (nd, v))
-            elif abs(nd - dist[v]) <= _TIE_EPS_KM and w > _TIE_EPS_KM:
+                push(heap, (nd, v))
+            elif w > eps and -eps <= nd - dv <= eps:
                 # Equal-cost alternative: flip a coin so flows spread across
                 # the tied routes instead of funnelling down one tree, the way
                 # hash-based multipath does.  Distance is unchanged, so no
@@ -243,16 +270,26 @@ def _shortest_path(
                 # which keeps the predecessor graph a tree.  Zero-weight ties
                 # (co-located routers) stay excluded — re-parenting through
                 # them can chain into a predecessor cycle.
-                if rng.random() < 0.5:
+                if coin() < 0.5:
                     pred[v] = u
-    cache[key] = (dist, pred)
+        if u == dst:
+            break
     return dist, pred
+
+
+def max_path_attempts(n_paths: int) -> int:
+    """How many source/destination draws :func:`simulate_traceroutes` makes
+    at most for ``n_paths`` paths."""
+    return max(n_paths * 50, 1000)
 
 
 def simulate_traceroutes(
     world: World, n_paths: int, noise_fraction: float
 ) -> list[CleanPath]:
     """Shortest routes between random router pairs, with physical RTTs.
+
+    Fewer than ``n_paths`` come back when :func:`max_path_attempts` draws
+    do not find that many routes of at least two reported hops.
 
     The cumulative RTT at each hop is twice the along-path distance over
     the fiber propagation speed.  Hops crossing a tunnel in sequence all
@@ -265,8 +302,11 @@ def simulate_traceroutes(
     rng = random.Random(f"paths:{world.rng_seed}")
     n = len(world.routers)
     adj: dict[int, list[tuple[int, float]]] = {i: [] for i in range(n)}
+    link_km: dict[tuple[int, int], float] = {}  # (from, to) in path order
     for a, b in world.links:
-        w = haversine_km(world.routers[a].location, world.routers[b].location)
+        loc_a, loc_b = world.routers[a].location, world.routers[b].location
+        w = link_km[a, b] = haversine_km(loc_a, loc_b)
+        link_km[b, a] = haversine_km(loc_b, loc_a)
         adj[a].append((b, w))
         adj[b].append((a, w))
     for entries in adj.values():
@@ -277,10 +317,10 @@ def simulate_traceroutes(
         for pos, node in enumerate(tunnel):
             member_of[node] = (t_idx, pos)
 
-    cache: dict[tuple[int, int], tuple[list, list]] = {}
+    cache: dict[tuple[int, int], tuple] = {}
     paths: list[CleanPath] = []
     attempts = 0
-    max_attempts = max(n_paths * 50, 1000)
+    max_attempts = max_path_attempts(n_paths)
     while len(paths) < n_paths and attempts < max_attempts:
         attempts += 1
         src = rng.randrange(n)
@@ -288,7 +328,7 @@ def simulate_traceroutes(
         if src == dst:
             continue
         variant = rng.randrange(_ROUTE_VARIANTS)
-        dist, pred = _shortest_path(adj, (src, variant), cache, f"{world.rng_seed}")
+        dist, pred = _shortest_path(adj, (src, variant), dst, cache, f"{world.rng_seed}")
         if math.isinf(dist[dst]):
             continue
         nodes = [dst]
@@ -299,11 +339,8 @@ def simulate_traceroutes(
             continue  # need at least two reported hops
 
         cumulative = [0.0]
-        for a, b in zip(nodes, nodes[1:]):
-            cumulative.append(
-                cumulative[-1]
-                + haversine_km(world.routers[a].location, world.routers[b].location)
-            )
+        for link in zip(nodes, nodes[1:]):
+            cumulative.append(cumulative[-1] + link_km[link])
         # RTT in ms: out-and-back distance over 200 km/ms.
         rtts = [2.0 * c / 200.0 for c in cumulative]
 
@@ -488,7 +525,9 @@ def world_to_dict(world: World) -> dict:
 
 
 def world_from_dict(doc: dict) -> World:
-    return World(
+    """Inverse of :func:`world_to_dict`; a link or tunnel naming a router
+    index outside the router list raises ``ValueError``."""
+    world = World(
         routers=[
             Router(
                 ip=r["ip"],
@@ -502,6 +541,11 @@ def world_from_dict(doc: dict) -> World:
         mpls_tunnels=[[int(x) for x in t] for t in doc["mpls_tunnels"]],
         rng_seed=int(doc["rng_seed"]),
     )
+    n = len(world.routers)
+    for node in itertools.chain(*world.links, *world.mpls_tunnels):
+        if not 0 <= node < n:
+            raise ValueError(f"router index {node} out of range for {n} routers")
+    return world
 
 
 def save_world(world: World, path: str | Path) -> Path:

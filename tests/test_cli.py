@@ -104,6 +104,7 @@ class TestBuildConfig:
             {"synth.noise_fraction": "1.0"},
             {"traceroute_format": "xml"},
             {"resolve.tie_merge_max_km": "10"},  # below tie_merge_km
+            {"synth.decoy_db_count": "-1"},
         ],
     )
     def test_rejects(self, entries):
@@ -198,6 +199,23 @@ class TestSynthCommand:
         )
         assert main(["synth", "--config", str(cfg), "--seed", "8"]) == 0
         assert (other / "world.json").read_bytes() != (synth_dir / "world.json").read_bytes()
+
+    @pytest.mark.parametrize("routers, cities", [(2, 2), (3, 1)])
+    def test_short_corpus_warns_once(self, small_corpus, tmp_path, caplog, routers, cities):
+        # No route of these worlds has two reported hops, so no draw yields a path.
+        _, catalog, _ = small_corpus
+        out = tmp_path / "short"
+        cfg = write_config(
+            tmp_path / "s.conf",
+            [f"city_catalog = {catalog}", f"out_dir = {out}", f"synth.n_routers = {routers}",
+             f"synth.n_cities = {cities}", "synth.n_paths = 50"],
+        )
+        with caplog.at_level(logging.INFO, logger="traceloc"):
+            assert main(["synth", "--config", str(cfg)]) == 0
+        assert (out / "traceroutes.jsonl").read_text() == ""
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["synth_paths_short: wrote 0 of 50 paths after 2500 attempts"]
+        assert caplog.records[-1].getMessage() == "warnings: synth_paths_short=1"
 
 
 class TestRunCommand:
@@ -459,7 +477,12 @@ class TestScoreCommand:
         broken_world.write_text(json.dumps({k: v for k, v in world.items() if k != "routers"}))
         broken_displaced = tmp_path / "broken_displaced.json"
         broken_displaced.write_text('{"displaced": [')
+        far_tunnel = tmp_path / "far_tunnel.json"
+        far_tunnel.write_text(json.dumps({**world, "mpls_tunnels": [[0, 1, 9999]]}))
+        far_link = tmp_path / "far_link.json"
+        far_link.write_text(json.dumps({**world, "links": [[0, -1]]}))
         ips_file = bogus / "ips.jsonl"
+        displaced_arg = ["--displaced", str(synth_dir / "displaced.json")]
         cases = [  # (ips.jsonl lines, world file, extra args, expected in the message)
             ([{**good, "ip": "9.9.9.9"}], world_file, [], "9.9.9.9 is not a world router"),
             ([good, json.dumps(good)[:30]], world_file, [], f"{ips_file}:2: bad record"),
@@ -467,16 +490,25 @@ class TestScoreCommand:
             ([good, {**good, "verdict": "maybe"}], world_file, [], "'maybe' is not a valid Verdict"),
             ([good], broken_world, ["--displaced", str(synth_dir / "displaced.json")], "'routers'"),
             ([good], world_file, ["--displaced", str(broken_displaced)], str(broken_displaced)),
+            ([good], far_tunnel, [*displaced_arg], "router index 9999 out of range for"),
+            ([good], far_link, [*displaced_arg], "router index -1 out of range for"),
         ]
+
+        def assert_input_error(results_dir, world_path, extra, expected):
+            caplog.clear()
+            assert main(["score", str(results_dir), str(world_path), *extra]) == 1, expected
+            errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            assert len(errors) == 1 and errors[0].startswith("input error: "), errors
+            assert expected in errors[0], errors
+
         for lines, world_path, extra, expected in cases:
             ips_file.write_text(
                 "".join((line if isinstance(line, str) else json.dumps(line)) + "\n" for line in lines)
             )
-            caplog.clear()
-            assert main(["score", str(bogus), str(world_path), *extra]) == 1, expected
-            errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
-            assert len(errors) == 1 and errors[0].startswith("input error: "), errors
-            assert expected in errors[0], errors
+            assert_input_error(bogus, world_path, extra, expected)
+        unreadable = tmp_path / "unreadable"
+        (unreadable / "ips.jsonl").mkdir(parents=True)
+        assert_input_error(unreadable, world_file, [], "cannot read results (IsADirectoryError")
 
     def test_records_match_ips_jsonl(self, small_corpus, tmp_path, monkeypatch):
         # What the run hands the writer is what score reads back.

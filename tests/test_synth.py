@@ -2,18 +2,27 @@
 corruption, and ground-truth scoring."""
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
+import os
+import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
+import traceloc
 from traceloc.geo import GeoPoint, haversine_km, load_city_catalog
 from traceloc.ingest import write_geo_snapshot
 from traceloc.refine import CandidateState, IpStatus, make_states
 from traceloc.report import ip_records
 from traceloc.resolve import ResolutionOutcome, Verdict
 from traceloc.synth import (
+    _ROUTE_VARIANTS,
+    _TIE_EPS_KM,
     InjectionSpec,
     Router,
     World,
@@ -22,6 +31,7 @@ from traceloc.synth import (
     load_world,
     save_world,
     score_against_truth,
+    _shortest_path,
     simulate_traceroutes,
     tunnel_interior_ips,
     tunnel_member_ips,
@@ -55,14 +65,21 @@ def connected(world: World) -> bool:
     return len(seen) == n
 
 
-def shortest_km(world: World, src: int, dst: int) -> float:
-    """Independent Dijkstra over the world's links."""
-    n = len(world.routers)
-    adj = {i: [] for i in range(n)}
+def link_adjacency(world: World) -> dict[int, list[tuple[int, float]]]:
+    """The weighted, sorted adjacency that ``simulate_traceroutes`` routes on."""
+    adj = {i: [] for i in range(len(world.routers))}
     for a, b in world.links:
         w = haversine_km(world.routers[a].location, world.routers[b].location)
         adj[a].append((b, w))
         adj[b].append((a, w))
+    for entries in adj.values():
+        entries.sort()
+    return adj
+
+
+def shortest_km(world: World, src: int, dst: int) -> float:
+    """Independent Dijkstra over the world's links."""
+    adj = link_adjacency(world)
     dist = {src: 0.0}
     heap = [(0.0, src)]
     while heap:
@@ -77,6 +94,43 @@ def shortest_km(world: World, src: int, dst: int) -> float:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist.get(dst, math.inf)
+
+
+def reference_shortest_path(adj, key, cache, route_seed):
+    """The route search ``simulate_traceroutes`` used before searches were
+    resumed per key, kept as the reference: one Dijkstra over the whole
+    graph per (source, variant), with the same coin-flip tie-breaking."""
+    if key in cache:
+        return cache[key]
+    src, variant = key
+    rng = random.Random(f"route:{route_seed}:{src}:{variant}")
+    n = len(adj)
+    dist = [math.inf] * n
+    pred = [-1] * n
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v] - _TIE_EPS_KM:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+            elif abs(nd - dist[v]) <= _TIE_EPS_KM and w > _TIE_EPS_KM:
+                if rng.random() < 0.5:
+                    pred[v] = u
+    cache[key] = (dist, pred)
+    return dist, pred
+
+
+def route(pred: list[int], src: int, dst: int) -> list[int]:
+    nodes = [dst]
+    while nodes[-1] != src:
+        nodes.append(pred[nodes[-1]])
+    return nodes[::-1]
 
 
 class TestGenerateWorld:
@@ -234,6 +288,101 @@ class TestSimulateTraceroutes:
         world = generate_world(7, 18, 12, 0.0, grid_catalog)
         with pytest.raises(ValueError):
             simulate_traceroutes(world, 5, 1.0)
+
+
+class TestResumableRouteSearch:
+    """Each (source, variant) search stops once the destination is settled
+    and resumes on the next query; it must answer as one full search."""
+
+    def assert_matches_reference(self, world, route_seed):
+        adj = link_adjacency(world)
+        n = len(adj)
+        queries = [
+            (src, variant, dst)
+            for src in range(n)
+            for variant in range(_ROUTE_VARIANTS)
+            for dst in range(n)
+            if dst != src
+        ]
+        # Interleave keys and destinations so searches stop and resume.
+        random.Random(route_seed).shuffle(queries)
+        cache, reference, stopped_early = {}, {}, 0
+        for src, variant, dst in queries:
+            key = (src, variant)
+            want_dist, want_pred = reference_shortest_path(adj, key, reference, route_seed)
+            dist, pred = _shortest_path(adj, key, dst, cache, route_seed)
+            assert dist[dst] == want_dist[dst], (key, dst)
+            assert route(pred, src, dst) == route(want_pred, src, dst), (key, dst)
+            stopped_early += not all(cache[key][2])
+        assert stopped_early > 0
+
+    def test_co_located_routers(self, data_dir):
+        # Three to four routers per city: zero-weight links and tied routes.
+        catalog = load_city_catalog(data_dir / "cities_global.csv")
+        for seed in (1, 7):
+            world = generate_world(seed, 40, 12, 0.1, catalog, tunnel_len=3)
+            assert any(
+                world.routers[a].location == world.routers[b].location for a, b in world.links
+            )
+            self.assert_matches_reference(world, f"{seed}")
+
+    def test_tie_heavy_grid(self, grid_catalog):
+        # A 200 km grid has many equal-cost routes, so coins are flipped.
+        for seed in (3, 5):
+            self.assert_matches_reference(generate_world(seed, 30, 12, 0.0, grid_catalog), f"{seed}")
+
+
+# ``traceloc synth`` with noise, decoys, tunnels and co-located routers; the
+# sha256 of each file it writes was recorded before route searches were
+# resumed per key and distances computed per city pair.
+GOLDEN_SYNTH_CONFIG = [
+    "seed = 11",
+    "synth.n_routers = 60",
+    "synth.n_cities = 30",
+    "synth.mpls_fraction = 0.1",
+    "synth.n_paths = 400",
+    "synth.noise_fraction = 0.05",
+    "synth.interface_error_fraction = 0.1",
+    "synth.min_displacement_km = 500",
+    "synth.db_count = 4",
+    "synth.db_noise_km = 3",
+    "synth.tunnel_len = 3",
+    "synth.decoy_fraction = 0.3",
+    "synth.decoy_db_count = 2",
+]
+GOLDEN_SYNTH_SHA256 = {
+    "world.json": "550753c19973fe2d30cb1f87f785563e5511c8f7e04812f224375bb2fcd9695a",
+    "traceroutes.jsonl": "78d9acc95feefcf6e1c9ed172cb31984442d49f4ba39259907c0c74fcd837fc0",
+    "snapshot.csv": "e14bb214cafc09860296baa8f0e3afe4a91a53b07c7ab62f94b4b41eff35f6cd",
+    "displaced.json": "0027af3ce1de6a2c909dace2c003a6c85ca009d295c3d82bdafb963ad5917663",
+}
+
+
+class TestSynthGolden:
+    def test_outputs_match_recorded_digests_across_processes(self, data_dir, tmp_path):
+        src_dir = Path(traceloc.__file__).resolve().parents[1]
+        pythonpath = os.pathsep.join(filter(None, [str(src_dir), os.environ.get("PYTHONPATH")]))
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"hashseed{hash_seed}"
+            conf = tmp_path / f"synth{hash_seed}.conf"
+            conf.write_text(
+                "\n".join(
+                    [f"city_catalog = {data_dir / 'cities_global.csv'}", f"out_dir = {out}",
+                     *GOLDEN_SYNTH_CONFIG]
+                ) + "\n",
+                encoding="utf-8",
+            )
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
+            done = subprocess.run(
+                [sys.executable, "-m", "traceloc.cli", "synth", "--config", str(conf)],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            digests = {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in GOLDEN_SYNTH_SHA256
+            }
+            assert digests == GOLDEN_SYNTH_SHA256, hash_seed
 
 
 class TestCorruptGeodb:
