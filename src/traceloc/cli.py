@@ -11,8 +11,10 @@ two runs produce byte-identical output trees.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import gc
 import itertools
 import json
 import logging
@@ -20,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import ingest, report, synth
+from . import ingest, report
 from .diagnostics import Diagnostics, logger
 from .geo import SpatialIndex, cluster_candidates, load_city_catalog
 from .ingest import CleanPath, ConfigError, ip_key
@@ -31,6 +33,7 @@ from .refine import (
     extract_pairs,
     iterate,
     make_states,
+    pair_budgets,
     tag_anomalies,
 )
 from .resolve import ResolutionOutcome, ResolveConfig, Verdict, resolve_all
@@ -217,6 +220,21 @@ def _read_traceroutes(cfg: PipelineConfig, diag: Diagnostics) -> list[CleanPath]
     return paths
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector and restore the caller's setting
+    on the way out.  A run's objects form no reference cycles, so the
+    collector would only walk them again and again."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def run(cfg: PipelineConfig) -> int:
     """End-to-end analysis: ingest, cluster, refine, tag, resolve, report."""
     diag = Diagnostics()
@@ -231,7 +249,8 @@ def run(cfg: PipelineConfig) -> int:
         raise InputError(str(exc)) from exc
     index = SpatialIndex(catalog)
 
-    all_ips = sorted({ip for p in paths for ip, _ in p.hops}, key=ip_key)
+    corpus_ips = {ip for p in paths for ip, _ in p.hops}
+    all_ips = sorted(corpus_ips, key=ip_key)
     clusters_by_ip = {}
     for ip in all_ips:
         records = snapshot.get(ip)
@@ -242,16 +261,20 @@ def run(cfg: PipelineConfig) -> int:
     states = make_states(clusters_by_ip)
 
     pairs = extract_pairs(paths)
-    iterate(states, pairs, cfg.refine, diag=diag)
+    links = [(pair.ip_a, pair.ip_b) for pair in pairs]
+    budgets = pair_budgets(pairs, cfg.refine)
+    del pairs  # from here on the observations live only as budgets
+    iterate(states, budgets, cfg.refine, diag=diag)
     tag_anomalies(states, cfg.refine)
+    baseline = report.sol_baseline(clusters_by_ip, budgets)
+    del budgets  # freed before resolve_all, so they add nothing to its peak memory
     outcomes = resolve_all(states, paths, index, cfg.resolve, diag=diag)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    table = report.summarize(outcomes, paths)
+    table = report.summarize(outcomes, paths, links, corpus_ips)
     report.write_summary_csv(table, out_dir / "summary.csv")
-    baseline = report.sol_baseline(clusters_by_ip, pairs, cfg.refine)
     hist = report.cluster_histogram(states, baseline)
     report.write_histogram_csv(hist, out_dir / "clusters_hist.csv")
     distances, under_20 = report.distance_cdf(outcomes, snapshot, diag)
@@ -287,6 +310,8 @@ def _write_ips_jsonl(
 
 def synth_cmd(cfg: PipelineConfig) -> int:
     """Generate a world, its traceroute corpus, and a corrupted snapshot."""
+    from . import synth  # imported here, so that `run` never loads it
+
     diag = Diagnostics()
     if not cfg.city_catalog:
         raise ConfigError("config key city_catalog is required for synth")
@@ -341,6 +366,8 @@ def synth_cmd(cfg: PipelineConfig) -> int:
 def score_cmd(results_dir: str | Path, world_file: str | Path,
               displaced_file: str | Path | None = None) -> int:
     """Grade a results directory against the world that produced it."""
+    from . import synth
+
     results_dir = Path(results_dir)
     world_file = Path(world_file)
     ips_file = results_dir / "ips.jsonl"

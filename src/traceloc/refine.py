@@ -129,10 +129,11 @@ def budget_km(rtt_a: float, rtt_b: float, cfg: RefineConfig) -> float:
     return sol_km(abs(rtt_a - rtt_b) + cfg.deviation_fraction * (rtt_a + rtt_b))
 
 
-class _PairView:
-    """A NeighborPair pre-digested for scoring: distance budgets in km,
-    sorted per travel direction, so a candidate-pair distance turns into
-    feasible/total counts with one bisect."""
+class PairBudgets:
+    """A NeighborPair's observations as distance budgets in km, sorted per
+    travel direction, so a candidate-pair distance turns into
+    feasible/total counts with one bisect.  Each budget is computed once;
+    :func:`iterate` and :func:`traceloc.report.sol_baseline` both read it."""
 
     __slots__ = ("ip_a", "ip_b", "budgets_a_first", "budgets_b_first", "_dist")
 
@@ -149,6 +150,10 @@ class _PairView:
         self.budgets_b_first = b_first
         self._dist: dict[tuple[int, int], float] = {}
 
+    def smallest(self) -> float:
+        """The pair's tightest budget, whichever way it was travelled."""
+        return min(self.budgets_a_first[:1] + self.budgets_b_first[:1])
+
     def distance(self, cand_a: CityCluster, cand_b: CityCluster) -> float:
         key = (cand_a.cluster_id, cand_b.cluster_id)
         d = self._dist.get(key)
@@ -158,6 +163,11 @@ class _PairView:
         return d
 
 
+def pair_budgets(pairs: list[NeighborPair], cfg: RefineConfig) -> list[PairBudgets]:
+    """Every pair's budgets under ``cfg.deviation_fraction``, in pair order."""
+    return [PairBudgets(pair, cfg) for pair in pairs]
+
+
 def _feasible_count(sorted_budgets: list[float], distance_km: float) -> int:
     # budget >= distance means feasible; budgets are sorted ascending.
     return len(sorted_budgets) - bisect_left(sorted_budgets, distance_km)
@@ -165,7 +175,7 @@ def _feasible_count(sorted_budgets: list[float], distance_km: float) -> int:
 
 def _score_ip(
     state: CandidateState,
-    views: list[tuple[_PairView, bool]],
+    sides: list[tuple[PairBudgets, bool]],
     states: dict[str, CandidateState],
 ) -> None:
     """Score one IP's candidates against the candidate sets its neighbors
@@ -177,21 +187,21 @@ def _score_ip(
     next_feas = dict(prev_feas)
     prev_total = next_total = 0
     evaluated = False
-    for view, is_a in views:
-        other = states.get(view.ip_b if is_a else view.ip_a)
+    for pb, is_a in sides:
+        other = states.get(pb.ip_b if is_a else pb.ip_a)
         if other is None or not other.candidates:
             continue
         evaluated = True
         # Budgets where the neighbor came first count toward the previous-
         # direction ratio; the rest toward the next-direction ratio.
-        prev_budgets = view.budgets_b_first if is_a else view.budgets_a_first
-        next_budgets = view.budgets_a_first if is_a else view.budgets_b_first
+        prev_budgets = pb.budgets_b_first if is_a else pb.budgets_a_first
+        next_budgets = pb.budgets_a_first if is_a else pb.budgets_b_first
         prev_total += len(prev_budgets) * len(other.candidates)
         next_total += len(next_budgets) * len(other.candidates)
         for cand in state.candidates:
             cid = cand.cluster_id
             for other_cand in other.candidates:
-                d = view.distance(cand, other_cand) if is_a else view.distance(other_cand, cand)
+                d = pb.distance(cand, other_cand) if is_a else pb.distance(other_cand, cand)
                 prev_feas[cid] += _feasible_count(prev_budgets, d)
                 next_feas[cid] += _feasible_count(next_budgets, d)
     if not evaluated:
@@ -203,28 +213,18 @@ def _score_ip(
     state.evaluations = total
 
 
-def _views_by_ip(
-    pairs: list[NeighborPair], cfg: RefineConfig
-) -> dict[str, list[tuple[_PairView, bool]]]:
-    by_ip: dict[str, list[tuple[_PairView, bool]]] = {}
-    for pair in pairs:
-        view = _PairView(pair, cfg)
-        by_ip.setdefault(view.ip_a, []).append((view, True))
-        by_ip.setdefault(view.ip_b, []).append((view, False))
-    return by_ip
-
-
 def score_iteration(
-    states: dict[str, CandidateState],
-    pairs: list[NeighborPair],
-    cfg: RefineConfig,
+    states: dict[str, CandidateState], budgets: list[PairBudgets]
 ) -> dict[str, CandidateState]:
     """Score one round: every candidate of every IP against every neighbor
     candidate and every observation.  Updates ratios in place and returns
     the states.  Scoring an IP reads only candidate lists and writes only
     ratio maps and evaluation counts, so every IP is scored against the
     same candidate sets whatever the order."""
-    by_ip = _views_by_ip(pairs, cfg)
+    by_ip: dict[str, list[tuple[PairBudgets, bool]]] = {}
+    for pb in budgets:
+        by_ip.setdefault(pb.ip_a, []).append((pb, True))
+        by_ip.setdefault(pb.ip_b, []).append((pb, False))
     for ip, state in states.items():
         _score_ip(state, by_ip.get(ip, []), states)
     return states
@@ -259,7 +259,7 @@ def prune(state: CandidateState, cfg: RefineConfig) -> CandidateState:
 
 def iterate(
     states: dict[str, CandidateState],
-    pairs: list[NeighborPair],
+    budgets: list[PairBudgets],
     cfg: RefineConfig,
     diag: Diagnostics | None = None,
 ) -> tuple[dict[str, CandidateState], int]:
@@ -268,15 +268,14 @@ def iterate(
 
     Candidate updates are simultaneous: a round scores every IP against
     the sets that survived the previous round, then prunes all IPs at
-    once.  Returns ``(states, iterations_run)``.
+    once.  ``budgets`` come from :func:`pair_budgets`.  Returns
+    ``(states, iterations_run)``.
     """
     diag = diag or Diagnostics()
-    by_ip = _views_by_ip(pairs, cfg)
     iterations = 0
     for _ in range(max(1, cfg.max_iterations)):
         iterations += 1
-        for ip, state in states.items():
-            _score_ip(state, by_ip.get(ip, []), states)
+        score_iteration(states, budgets)
         changed = 0
         for state in states.values():
             before = len(state.candidates)

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
+from typing import AbstractSet, Collection, Iterator
 
 from .diagnostics import Diagnostics
 from .geo import CityCluster, GeoPoint, haversine_km, normalize_city
 from .ingest import CleanPath, GeoRecord
-from .refine import CandidateState, NeighborPair, RefineConfig, budget_km
+from .refine import CandidateState, PairBudgets
 from .resolve import ResolutionOutcome, Verdict
 
 
@@ -82,13 +83,19 @@ def table_from_counts(
     return table
 
 
+_hop_ip = itemgetter(0)
+
+
 def summarize(
     outcomes: dict[str, ResolutionOutcome],
     paths: list[CleanPath],
+    links: Collection[tuple[str, str]],
+    ips: AbstractSet[str],
 ) -> SummaryTable:
     """Count affected IPs, links (unordered adjacent IP pairs), and
-    traceroutes per anomaly kind.  Only counts come out, so a link is
-    keyed by its two IP strings in string order; no address is parsed.
+    traceroutes per anomaly kind.  ``links`` holds each link of ``paths``
+    once, as ``(ip_a, ip_b)`` of :func:`traceloc.refine.extract_pairs`, and
+    ``ips`` every address on ``paths``; outcomes of other IPs are ignored.
 
     An element is affected by a kind when it involves at least one IP of
     that kind; total-affected uses union semantics, so an element touched
@@ -97,27 +104,20 @@ def summarize(
     tunnel-distorted IP cannot be fully repaired.
     """
     mpls_ips = {
-        ip for ip, out in outcomes.items() if out.verdict is Verdict.MPLS_AFFECTED
+        ip
+        for ip, out in outcomes.items()
+        if out.verdict is Verdict.MPLS_AFFECTED and ip in ips
     }
     iface_ips = {
-        ip for ip, out in outcomes.items() if out.verdict is Verdict.INTERFACE_AFFECTED
+        ip
+        for ip, out in outcomes.items()
+        if out.verdict is Verdict.INTERFACE_AFFECTED and ip in ips
     }
 
-    all_ips: set[str] = set()
-    all_links: set[tuple[str, str]] = set()
-    for path in paths:
-        hops = [ip for ip, _ in path.hops]
-        all_ips.update(hops)
-        for a, b in zip(hops, hops[1:]):
-            all_links.add((a, b) if a <= b else (b, a))
-
-    def link_counts(link: tuple[str, str]) -> tuple[bool, bool]:
-        a, b = link
-        return (a in mpls_ips or b in mpls_ips, a in iface_ips or b in iface_ips)
-
     mpls_links = iface_links = union_links = corrected_links = 0
-    for link in all_links:
-        has_mpls, has_iface = link_counts(link)
+    for a, b in links:
+        has_mpls = a in mpls_ips or b in mpls_ips
+        has_iface = a in iface_ips or b in iface_ips
         mpls_links += has_mpls
         iface_links += has_iface
         union_links += has_mpls or has_iface
@@ -125,46 +125,41 @@ def summarize(
 
     mpls_trs = iface_trs = union_trs = corrected_trs = 0
     for path in paths:
-        hops = {ip for ip, _ in path.hops}
-        has_mpls = bool(hops & mpls_ips)
-        has_iface = bool(hops & iface_ips)
+        has_mpls = not mpls_ips.isdisjoint(map(_hop_ip, path.hops))
+        has_iface = not iface_ips.isdisjoint(map(_hop_ip, path.hops))
         mpls_trs += has_mpls
         iface_trs += has_iface
         union_trs += has_mpls or has_iface
         corrected_trs += has_iface and not has_mpls
 
-    union_ips = (mpls_ips | iface_ips) & all_ips
     return table_from_counts(
-        totals=(len(all_ips), len(all_links), len(paths)),
-        mpls=(len(mpls_ips & all_ips), mpls_links, mpls_trs),
-        interface=(len(iface_ips & all_ips), iface_links, iface_trs),
-        total_affected=(len(union_ips), union_links, union_trs),
-        corrected=(len(iface_ips & all_ips), corrected_links, corrected_trs),
+        totals=(len(ips), len(links), len(paths)),
+        mpls=(len(mpls_ips), mpls_links, mpls_trs),
+        interface=(len(iface_ips), iface_links, iface_trs),
+        total_affected=(len(mpls_ips | iface_ips), union_links, union_trs),
+        corrected=(len(iface_ips), corrected_links, corrected_trs),
     )
 
 
 def sol_baseline(
     clusters_by_ip: dict[str, list[CityCluster]],
-    pairs: list[NeighborPair],
-    cfg: RefineConfig | None = None,
+    budgets: list[PairBudgets],
 ) -> dict[str, CandidateState]:
     """Single-pass speed-of-light filtering of the run's candidate clusters
     over its neighbor pairs, with no iteration and no pruning feedback.
 
     A cluster survives when every observation of every neighbor holding
     clusters has at least one neighbor cluster within the observation's
-    budget (:func:`traceloc.refine.budget_km`, as in
-    :func:`traceloc.refine.pair_feasible`).  That is tested per pair as:
-    the nearest neighbor cluster lies within the pair's smallest budget.
-    Neighbor candidate sets are always the full original clusters.  IPs
-    with no neighbors keep everything; IPs can end up with zero clusters;
-    IPs without clusters are left out.
+    budget, the budgets :func:`traceloc.refine.iterate` scores with.  That
+    is tested per pair as: the nearest neighbor cluster lies within the
+    pair's smallest budget.  Neighbor candidate sets are always the full
+    original clusters.  IPs with no neighbors keep everything; IPs can end
+    up with zero clusters; IPs without clusters are left out.
     """
-    cfg = cfg or RefineConfig()
     limits: dict[str, list[tuple[list[CityCluster], float]]] = {}
-    for pair in pairs:
-        limit = min(budget_km(o.rtt_a, o.rtt_b, cfg) for o in pair.observations)
-        for ip, other in ((pair.ip_a, pair.ip_b), (pair.ip_b, pair.ip_a)):
+    for pb in budgets:
+        limit = pb.smallest()
+        for ip, other in ((pb.ip_a, pb.ip_b), (pb.ip_b, pb.ip_a)):
             if clusters_by_ip.get(other):
                 limits.setdefault(ip, []).append((clusters_by_ip[other], limit))
 

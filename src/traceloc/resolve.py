@@ -14,11 +14,11 @@ the anomaly to a false positive.
 """
 from __future__ import annotations
 
-import statistics
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .diagnostics import Diagnostics
 from .geo import CityCluster, GeoPoint, SpatialIndex, haversine_km, sol_km
@@ -109,17 +109,20 @@ class ResolutionOutcome:
     max_overlap: int = 0
 
 
+_hop_ip = itemgetter(0)
+
+
 def select_anchors(
     paths: list[CleanPath], states: dict[str, CandidateState]
 ) -> dict[str, list[AnchorObservation]]:
     """Each anomalous IP's observations, in path order.
 
     An anchor is an IP still marked active that kept exactly one
-    candidate.  Each path is walked once: at the first occurrence of each
-    anomalous hop, the nearest anchor before it and the nearest after it
-    are compared and the side with the smaller absolute RTT difference
-    wins (ties prefer the preceding side).  A path with no anchor
-    contributes nothing."""
+    candidate.  Each path with an anomalous hop is walked once: at the
+    first occurrence of each anomalous hop, the nearest anchor before it
+    and the nearest after it are compared and the side with the smaller
+    absolute RTT difference wins (ties prefer the preceding side).  A path
+    with no anchor contributes nothing."""
     anchors = {
         ip: state.candidates[0]
         for ip, state in states.items()
@@ -129,6 +132,8 @@ def select_anchors(
     observations: dict[str, list[AnchorObservation]] = {}
     for path in paths:
         hops = path.hops
+        if tagged.isdisjoint(map(_hop_ip, hops)):
+            continue
         marks: list[int] = []
         firsts: dict[str, int] = {}
         for i, (hop_ip, _) in enumerate(hops):
@@ -141,9 +146,14 @@ def select_anchors(
         for ip, position in firsts.items():
             rtt_here = hops[position][1]
             k = bisect_left(marks, position)
-            # min keeps the first of equals: the preceding side wins ties.
-            sides = [hops[marks[j]] for j in (k - 1, k) if 0 <= j < len(marks)]
-            anchor_ip, anchor_rtt = min(sides, key=lambda hop: abs(rtt_here - hop[1]))
+            before = hops[marks[k - 1]] if k else None
+            after = hops[marks[k]] if k < len(marks) else None
+            if before is None or (
+                after is not None and abs(rtt_here - after[1]) < abs(rtt_here - before[1])
+            ):
+                anchor_ip, anchor_rtt = after
+            else:  # the preceding side wins ties
+                anchor_ip, anchor_rtt = before
             anchor_cluster = anchors[anchor_ip]
             observations.setdefault(ip, []).append(
                 AnchorObservation(
@@ -156,6 +166,13 @@ def select_anchors(
                 )
             )
     return observations
+
+
+def _median(values: list[float]) -> float:
+    """The middle value, or the mean of the middle two for an even count."""
+    values = sorted(values)
+    mid = len(values) // 2
+    return float(values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2)
 
 
 def aggregate_medians(observations: list[AnchorObservation]) -> list[AnchorSummary]:
@@ -171,10 +188,8 @@ def aggregate_medians(observations: list[AnchorObservation]) -> list[AnchorSumma
                 anchor_ip=anchor_ip,
                 location=group[0].anchor_location,
                 country=group[0].anchor_country,
-                median_delta_ms=float(statistics.median(o.delta_rtt_ms for o in group)),
-                median_anchor_rtt_ms=float(
-                    statistics.median(o.anchor_rtt_ms for o in group)
-                ),
+                median_delta_ms=_median([o.delta_rtt_ms for o in group]),
+                median_anchor_rtt_ms=_median([o.anchor_rtt_ms for o in group]),
                 observation_count=len(group),
             )
         )

@@ -34,6 +34,7 @@ from traceloc.refine import (
     extract_pairs,
     iterate,
     make_states,
+    pair_budgets,
     pair_feasible,
     tag_anomalies,
 )
@@ -124,8 +125,7 @@ def corpus(tmp_path_factory):
     states = make_states(
         {ip: cluster_candidates(recs, 20.0) for ip, recs in snapshot.items()}
     )
-    pairs = extract_pairs(paths)
-    iterate(states, pairs, RefineConfig())
+    iterate(states, pair_budgets(extract_pairs(paths), RefineConfig()), RefineConfig())
     tag_anomalies(states, RefineConfig())
     outcomes = resolve_all(states, paths, SpatialIndex(catalog), ResolveConfig())
     elapsed = time.perf_counter() - t0
@@ -299,7 +299,7 @@ def test_chain_consistency():
     for seed in range(100):
         ips, clusters, paths = small_corpus(7000 + seed)
         states = make_states(clusters)
-        iterate(states, extract_pairs(paths), cfg)
+        iterate(states, pair_budgets(extract_pairs(paths), cfg), cfg)
         # Candidates appearing in a feasible whole-path assignment, per
         # path, computed before looking at what refine kept.
         enum_ok: dict[str, set[int]] = {ip: set(range(len(clusters[ip]))) for ip in ips}
@@ -357,7 +357,7 @@ def test_synthetic_displacement_detection(corpus):
 def test_clutter_reduction(corpus):
     path_ips = sorted({ip for p in corpus.paths for ip, _ in p.hops}, key=ip_key)
     clusters = {ip: cluster_candidates(corpus.snapshot.get(ip, []), 20.0) for ip in path_ips}
-    baseline = sol_baseline(clusters, extract_pairs(corpus.paths))
+    baseline = sol_baseline(clusters, pair_budgets(extract_pairs(corpus.paths), RefineConfig()))
     refined = {ip: corpus.states[ip] for ip in path_ips if ip in corpus.states}
     frac_refined = single_cluster_fraction(refined)
     frac_baseline = single_cluster_fraction(baseline)
@@ -429,7 +429,8 @@ def test_affected_summary_exactness():
             ip=ips["G"], verdict=Verdict.INTERFACE_AFFECTED, resolved=GeoPoint(2, 2)
         ),
     }
-    table = summarize(outcomes, paths)
+    links = [(p.ip_a, p.ip_b) for p in extract_pairs(paths)]
+    table = summarize(outcomes, paths, links, {ip for p in paths for ip, _ in p.hops})
     got = {
         row.category: (
             row.ip_count, row.ip_pct, row.link_count, row.link_pct,

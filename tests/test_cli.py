@@ -3,26 +3,35 @@ synth → run → score round trip on a small world."""
 from __future__ import annotations
 
 import argparse
+import gc
+import hashlib
 import ipaddress
 import json
 import logging
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import traceloc
 import traceloc.ingest
 import traceloc.report
 from traceloc.cli import (
     ConfigError,
+    InputError,
     SynthSettings,
     build_config,
     load_config,
     main,
     parse_config_file,
+    run,
 )
 from traceloc.report import ip_records
 from tests.conftest import write_plane_catalog
+from tests.test_acceptance import write_hubring_catalog
 
 VALID_STATUSES = {"active", "anomalous"}
 VALID_VERDICTS = {None, "interface_affected", "mpls_affected", "false_positive"}
@@ -246,6 +255,27 @@ class TestRunCommand:
             if rec["resolved"] is not None:
                 assert set(rec["resolved"]) == {"lat", "lon"}
 
+    def test_run_loads_neither_synth_nor_statistics(self, small_corpus, tmp_path):
+        root, catalog, synth_dir = small_corpus
+        cfg = run_config(root, catalog, synth_dir, tmp_path / "out")
+        src_dir = Path(traceloc.__file__).resolve().parents[1]
+        pythonpath = os.pathsep.join(filter(None, [str(src_dir), os.environ.get("PYTHONPATH")]))
+        script = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "from traceloc.cli import main\n"
+            f"assert main(['run', '--config', {str(cfg)!r}]) == 0\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = set(json.loads(done.stdout))
+        assert "traceloc.report" in loaded
+        assert not loaded & {"traceloc.synth", "statistics", "fractions", "decimal"}
+
     def test_repeat_runs_byte_identical(self, small_corpus, tmp_path):
         root, catalog, synth_dir = small_corpus
         outs = []
@@ -451,6 +481,113 @@ class TestParseCount:
             monkeypatch, run_config(root, catalog, synth_dir, tmp_path / "out")
         )
         assert 0 < parses <= 3 * len(corpus | snapshot)
+
+
+class TestCollectorPause:
+    """`run` pauses the cyclic collector and leaves the caller's setting as
+    it found it, on success and on error."""
+
+    @staticmethod
+    def empty_corpus_config(small_corpus, tmp_path):
+        root, catalog, synth_dir = small_corpus
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "traceroutes.jsonl").write_text("")
+        (empty / "snapshot.csv").write_bytes((synth_dir / "snapshot.csv").read_bytes())
+        return run_config(root, catalog, empty, tmp_path / "out")
+
+    def test_paused_during_run_and_restored(self, small_corpus, tmp_path, monkeypatch):
+        root, catalog, synth_dir = small_corpus
+        seen = []
+        real_resolve_all = traceloc.cli.resolve_all
+
+        def recording_resolve_all(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real_resolve_all(*args, **kwargs)
+
+        monkeypatch.setattr(traceloc.cli, "resolve_all", recording_resolve_all)
+        assert gc.isenabled()
+        cfg = run_config(root, catalog, synth_dir, tmp_path / "out")
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_restored_after_input_error(self, small_corpus, tmp_path, caplog):
+        cfg = self.empty_corpus_config(small_corpus, tmp_path)
+        with pytest.raises(InputError, match="no usable traceroutes"):
+            run(load_config(cfg))
+        assert gc.isenabled()
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, small_corpus, tmp_path):
+        root, catalog, synth_dir = small_corpus
+        gc.disable()
+        try:
+            cfg = run_config(root, catalog, synth_dir, tmp_path / "out")
+            assert main(["run", "--config", str(cfg)]) == 0
+            assert not gc.isenabled()
+            with pytest.raises(InputError):
+                run(load_config(self.empty_corpus_config(small_corpus, tmp_path)))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+GOLDEN_RUN_SYNTH_CONFIG = [
+    "seed = 5",
+    "synth.n_routers = 120",
+    "synth.n_cities = 120",
+    "synth.mpls_fraction = 0.05",
+    "synth.n_paths = 1500",
+    "synth.interface_error_fraction = 0.08",
+    "synth.tunnel_len = 3",
+    "synth.decoy_fraction = 0.2",
+    "synth.db_noise_km = 3",
+]
+# Recorded before select_anchors, sol_baseline and summarize were rewritten;
+# the world has every verdict, and decoys that the baseline keeps.
+GOLDEN_RUN_SHA256 = {
+    "ips.jsonl": "c2dae5214b7a03da74909395a94de42de7da8f741b63b54b54b75ffd888f78c3",
+    "summary.csv": "936dbdcb4cb7e423e44aebb93d76bec07d2b219685cf807431d5674116788b08",
+    "clusters_hist.csv": "562282c4dc3b28c55444b00273b4a7047039ae3a300c3fbaea5b943546a70dcd",
+    "distance_cdf.csv": "81d7f5333ad8ae360a6560c11e5a486804dfc9de158d55c1e8bfcbfe9d7e4dca",
+    "country_delta.csv": "bf1f1bee6051b5960565309d7eaf5fb69c6585cfd836a1c2878f2744e9dc01f7",
+    "score.csv": "31af50a3c1e1b39cb17cb3fde4956806d23284ed8de15eda79d8851c3e2b4937",
+    "run.stderr": "418e3bc85b4d35dd5ca9571f17d0d8ae52c42dbe6a3789664d604bf95f99b5c0",
+}
+
+
+class TestRunGolden:
+    def test_outputs_match_recorded_digests_across_processes(self, tmp_path):
+        catalog = write_hubring_catalog(tmp_path / "cities.csv")
+        world_dir, out_dir = tmp_path / "world", tmp_path / "out"
+        synth_conf = write_config(
+            tmp_path / "synth.conf",
+            [f"city_catalog = {catalog}", f"out_dir = {world_dir}", *GOLDEN_RUN_SYNTH_CONFIG],
+        )
+        run_conf = run_config(tmp_path, catalog, world_dir, out_dir)
+        src_dir = Path(traceloc.__file__).resolve().parents[1]
+        pythonpath = os.pathsep.join(filter(None, [str(src_dir), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": pythonpath}
+
+        def cli(*args):
+            done = subprocess.run(
+                [sys.executable, "-m", "traceloc.cli", *args],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            return done.stderr
+
+        cli("synth", "--config", str(synth_conf))
+        stderr = cli("run", "--config", str(run_conf))
+        cli("score", str(out_dir), str(world_dir / "world.json"))
+        digests = {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in GOLDEN_RUN_SHA256 if name != "run.stderr"
+        }
+        digests["run.stderr"] = hashlib.sha256(stderr.encode()).hexdigest()
+        assert digests == GOLDEN_RUN_SHA256
 
 
 class TestScoreCommand:

@@ -44,3 +44,5 @@ def test_library_snippet_runs(tmp_path, monkeypatch):
     tagged = {ip for ip, st in namespace["states"].items() if st.status is IpStatus.ANOMALOUS}
     assert tagged
     assert set(namespace["outcomes"]) == tagged
+    assert set(namespace["baseline"]) == set(namespace["states"])
+    assert namespace["table"].total_traceroutes == len(namespace["paths"])

@@ -19,6 +19,7 @@ from traceloc.refine import (
     extract_pairs,
     iterate,
     make_states,
+    pair_budgets,
     pair_feasible,
     prune,
     score_iteration,
@@ -102,13 +103,13 @@ def two_ip_fixture():
         }
     )
     paths = [CleanPath("p", [(IP_A, 1.0), (IP_B, 4.0)])]
-    return states, extract_pairs(paths)
+    return states, pair_budgets(extract_pairs(paths), RefineConfig())
 
 
 class TestScoringAndIteration:
     def test_hand_computed_ratios(self):
-        states, pairs = two_ip_fixture()
-        score_iteration(states, pairs, RefineConfig())
+        states, budgets = two_ip_fixture()
+        score_iteration(states, budgets)
         # IP_B: true candidate fits the 350 km budget, decoy does not.
         assert states[IP_B].ratio[0] == 1.0
         assert states[IP_B].ratio[1] == 0.0
@@ -116,8 +117,8 @@ class TestScoringAndIteration:
         assert states[IP_A].ratio[0] == 0.5
 
     def test_iterate_prunes_decoy_and_converges(self):
-        states, pairs = two_ip_fixture()
-        _, iterations = iterate(states, pairs, RefineConfig())
+        states, budgets = two_ip_fixture()
+        _, iterations = iterate(states, budgets, RefineConfig())
         assert [c.cluster_id for c in states[IP_B].candidates] == [0]
         # Round 1 prunes the decoy; round 2 rescores clean and stops.
         assert iterations == 2
@@ -125,26 +126,26 @@ class TestScoringAndIteration:
         assert states[IP_A].ratio[0] == 1.0
 
     def test_iterate_is_idempotent_at_fixed_point(self):
-        states, pairs = two_ip_fixture()
-        iterate(states, pairs, RefineConfig())
+        states, budgets = two_ip_fixture()
+        iterate(states, budgets, RefineConfig())
         before = {ip: [c.cluster_id for c in st.candidates] for ip, st in states.items()}
-        _, iterations = iterate(states, pairs, RefineConfig())
+        _, iterations = iterate(states, budgets, RefineConfig())
         assert iterations == 1
         assert before == {
             ip: [c.cluster_id for c in st.candidates] for ip, st in states.items()
         }
 
     def test_iteration_cap_warns(self):
-        states, pairs = two_ip_fixture()
+        states, budgets = two_ip_fixture()
         diag = Diagnostics()
-        _, iterations = iterate(states, pairs, RefineConfig(max_iterations=1), diag=diag)
+        _, iterations = iterate(states, budgets, RefineConfig(max_iterations=1), diag=diag)
         assert iterations == 1
         assert diag.count("refine_no_convergence") == 1
 
     def test_iteration_cap_without_diagnostics_logs_once(self, caplog):
-        states, pairs = two_ip_fixture()
+        states, budgets = two_ip_fixture()
         with caplog.at_level(logging.WARNING, logger="traceloc"):
-            iterate(states, pairs, RefineConfig(max_iterations=1))
+            iterate(states, budgets, RefineConfig(max_iterations=1))
         assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
             (
                 "WARNING",
@@ -155,9 +156,9 @@ class TestScoringAndIteration:
     def test_zero_iteration_cap_runs_and_reports_one_round(self, caplog):
         # The library takes max_iterations=0 (the CLI rejects it); one
         # round still runs, and the warning names that round.
-        states, pairs = two_ip_fixture()
+        states, budgets = two_ip_fixture()
         with caplog.at_level(logging.WARNING, logger="traceloc"):
-            _, iterations = iterate(states, pairs, RefineConfig(max_iterations=0))
+            _, iterations = iterate(states, budgets, RefineConfig(max_iterations=0))
         assert iterations == 1
         assert [r.getMessage() for r in caplog.records] == [
             "refine_no_convergence: candidate sets still changing after 1 iterations"
@@ -166,7 +167,7 @@ class TestScoringAndIteration:
     def test_neighbor_without_candidates_contributes_nothing(self):
         states = make_states({IP_A: [cand(0, 0)]})
         paths = [CleanPath("p", [(IP_A, 1.0), (IP_B, 4.0)])]
-        score_iteration(states, extract_pairs(paths), RefineConfig())
+        score_iteration(states, pair_budgets(extract_pairs(paths), RefineConfig()))
         # No evaluations happened; the vacuous perfect ratio stands.
         assert states[IP_A].ratio[0] == 1.0
         assert states[IP_A].evaluations == 0
@@ -285,7 +286,7 @@ class TestScoringMatchesReference:
         for seed in WORLD_SEEDS:
             clusters, pairs = gappy_world(grid_catalog, seed)
             want = reference_score_round(make_states(clusters), pairs, RefineConfig())
-            got = score_iteration(make_states(clusters), pairs, RefineConfig())
+            got = score_iteration(make_states(clusters), pair_budgets(pairs, RefineConfig()))
             assert scored_fields(got) == scored_fields(want)
             cases["stateless neighbor"] += sum(
                 p.ip_a not in got or p.ip_b not in got for p in pairs
@@ -302,7 +303,7 @@ class TestScoringMatchesReference:
         for seed in WORLD_SEEDS:
             clusters, pairs = gappy_world(grid_catalog, seed)
             want, want_n = reference_iterate(make_states(clusters), pairs, cfg)
-            got, got_n = iterate(make_states(clusters), pairs, cfg)
+            got, got_n = iterate(make_states(clusters), pair_budgets(pairs, cfg), cfg)
             assert got_n == want_n
             assert scored_fields(got) == scored_fields(want)
 
@@ -347,13 +348,13 @@ def anomaly_fixture():
         CleanPath("p2", [(IP_A, 1.0), (IP_B, 1.5)]),
         CleanPath("p3", [(IP_B, 1.5), (IP_C, 2.0)]),
     ]
-    return states, extract_pairs(paths)
+    return states, pair_budgets(extract_pairs(paths), RefineConfig())
 
 
 class TestTagAnomalies:
     def test_directional_asymmetry_tags(self):
-        states, pairs = anomaly_fixture()
-        score_iteration(states, pairs, RefineConfig())
+        states, budgets = anomaly_fixture()
+        score_iteration(states, budgets)
         tag_anomalies(states, RefineConfig())
         assert states[IP_B].status is IpStatus.ANOMALOUS
         # One healthy direction, one impossible one.
@@ -361,28 +362,28 @@ class TestTagAnomalies:
         assert states[IP_B].next_ratio[0] == 0.0
 
     def test_min_observations_gate(self):
-        states, pairs = anomaly_fixture()
-        score_iteration(states, pairs, RefineConfig())
+        states, budgets = anomaly_fixture()
+        score_iteration(states, budgets)
         # N fails its only evaluation, but one observation is not evidence.
         assert states[IP_C].ratio[0] == 0.0
         tag_anomalies(states, RefineConfig())
         assert states[IP_C].status is IpStatus.ACTIVE
         # Lowering the gate tags it through the overall-ratio rule.
-        states2, pairs2 = anomaly_fixture()
-        score_iteration(states2, pairs2, RefineConfig())
+        states2, budgets2 = anomaly_fixture()
+        score_iteration(states2, budgets2)
         tag_anomalies(states2, RefineConfig(min_observations=1))
         assert states2[IP_C].status is IpStatus.ANOMALOUS
 
     def test_low_overall_ratio_tags(self):
-        states, pairs = anomaly_fixture()
-        score_iteration(states, pairs, RefineConfig())
+        states, budgets = anomaly_fixture()
+        score_iteration(states, budgets)
         tag_anomalies(states, RefineConfig(min_observations=1, direction_threshold=0.0))
         # With the directional rule neutralized, N still tags on ratio 0.
         assert states[IP_C].status is IpStatus.ANOMALOUS
 
     def test_missing_direction_counts_healthy(self):
-        states, pairs = anomaly_fixture()
-        score_iteration(states, pairs, RefineConfig())
+        states, budgets = anomaly_fixture()
+        score_iteration(states, budgets)
         tag_anomalies(states, RefineConfig())
         # P opens both paths, so it has no previous-side evidence at all.
         assert states[IP_A].prev_ratio[0] is None
@@ -397,15 +398,15 @@ class TestTagAnomalies:
             CleanPath("p2", [(IP_B, 1.5), (IP_A, 1.0)]),
             CleanPath("p3", [(IP_A, 1.0), (IP_B, 1.5)]),
         ]
-        score_iteration(states, extract_pairs(paths), RefineConfig())
+        score_iteration(states, pair_budgets(extract_pairs(paths), RefineConfig()))
         tag_anomalies(states, RefineConfig())
         assert states[IP_B].prev_ratio[0] == 0.0
         assert states[IP_B].next_ratio[0] == 0.0
         assert states[IP_B].status is IpStatus.ANOMALOUS  # via best_ratio < 0.5
 
     def test_healthy_world_tags_nothing(self):
-        states, pairs = two_ip_fixture()
-        iterate(states, pairs, RefineConfig())
+        states, budgets = two_ip_fixture()
+        iterate(states, budgets, RefineConfig())
         tag_anomalies(states, RefineConfig(min_observations=1))
         assert all(st.status is IpStatus.ACTIVE for st in states.values())
 

@@ -6,17 +6,21 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceloc.diagnostics import Diagnostics
-from traceloc.geo import CityCluster, GeoPoint, cluster_candidates
+from traceloc.geo import CityCluster, GeoPoint, cluster_candidates, haversine_km
 from traceloc.ingest import CleanPath, GeoRecord, ip_key
 from traceloc.refine import (
     CandidateState,
     IpStatus,
     RefineConfig,
+    budget_km,
     extract_pairs,
     iterate,
     make_states,
+    pair_budgets,
     pair_feasible,
 )
 from traceloc.report import (
@@ -40,6 +44,11 @@ from tests.conftest import plane_latlon
 
 def path(pid, *hops):
     return CleanPath(path_id=pid, hops=[(ip, float(rtt)) for ip, rtt in hops], source_traceroute=pid)
+
+
+def links_and_ips(paths):
+    """The links and the address set that `run` hands to `summarize`."""
+    return [(p.ip_a, p.ip_b) for p in extract_pairs(paths)], {ip for p in paths for ip, _ in p.hops}
 
 
 def outcome(ip, verdict, resolved=None, resolved_country=None):
@@ -106,7 +115,7 @@ def ten_ip_corpus():
 class TestSummarize:
     def test_hand_counted_table(self):
         _, paths, outcomes = ten_ip_corpus()
-        table = summarize(outcomes, paths)
+        table = summarize(outcomes, paths, *links_and_ips(paths))
         by_cat = {row.category: row for row in table.rows}
 
         assert (table.total_ips, table.total_links, table.total_traceroutes) == (10, 9, 4)
@@ -140,7 +149,7 @@ class TestSummarize:
         assert by_cat["corrected"].traceroute_pct == pytest.approx(100 * 1 / 3)
 
     def test_empty_corpus(self):
-        table = summarize({}, [])
+        table = summarize({}, [], [], set())
         assert table.total_ips == 0
         assert all(row.ip_pct == 0.0 for row in table.rows)
 
@@ -168,9 +177,9 @@ def chain_snapshot():
 
 
 def baseline_of(ips, snapshot, paths):
-    """The baseline over a run's clusters and pairs, built as `run` does."""
+    """The baseline over a run's clusters and budgets, built as `run` does."""
     clusters = {ip: cluster_candidates(snapshot.get(ip, []), 20.0) for ip in ips}
-    return sol_baseline(clusters, extract_pairs(paths))
+    return sol_baseline(clusters, pair_budgets(extract_pairs(paths), RefineConfig()))
 
 
 def reference_sol_baseline(ips, snapshot, paths):
@@ -239,6 +248,159 @@ class TestSolBaselineMatchesReference:
         assert 0 < sum(len(v) for v in got.values()) < total
 
 
+def reference_pairs_sol_baseline(clusters_by_ip, pairs, cfg):
+    """:func:`sol_baseline` before it read the budgets that `iterate` scores
+    with: each pair's smallest budget recomputed from its observations."""
+    limits = {}
+    for pair in pairs:
+        limit = min(budget_km(o.rtt_a, o.rtt_b, cfg) for o in pair.observations)
+        for ip, other in ((pair.ip_a, pair.ip_b), (pair.ip_b, pair.ip_a)):
+            if clusters_by_ip.get(other):
+                limits.setdefault(ip, []).append((clusters_by_ip[other], limit))
+    out = {}
+    for ip, clusters in clusters_by_ip.items():
+        if not clusters:
+            continue
+        survivors = [
+            cand
+            for cand in clusters
+            if all(
+                min(haversine_km(cand.centroid, oc.centroid) for oc in others) <= limit
+                for others, limit in limits.get(ip, ())
+            )
+        ]
+        out[ip] = CandidateState(ip=ip, candidates=survivors)
+    return out
+
+
+def reference_path_walk_summarize(outcomes, paths):
+    """:func:`summarize` before it took the run's links and addresses: both
+    rebuilt from the paths, and a set built per path."""
+    mpls_ips = {ip for ip, out in outcomes.items() if out.verdict is Verdict.MPLS_AFFECTED}
+    iface_ips = {ip for ip, out in outcomes.items() if out.verdict is Verdict.INTERFACE_AFFECTED}
+    all_ips, all_links = set(), set()
+    for p in paths:
+        hops = [ip for ip, _ in p.hops]
+        all_ips.update(hops)
+        for a, b in zip(hops, hops[1:]):
+            all_links.add((a, b) if a <= b else (b, a))
+    link_flags = [
+        (a in mpls_ips or b in mpls_ips, a in iface_ips or b in iface_ips) for a, b in all_links
+    ]
+    path_flags = []
+    for p in paths:
+        hops = {ip for ip, _ in p.hops}
+        path_flags.append((bool(hops & mpls_ips), bool(hops & iface_ips)))
+
+    def counts(flags):
+        return (
+            sum(m for m, _ in flags),
+            sum(i for _, i in flags),
+            sum(m or i for m, i in flags),
+            sum(i and not m for m, i in flags),
+        )
+
+    lm, li, lu, lc = counts(link_flags)
+    tm, ti, tu, tc = counts(path_flags)
+    union_ips = (mpls_ips | iface_ips) & all_ips
+    return table_from_counts(
+        totals=(len(all_ips), len(all_links), len(paths)),
+        mpls=(len(mpls_ips & all_ips), lm, tm),
+        interface=(len(iface_ips & all_ips), li, ti),
+        total_affected=(len(union_ips), lu, tu),
+        corrected=(len(iface_ips & all_ips), lc, tc),
+    )
+
+
+GENERATED = settings(derandomize=True, max_examples=60, deadline=None)
+CORPUS_IPS = [f"203.0.113.{i}" for i in range(1, 7)]
+hop_lists = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(CORPUS_IPS), st.integers(0, 30).map(float)),
+        min_size=1,
+        max_size=7,
+    ),
+    max_size=10,
+)
+
+
+def corpus_paths(hop_lists):
+    return [CleanPath(f"p{i}", hops) for i, hops in enumerate(hop_lists)]
+
+
+@st.composite
+def baseline_inputs(draw):
+    """Clusters for some of six IPs (some with none), on a 1,000 km line,
+    and paths over them: some pairs are seen in one direction only."""
+    clusters_by_ip = {}
+    for ip in CORPUS_IPS:
+        n = draw(st.integers(-1, 3))
+        if n >= 0:
+            clusters_by_ip[ip] = [
+                CityCluster(c, GeoPoint(*plane_latlon(draw(st.integers(0, 1000)), 0.0)), f"c{c}", "FR")
+                for c in range(n)
+            ]
+    cfg = RefineConfig(deviation_fraction=draw(st.sampled_from([0.0, 0.1, 0.5])))
+    return clusters_by_ip, corpus_paths(draw(hop_lists)), cfg
+
+
+@st.composite
+def summary_inputs(draw):
+    """Paths over six IPs and outcomes for some of them and for IPs on no
+    path."""
+    paths = corpus_paths(draw(hop_lists))
+    outcomes = {}
+    for ip in CORPUS_IPS + ["203.0.113.99"]:
+        verdict = draw(st.sampled_from([None, *Verdict]))
+        if verdict is not None:
+            outcomes[ip] = outcome(ip, verdict)
+    return outcomes, paths
+
+
+def survivors(states):
+    return {ip: [c.cluster_id for c in s.candidates] for ip, s in states.items()}
+
+
+class TestRewrittenStagesMatchReferences:
+    @GENERATED
+    @given(baseline_inputs())
+    def test_sol_baseline(self, inputs):
+        clusters_by_ip, paths, cfg = inputs
+        pairs = extract_pairs(paths)
+        got = sol_baseline(clusters_by_ip, pair_budgets(pairs, cfg))
+        assert survivors(got) == survivors(reference_pairs_sol_baseline(clusters_by_ip, pairs, cfg))
+
+    def test_sol_baseline_one_direction_pairs(self):
+        # A-B is seen only A first, B-C only C first: the smallest budget
+        # sits in one direction's list, the other list is empty.
+        a, b, c = CORPUS_IPS[:3]
+
+        def at(cid, x_km):
+            return CityCluster(cid, GeoPoint(*plane_latlon(x_km, 0.0)), f"c{cid}", "FR")
+
+        clusters_by_ip = {a: [at(0, 0)], b: [at(0, 100), at(1, 900)], c: [at(0, 300), at(1, 150)]}
+        paths = [
+            path("q1", (a, 1.0), (b, 2.5)),
+            path("q2", (a, 1.0), (b, 9.0)),
+            path("q3", (c, 1.0), (b, 2.0)),
+        ]
+        pairs = extract_pairs(paths)
+        assert {(p.ip_a, p.ip_b): {o.a_first for o in p.observations} for p in pairs} == {
+            (a, b): {True}, (b, c): {False}
+        }
+        cfg = RefineConfig()
+        got = sol_baseline(clusters_by_ip, pair_budgets(pairs, cfg))
+        want = reference_pairs_sol_baseline(clusters_by_ip, pairs, cfg)
+        assert survivors(got) == survivors(want) == {a: [0], b: [0], c: [1]}
+
+    @GENERATED
+    @given(summary_inputs())
+    def test_summarize(self, inputs):
+        outcomes, paths = inputs
+        got = summarize(outcomes, paths, *links_and_ips(paths))
+        assert got == reference_path_walk_summarize(outcomes, paths)
+
+
 class TestSolBaseline:
     def test_single_pass_keeps_decoy_supported_candidates(self):
         ips, snapshot, paths = chain_snapshot()
@@ -260,7 +422,7 @@ class TestSolBaseline:
         refined = make_states(
             {ip: cluster_candidates(snapshot[ip], 20.0) for ip in ips}
         )
-        refined, _ = iterate(refined, extract_pairs(paths), RefineConfig())
+        refined, _ = iterate(refined, pair_budgets(extract_pairs(paths), RefineConfig()), RefineConfig())
         assert [cl.city for cl in refined[c].candidates] == ["c-near"]
         assert len(baseline[c].candidates) == 2
         assert single_cluster_fraction(refined) > single_cluster_fraction(baseline)

@@ -1,12 +1,15 @@
 """Anchor selection, median aggregation, buffer voting, classification."""
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traceloc.geo import (
     CityCluster,
@@ -265,6 +268,125 @@ class TestSelectAnchorsMatchesReference:
                             rtt - path.hops[after[0]][1]
                         )
         assert all(n > 0 for n in seen.values()), seen
+
+
+def reference_one_walk_select_anchors(paths, states):
+    """:func:`select_anchors` before it compared the two sides directly and
+    skipped paths with no tagged hop: every path walked once, the nearest
+    anchor on each side found by bisect, and ``min`` over the two sides,
+    which keeps the first of equals, so the preceding side wins ties."""
+    anchors = {
+        ip: state.candidates[0]
+        for ip, state in states.items()
+        if state.status is IpStatus.ACTIVE and len(state.candidates) == 1
+    }
+    tagged = {ip for ip, state in states.items() if state.status is IpStatus.ANOMALOUS}
+    observations = {}
+    for path in paths:
+        hops = path.hops
+        marks, firsts = [], {}
+        for i, (hop_ip, _) in enumerate(hops):
+            if hop_ip in anchors:
+                marks.append(i)
+            elif hop_ip in tagged:
+                firsts.setdefault(hop_ip, i)
+        if not marks:
+            continue
+        for ip, position in firsts.items():
+            rtt_here = hops[position][1]
+            k = bisect.bisect_left(marks, position)
+            sides = [hops[marks[j]] for j in (k - 1, k) if 0 <= j < len(marks)]
+            anchor_ip, anchor_rtt = min(sides, key=lambda hop: abs(rtt_here - hop[1]))
+            anchor_cluster = anchors[anchor_ip]
+            observations.setdefault(ip, []).append(
+                AnchorObservation(
+                    anomalous_ip=ip,
+                    anchor_ip=anchor_ip,
+                    anchor_location=anchor_cluster.centroid,
+                    anchor_country=anchor_cluster.country,
+                    delta_rtt_ms=rtt_here - anchor_rtt,
+                    anchor_rtt_ms=anchor_rtt,
+                )
+            )
+    return observations
+
+
+GENERATED = settings(derandomize=True, max_examples=60, deadline=None)
+HOP_IPS = [f"203.0.113.{i}" for i in range(1, 7)]
+ROLES = ("anchor", "multi", "tagged", "tagged_multi", "no_state")
+
+
+@st.composite
+def anchor_corpora(draw):
+    """States for six IPs with drawn roles (an IP may also have no state),
+    and paths over them with small integer RTTs, so both sides often tie,
+    and IPs free to repeat on a path."""
+    clusters, tagged = {}, set()
+    for ip in HOP_IPS:
+        role = draw(st.sampled_from(ROLES))
+        if role == "no_state":
+            continue
+        n = 2 if role in ("multi", "tagged_multi") else 1
+        clusters[ip] = [
+            cluster(c, draw(st.integers(-500, 500)), country=draw(st.sampled_from(["FR", "GB"])))
+            for c in range(n)
+        ]
+        if role.startswith("tagged"):
+            tagged.add(ip)
+    states = make_states(clusters)
+    for ip in tagged:
+        states[ip].status = IpStatus.ANOMALOUS
+    hop = st.tuples(st.sampled_from(HOP_IPS), st.integers(0, 6).map(float))
+    paths = [
+        CleanPath(f"p{i}", hops)
+        for i, hops in enumerate(draw(st.lists(st.lists(hop, min_size=1, max_size=8), max_size=12)))
+    ]
+    return states, paths
+
+
+class TestSelectAnchorsMatchesOneWalk:
+    def check(self, states, paths):
+        assert select_anchors(paths, states) == reference_one_walk_select_anchors(paths, states)
+
+    @GENERATED
+    @given(anchor_corpora())
+    def test_generated_corpora(self, corpus):
+        self.check(*corpus)
+
+    def cases(self):
+        states = {
+            A1: anchor_state(A1, -30),
+            A2: anchor_state(A2, 30),
+            X: tagged_state(X, [cluster(0, 1000)]),
+            M: make_states({M: [cluster(0, 5), cluster(1, 400)]})[M],
+        }
+        return states, {
+            "tie": [CleanPath("p", [(A1, 10.0), (X, 12.0), (A2, 14.0)])],
+            "repeat": [CleanPath("p", [(A1, 10.0), (X, 12.0), (M, 13.0), (X, 15.0), (A2, 16.0)])],
+            "repeat_after_anchor": [CleanPath("p", [(X, 9.0), (A2, 14.0), (X, 15.0), (A1, 20.0)])],
+            "no_anchor": [CleanPath("p", [(M, 10.0), (X, 12.0), (Y, 14.0)])],
+            "no_tagged_hop": [CleanPath("p", [(A1, 10.0), (M, 12.0), (A2, 14.0)])],
+            "mixed": [
+                CleanPath("p1", [(A1, 10.0), (A2, 14.0)]),
+                CleanPath("p2", [(X, 3.0), (M, 4.0)]),
+                CleanPath("p3", [(A2, 1.0), (X, 3.0), (A1, 5.0)]),
+            ],
+        }
+
+    @pytest.mark.parametrize(
+        "case", ["tie", "repeat", "repeat_after_anchor", "no_anchor", "no_tagged_hop", "mixed"]
+    )
+    def test_named_cases(self, case):
+        states, corpora = self.cases()
+        self.check(states, corpora[case])
+
+    def test_tie_prefers_preceding_and_repeat_uses_first_position(self):
+        states, corpora = self.cases()
+        (obs,) = select_anchors(corpora["tie"], states)[X]
+        assert (obs.anchor_ip, obs.delta_rtt_ms) == (A1, 2.0)
+        (obs,) = select_anchors(corpora["repeat_after_anchor"], states)[X]
+        assert (obs.anchor_ip, obs.delta_rtt_ms) == (A2, -5.0)
+        assert select_anchors(corpora["no_anchor"], states) == {}
 
 
 def make_obs(anchor_ip, delta, anchor_rtt=10.0, country="FR", x_km=0.0):
