@@ -100,6 +100,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 _THREADS_DEPRECATED = "config key threads is deprecated and ignored"
 
+# synth.MAX_ROUTERS, the size of synth's router address plan, repeated here
+# so that checking a config never loads synth.
+MAX_SYNTH_ROUTERS = 63750
+
 
 def _field_types(klass: type) -> dict[str, type]:
     """Each field's type, read off its default value."""
@@ -176,6 +180,7 @@ def _validate_knobs(cfg: PipelineConfig) -> None:
         (cfg.merge_radius_km >= 0, "merge_radius_km >= 0"),
         (cfg.traceroute_format in ("auto", "native", "atlas"), "traceroute_format one of auto|native|atlas"),
         (cfg.synth.n_routers >= 2, "synth.n_routers >= 2"),
+        (cfg.synth.n_routers <= MAX_SYNTH_ROUTERS, f"synth.n_routers <= {MAX_SYNTH_ROUTERS}"),
         (cfg.synth.n_cities >= 1, "synth.n_cities >= 1"),
         (0.0 <= cfg.synth.mpls_fraction <= 1.0, "synth.mpls_fraction in [0,1]"),
         (cfg.synth.n_paths >= 1, "synth.n_paths >= 1"),
@@ -337,6 +342,12 @@ def synth_cmd(cfg: PipelineConfig) -> int:
         snapshot, displaced = synth.corrupt_geodb(world, spec, cfg.seed, catalog, diag)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    want_tunnels = synth.requested_tunnels(s.n_routers, s.mpls_fraction)
+    if len(world.mpls_tunnels) < want_tunnels:
+        diag.warn(
+            "synth_tunnels_short",
+            f"placed {len(world.mpls_tunnels)} of {want_tunnels} tunnels",
+        )
     if len(paths) < s.n_paths:
         diag.warn(
             "synth_paths_short",

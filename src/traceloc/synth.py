@@ -6,10 +6,13 @@ experiment needs.
 Determinism matters more than realism here: identical seeds must yield
 byte-identical corpora, so the module carries its own Dijkstra with
 explicit tie-breaking and derives all randomness from string-seeded
-generators (stable across processes).  Each (source, variant) search is
-kept and resumed only as far as the next destination needs; it makes the
-same pops and coin flips in the same order as one search over the whole
-graph, so the routes do not depend on which destinations were asked for.
+generators (stable across processes).  Each source has one route search,
+kept and resumed only as far as the next destination needs.  It carries
+one predecessor list and one tie-break coin per route variant: a coin flip
+changes a predecessor, never a distance or the heap, so the variants share
+every push and pop.  Each variant gets the same coin flips in the same
+order as its own search over the whole graph would, so the routes depend
+neither on which destinations were asked for nor on sharing the search.
 """
 from __future__ import annotations
 
@@ -78,6 +81,16 @@ def _router_ip(i: int) -> str:
     return f"203.0.{1 + i // 250}.{1 + i % 250}"
 
 
+# Router addresses run 203.0.1.1 to 203.0.255.250: 255 blocks of 250.
+MAX_ROUTERS = 255 * 250
+
+
+def requested_tunnels(n_routers: int, mpls_fraction: float) -> int:
+    """How many tunnels :func:`generate_world` tries to place: a share of
+    the backbone, which always has ``n_routers - 1`` links."""
+    return round(mpls_fraction * (n_routers - 1))
+
+
 def generate_world(
     seed: int,
     n_routers: int,
@@ -96,10 +109,13 @@ def generate_world(
     segments (rounded) become tunnels: node-disjoint runs of
     ``tunnel_len`` routers contiguous along the backbone, preferring the
     geographically longest runs (long-haul trunks are where tunnels live).
-    Identical arguments produce identical worlds.
+    Fewer come back when not enough disjoint runs exist.  Identical
+    arguments produce identical worlds.
     """
     if n_routers < 2:
         raise ValueError("n_routers must be at least 2")
+    if n_routers > MAX_ROUTERS:
+        raise ValueError(f"n_routers must be at most {MAX_ROUTERS}")
     if n_cities < 1:
         raise ValueError("n_cities must be at least 1")
     if n_cities > len(catalog):
@@ -172,7 +188,7 @@ def generate_world(
     for neighbors in mst_adj.values():
         neighbors.sort()
 
-    n_tunnels = round(mpls_fraction * len(backbone))
+    n_tunnels = requested_tunnels(n, mpls_fraction)
     tunnels: list[list[int]] = []
     if n_tunnels > 0:
         runs: list[list[int]] = []
@@ -221,34 +237,40 @@ _ROUTE_VARIANTS = 4
 
 def _shortest_path(
     adj: dict[int, list[tuple[int, float]]],
-    key: tuple[int, int],
+    src: int,
     dst: int,
-    cache: dict[tuple[int, int], tuple],
+    cache: dict[int, tuple],
     route_seed: str,
-) -> tuple[list[float], list[int]]:
-    """Route tree of ``key`` = (source, variant), searched until ``dst`` is
-    settled or the graph is exhausted.
+) -> tuple[list[float], tuple[list[int], ...]]:
+    """Distances from ``src`` and one predecessor list per route variant,
+    searched until ``dst`` is settled or the graph is exhausted.
 
-    The search state (distances, predecessors, settled flags, heap and the
-    key's own tie-breaking generator) stays in ``cache``, and the next query
-    for the same key resumes where this one stopped.  That makes exactly the
-    pushes, pops and coin flips of one search over the whole graph, in the
-    same order.  Pops come in non-decreasing distance, so a settled node can
-    be neither improved nor tied later (a tie needs ``w > eps``, and then
-    ``nd - dist[v] >= w``): every node on the route back from a settled
-    ``dst`` already has its final predecessor.
+    The search state (distances, settled flags, heap, and per variant a
+    predecessor list and a tie-breaking coin seeded by source and variant)
+    stays in ``cache`` under ``src``, and the next query for that source
+    resumes where this one stopped.  A strict improvement sets every
+    variant's predecessor; at an equal-cost tie each variant flips its own
+    coin, in variant order.  Neither moves a distance or the heap, so each
+    variant sees exactly the pushes, pops and coin flips of its own search
+    over the whole graph, in the same order.  Pops come in non-decreasing
+    distance, so a settled node can be neither improved nor tied later (a
+    tie needs ``w > eps``, and then ``nd - dist[v] >= w``): every node on the
+    route back from a settled ``dst`` already has its final predecessor.
     """
-    state = cache.get(key)
+    state = cache.get(src)
     if state is None:
-        src, variant = key
         n = len(adj)
         dist = [math.inf] * n
         dist[src] = 0.0
-        coin = random.Random(f"route:{route_seed}:{src}:{variant}").random
-        state = cache[key] = (dist, [-1] * n, [False] * n, [(0.0, src)], coin)
-    dist, pred, settled, heap, coin = state
+        preds = tuple([-1] * n for _ in range(_ROUTE_VARIANTS))
+        flips = tuple(
+            (pred, random.Random(f"route:{route_seed}:{src}:{variant}").random)
+            for variant, pred in enumerate(preds)
+        )
+        state = cache[src] = (dist, preds, [False] * n, [(0.0, src)], flips)
+    dist, preds, settled, heap, flips = state
     if settled[dst]:
-        return dist, pred
+        return dist, preds
     pop, push, eps = heapq.heappop, heapq.heappush, _TIE_EPS_KM
     while heap:
         d, u = pop(heap)
@@ -260,7 +282,8 @@ def _shortest_path(
             dv = dist[v]
             if nd < dv - eps:
                 dist[v] = nd
-                pred[v] = u
+                for pred in preds:
+                    pred[v] = u
                 push(heap, (nd, v))
             elif w > eps and -eps <= nd - dv <= eps:
                 # Equal-cost alternative: flip a coin so flows spread across
@@ -270,11 +293,12 @@ def _shortest_path(
                 # which keeps the predecessor graph a tree.  Zero-weight ties
                 # (co-located routers) stay excluded — re-parenting through
                 # them can chain into a predecessor cycle.
-                if coin() < 0.5:
-                    pred[v] = u
+                for pred, coin in flips:
+                    if coin() < 0.5:
+                        pred[v] = u
         if u == dst:
             break
-    return dist, pred
+    return dist, preds
 
 
 def max_path_attempts(n_paths: int) -> int:
@@ -317,7 +341,7 @@ def simulate_traceroutes(
         for pos, node in enumerate(tunnel):
             member_of[node] = (t_idx, pos)
 
-    cache: dict[tuple[int, int], tuple] = {}
+    cache: dict[int, tuple] = {}
     paths: list[CleanPath] = []
     attempts = 0
     max_attempts = max_path_attempts(n_paths)
@@ -328,9 +352,10 @@ def simulate_traceroutes(
         if src == dst:
             continue
         variant = rng.randrange(_ROUTE_VARIANTS)
-        dist, pred = _shortest_path(adj, (src, variant), dst, cache, f"{world.rng_seed}")
+        dist, preds = _shortest_path(adj, src, dst, cache, f"{world.rng_seed}")
         if math.isinf(dist[dst]):
             continue
+        pred = preds[variant]
         nodes = [dst]
         while nodes[-1] != src:
             nodes.append(pred[nodes[-1]])

@@ -114,11 +114,15 @@ class TestBuildConfig:
             {"traceroute_format": "xml"},
             {"resolve.tie_merge_max_km": "10"},  # below tie_merge_km
             {"synth.decoy_db_count": "-1"},
+            {"synth.n_routers": "63751"},  # past the router address plan
         ],
     )
     def test_rejects(self, entries):
         with pytest.raises(ConfigError):
             build_config(entries)
+
+    def test_router_cap_is_inclusive(self):
+        assert build_config({"synth.n_routers": "63750"}).synth.n_routers == 63750
 
     def test_cli_overrides(self, tmp_path):
         cfg_file = write_config(
@@ -225,6 +229,22 @@ class TestSynthCommand:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == ["synth_paths_short: wrote 0 of 50 paths after 2500 attempts"]
         assert caplog.records[-1].getMessage() == "warnings: synth_paths_short=1"
+
+    def test_tunnel_shortfall_warns(self, data_dir, tmp_path, caplog):
+        # 39 tunnels of 3 disjoint routers cannot fit in 40 routers.
+        out = tmp_path / "tunnels"
+        cfg = write_config(
+            tmp_path / "s.conf",
+            [f"city_catalog = {data_dir / 'cities_global.csv'}", f"out_dir = {out}", "seed = 1",
+             "synth.n_routers = 40", "synth.n_cities = 10", "synth.mpls_fraction = 1.0",
+             "synth.tunnel_len = 3", "synth.n_paths = 20"],
+        )
+        with caplog.at_level(logging.INFO, logger="traceloc"):
+            assert main(["synth", "--config", str(cfg)]) == 0
+        assert len(json.loads((out / "world.json").read_text())["mpls_tunnels"]) == 5
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["synth_tunnels_short: placed 5 of 39 tunnels"]
+        assert caplog.records[-1].getMessage() == "warnings: synth_tunnels_short=1"
 
 
 class TestRunCommand:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import ipaddress
 import math
 import os
 import random
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import traceloc
+from traceloc import cli
 from traceloc.geo import GeoPoint, haversine_km, load_city_catalog
 from traceloc.ingest import write_geo_snapshot
 from traceloc.refine import CandidateState, IpStatus, make_states
@@ -23,6 +25,7 @@ from traceloc.resolve import ResolutionOutcome, Verdict
 from traceloc.synth import (
     _ROUTE_VARIANTS,
     _TIE_EPS_KM,
+    MAX_ROUTERS,
     InjectionSpec,
     Router,
     World,
@@ -31,6 +34,7 @@ from traceloc.synth import (
     load_world,
     save_world,
     score_against_truth,
+    _router_ip,
     _shortest_path,
     simulate_traceroutes,
     tunnel_interior_ips,
@@ -98,8 +102,9 @@ def shortest_km(world: World, src: int, dst: int) -> float:
 
 def reference_shortest_path(adj, key, cache, route_seed):
     """The route search ``simulate_traceroutes`` used before searches were
-    resumed per key, kept as the reference: one Dijkstra over the whole
-    graph per (source, variant), with the same coin-flip tie-breaking."""
+    resumed and shared per source, kept as the reference: one Dijkstra over
+    the whole graph per (source, variant), with the same coin-flip
+    tie-breaking."""
     if key in cache:
         return cache[key]
     src, variant = key
@@ -129,6 +134,7 @@ def reference_shortest_path(adj, key, cache, route_seed):
 def route(pred: list[int], src: int, dst: int) -> list[int]:
     nodes = [dst]
     while nodes[-1] != src:
+        assert len(nodes) <= len(pred), f"no route back from {dst} to {src}"
         nodes.append(pred[nodes[-1]])
     return nodes[::-1]
 
@@ -168,6 +174,15 @@ class TestGenerateWorld:
             generate_world(1, 10, 4, 1.5, grid_catalog)
         with pytest.raises(ValueError):
             generate_world(1, 10, 4, 0.1, grid_catalog, tunnel_len=1)
+
+    def test_router_count_is_capped_at_the_address_plan(self, grid_catalog):
+        assert _router_ip(MAX_ROUTERS - 1) == "203.0.255.250"
+        with pytest.raises(ValueError):
+            ipaddress.IPv4Address(_router_ip(MAX_ROUTERS))
+        # Rejected before any router or distance is built, so this is quick.
+        with pytest.raises(ValueError, match=f"at most {MAX_ROUTERS}"):
+            generate_world(1, MAX_ROUTERS + 1, 4, 0.0, grid_catalog)
+        assert cli.MAX_SYNTH_ROUTERS == MAX_ROUTERS
 
     def test_tunnel_runs_shape(self, grid_catalog):
         world = generate_world(3, 24, 12, 0.15, grid_catalog, tunnel_len=4)
@@ -291,8 +306,9 @@ class TestSimulateTraceroutes:
 
 
 class TestResumableRouteSearch:
-    """Each (source, variant) search stops once the destination is settled
-    and resumes on the next query; it must answer as one full search."""
+    """One search per source carries every variant's route tree, stops once
+    the destination is settled and resumes on the next query; each variant
+    must answer as its own full search."""
 
     def assert_matches_reference(self, world, route_seed):
         adj = link_adjacency(world)
@@ -304,16 +320,20 @@ class TestResumableRouteSearch:
             for dst in range(n)
             if dst != src
         ]
-        # Interleave keys and destinations so searches stop and resume.
+        # Interleave sources, variants and destinations so searches stop
+        # and resume.
         random.Random(route_seed).shuffle(queries)
-        cache, reference, stopped_early = {}, {}, 0
+        cache, reference, stopped_early, sources = {}, {}, 0, set()
         for src, variant, dst in queries:
             key = (src, variant)
             want_dist, want_pred = reference_shortest_path(adj, key, reference, route_seed)
-            dist, pred = _shortest_path(adj, key, dst, cache, route_seed)
+            dist, preds = _shortest_path(adj, src, dst, cache, route_seed)
+            assert len(preds) == _ROUTE_VARIANTS
             assert dist[dst] == want_dist[dst], (key, dst)
-            assert route(pred, src, dst) == route(want_pred, src, dst), (key, dst)
-            stopped_early += not all(cache[key][2])
+            assert route(preds[variant], src, dst) == route(want_pred, src, dst), (key, dst)
+            stopped_early += not all(cache[src][2])
+            sources.add(src)
+            assert cache.keys() == sources
         assert stopped_early > 0
 
     def test_co_located_routers(self, data_dir):
