@@ -81,8 +81,12 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -189,6 +193,7 @@ def _validate_knobs(cfg: PipelineConfig) -> None:
         (cfg.synth.min_displacement_km >= 0, "synth.min_displacement_km >= 0"),
         (cfg.synth.db_count >= 1, "synth.db_count >= 1"),
         (cfg.synth.db_noise_km >= 0, "synth.db_noise_km >= 0"),
+        (cfg.synth.tunnel_len >= 2, "synth.tunnel_len >= 2"),
         (0.0 <= cfg.synth.decoy_fraction <= 1.0, "synth.decoy_fraction in [0,1]"),
         (cfg.synth.decoy_db_count >= 0, "synth.decoy_db_count >= 0"),
     ]
@@ -453,7 +458,11 @@ def fetch_cmd(cfg: PipelineConfig) -> int:
     sources = ingest.load_fetch_config(cfg.sources)
     if not sources:
         raise ConfigError("no source.<name>.url entries configured")
-    ips = [line.strip() for line in ips_path.read_text(encoding="utf-8").splitlines() if line.strip()]
+    try:
+        text = ips_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read fetch_ips_file {ips_path}: {exc}") from exc
+    ips = [line.strip() for line in text.splitlines() if line.strip()]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     diag = Diagnostics()

@@ -36,14 +36,22 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points, in kilometres.
 
     Uses the haversine formulation, which is numerically stable for the
-    small angles that dominate hop-to-hop distances.
+    small angles that dominate hop-to-hop distances.  Past a quarter of the
+    circumference (``h > 0.5``) the arcsine loses precision near the
+    antipode, enough to break the triangle inequality, so those distances
+    take Vincenty's ``atan2`` form instead.
     """
     lat1, lon1 = math.radians(a.lat), math.radians(a.lon)
     lat2, lon2 = math.radians(b.lat), math.radians(b.lon)
     dlat = lat2 - lat1
     dlon = lon2 - lon1
     h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+    if h <= 0.5:
+        return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+    sin1, cos1, sin2, cos2 = math.sin(lat1), math.cos(lat1), math.sin(lat2), math.cos(lat2)
+    y = math.hypot(cos2 * math.sin(dlon), cos1 * sin2 - sin1 * cos2 * math.cos(dlon))
+    x = sin1 * sin2 + cos1 * cos2 * math.cos(dlon)
+    return EARTH_RADIUS_KM * math.atan2(y, x)
 
 
 def sol_km(delta_ms: float) -> float:

@@ -3,12 +3,13 @@
 For each anomalous IP, the paths it appears on are scanned outward for the
 nearest hop in each direction whose geolocation is trustworthy — an anchor:
 an IP still marked active that kept exactly one candidate cluster.  Per
-path, the side with the smaller absolute RTT difference wins.  Observations
-are aggregated per anchor by median, anchors spread across countries mark
-the IP as tunnel-distorted, and otherwise each anchor casts a disc whose
-radius is the light-in-fiber budget of its median RTT difference (plus an
-allowance, floored at 20 km).  The city disc overlapped by the most anchor
-discs becomes the corrected location; ties merge by proximity.  A corrected
+path, the side with the smaller absolute RTT difference wins and casts one
+vote for its anchor.  The votes are collected per anchor during that walk
+and summarised by their medians.  Anchors spread across countries mark the
+IP as tunnel-distorted; otherwise each anchor casts a disc whose radius is
+the light-in-fiber budget of its median RTT difference (plus an allowance,
+floored at 20 km).  The city disc overlapped by the most anchor discs
+becomes the corrected location; ties merge by proximity.  A corrected
 location landing back on one of the IP's own original candidates demotes
 the anomaly to a false positive.
 """
@@ -49,21 +50,9 @@ REASON_COUNTRY_DISPERSED = "country_dispersed"
 REASON_UNRESOLVABLE = "unresolvable"
 
 
-@dataclass(slots=True)
-class AnchorObservation:
-    """One path's vote: the nearest trustworthy hop and the RTT gap to it."""
-
-    anomalous_ip: str
-    anchor_ip: str
-    anchor_location: GeoPoint
-    anchor_country: str
-    delta_rtt_ms: float
-    anchor_rtt_ms: float
-
-
 @dataclass
 class AnchorSummary:
-    """Per-anchor aggregate over every path observation of that anchor."""
+    """Medians over every path vote an anomalous IP cast for one anchor."""
 
     anchor_ip: str
     location: GeoPoint
@@ -71,13 +60,6 @@ class AnchorSummary:
     median_delta_ms: float
     median_anchor_rtt_ms: float
     observation_count: int
-
-
-@dataclass
-class BufferRegion:
-    anchor_ip: str
-    center: GeoPoint
-    radius_km: float
 
 
 @dataclass
@@ -114,22 +96,25 @@ _hop_ip = itemgetter(0)
 
 def select_anchors(
     paths: list[CleanPath], states: dict[str, CandidateState]
-) -> dict[str, list[AnchorObservation]]:
-    """Each anomalous IP's observations, in path order.
+) -> dict[str, list[AnchorSummary]]:
+    """Each anomalous IP's anchors, in the order their first vote is cast.
 
     An anchor is an IP still marked active that kept exactly one
     candidate.  Each path with an anomalous hop is walked once: at the
     first occurrence of each anomalous hop, the nearest anchor before it
     and the nearest after it are compared and the side with the smaller
     absolute RTT difference wins (ties prefer the preceding side).  A path
-    with no anchor contributes nothing."""
+    with no anchor casts no vote.  Each anchor's votes are summarised by
+    the median RTT difference and the median anchor RTT (an even count
+    averages the middle two)."""
     anchors = {
         ip: state.candidates[0]
         for ip, state in states.items()
         if state.status is IpStatus.ACTIVE and len(state.candidates) == 1
     }
     tagged = {ip for ip, state in states.items() if state.status is IpStatus.ANOMALOUS}
-    observations: dict[str, list[AnchorObservation]] = {}
+    # tagged IP -> anchor IP -> (RTT differences, anchor RTTs), in path order
+    votes: dict[str, dict[str, tuple[list[float], list[float]]]] = {}
     for path in paths:
         hops = path.hops
         if tagged.isdisjoint(map(_hop_ip, hops)):
@@ -154,18 +139,23 @@ def select_anchors(
                 anchor_ip, anchor_rtt = after
             else:  # the preceding side wins ties
                 anchor_ip, anchor_rtt = before
-            anchor_cluster = anchors[anchor_ip]
-            observations.setdefault(ip, []).append(
-                AnchorObservation(
-                    anomalous_ip=ip,
-                    anchor_ip=anchor_ip,
-                    anchor_location=anchor_cluster.centroid,
-                    anchor_country=anchor_cluster.country,
-                    delta_rtt_ms=rtt_here - anchor_rtt,
-                    anchor_rtt_ms=anchor_rtt,
-                )
+            deltas, anchor_rtts = votes.setdefault(ip, {}).setdefault(anchor_ip, ([], []))
+            deltas.append(rtt_here - anchor_rtt)
+            anchor_rtts.append(anchor_rtt)
+    return {
+        ip: [
+            AnchorSummary(
+                anchor_ip=anchor_ip,
+                location=anchors[anchor_ip].centroid,
+                country=anchors[anchor_ip].country,
+                median_delta_ms=_median(deltas),
+                median_anchor_rtt_ms=_median(anchor_rtts),
+                observation_count=len(deltas),
             )
-    return observations
+            for anchor_ip, (deltas, anchor_rtts) in by_anchor.items()
+        ]
+        for ip, by_anchor in votes.items()
+    }
 
 
 def _median(values: list[float]) -> float:
@@ -173,27 +163,6 @@ def _median(values: list[float]) -> float:
     values = sorted(values)
     mid = len(values) // 2
     return float(values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2)
-
-
-def aggregate_medians(observations: list[AnchorObservation]) -> list[AnchorSummary]:
-    """Group observations by anchor IP and take medians (an even count
-    averages the middle two).  Anchors keep the order they are first seen."""
-    by_anchor: dict[str, list[AnchorObservation]] = {}
-    for obs in observations:
-        by_anchor.setdefault(obs.anchor_ip, []).append(obs)
-    summaries = []
-    for anchor_ip, group in by_anchor.items():
-        summaries.append(
-            AnchorSummary(
-                anchor_ip=anchor_ip,
-                location=group[0].anchor_location,
-                country=group[0].anchor_country,
-                median_delta_ms=_median([o.delta_rtt_ms for o in group]),
-                median_anchor_rtt_ms=_median([o.anchor_rtt_ms for o in group]),
-                observation_count=len(group),
-            )
-        )
-    return summaries
 
 
 def mpls_country_filter(anchors: list[AnchorSummary], cfg: ResolveConfig) -> bool:
@@ -208,23 +177,14 @@ def mpls_country_filter(anchors: list[AnchorSummary], cfg: ResolveConfig) -> boo
     return top_share <= cfg.country_dominance
 
 
-def build_buffers(anchors: list[AnchorSummary], cfg: ResolveConfig) -> list[BufferRegion]:
-    """One disc per anchor: radius is the fiber budget of the median RTT
+def disc_radius_km(anchor: AnchorSummary, cfg: ResolveConfig) -> float:
+    """Radius of an anchor's disc: the fiber budget of the median RTT
     difference plus an allowance fraction of the median anchor RTT,
     floored at 20 km.  The sign of the median difference is ignored."""
-    buffers = []
-    for anchor in anchors:
-        budget_ms = abs(anchor.median_delta_ms) + cfg.anchor_allowance_fraction * (
-            anchor.median_anchor_rtt_ms
-        )
-        buffers.append(
-            BufferRegion(
-                anchor_ip=anchor.anchor_ip,
-                center=anchor.location,
-                radius_km=max(sol_km(budget_ms), BUFFER_FLOOR_KM),
-            )
-        )
-    return buffers
+    budget_ms = abs(anchor.median_delta_ms) + cfg.anchor_allowance_fraction * (
+        anchor.median_anchor_rtt_ms
+    )
+    return max(sol_km(budget_ms), BUFFER_FLOOR_KM)
 
 
 def _single_linkage(ids: list[int], points: dict[int, GeoPoint], threshold_km: float) -> int:
@@ -248,21 +208,22 @@ def _single_linkage(ids: list[int], points: dict[int, GeoPoint], threshold_km: f
 
 
 def resolve_location(
-    buffers: list[BufferRegion], index: SpatialIndex, cfg: ResolveConfig
+    discs: list[tuple[GeoPoint, float]], index: SpatialIndex, cfg: ResolveConfig
 ) -> LocationFix:
-    """Vote city discs by anchor-buffer overlap and return the winner.
+    """Vote city discs by overlap with the anchors' ``(center, radius_km)``
+    discs and return the winner.
 
-    Fewer buffers than ``min_anchors`` — or no overlapped polygon at all —
+    Fewer discs than ``min_anchors`` — or no overlapped polygon at all —
     is unresolvable.  Tied winners merge by single linkage starting at
     ``tie_merge_km`` and widening stepwise to ``tie_merge_max_km``; if one
     merged group emerges its mean centroid wins (attributed to the nearest
     polygon), otherwise the tie stands and the IP is unresolvable.
     """
-    if len(buffers) < cfg.min_anchors:
+    if len(discs) < cfg.min_anchors:
         return LocationFix(point=None, polygon_id=None, max_overlap=0)
     counts: Counter[int] = Counter()
-    for buf in buffers:
-        for pid in index.query(buf.center, buf.radius_km):
+    for center, radius_km in discs:
+        for pid in index.query(center, radius_km):
             counts[pid] += 1
     if not counts:
         return LocationFix(point=None, polygon_id=None, max_overlap=0)
@@ -345,12 +306,12 @@ def classify(
 
 def resolve_anomaly(
     ip: str,
-    observations: list[AnchorObservation],
+    anchors: list[AnchorSummary],
     states: dict[str, CandidateState],
     index: SpatialIndex,
     cfg: ResolveConfig,
 ) -> ResolutionOutcome:
-    """Full resolution of one anomalous IP from its anchor observations
+    """Full resolution of one anomalous IP from its anchor summaries
     (see :func:`select_anchors`).
 
     No anchors at all, or a tie that survives merging, yields an
@@ -358,7 +319,6 @@ def resolve_anomaly(
     dispersed tunnel verdict; otherwise the corrected location is
     classified against the IP's original candidates.
     """
-    anchors = aggregate_medians(observations)
     if not anchors:
         return ResolutionOutcome(
             ip=ip,
@@ -373,8 +333,8 @@ def resolve_anomaly(
             reason=REASON_COUNTRY_DISPERSED,
             anchor_count=len(anchors),
         )
-    buffers = build_buffers(anchors, cfg)
-    fix = resolve_location(buffers, index, cfg)
+    discs = [(anchor.location, disc_radius_km(anchor, cfg)) for anchor in anchors]
+    fix = resolve_location(discs, index, cfg)
     if fix.point is None:
         return ResolutionOutcome(
             ip=ip,
@@ -403,10 +363,10 @@ def resolve_all(
     selection reads the tagging statuses, which are not revised mid-run."""
     diag = diag or Diagnostics()
     tagged = [ip for ip, state in states.items() if state.status is IpStatus.ANOMALOUS]
-    observations = select_anchors(paths, states)
+    anchors = select_anchors(paths, states)
     outcomes: dict[str, ResolutionOutcome] = {}
     for ip in tagged:
-        outcome = resolve_anomaly(ip, observations.get(ip, []), states, index, cfg)
+        outcome = resolve_anomaly(ip, anchors.get(ip, []), states, index, cfg)
         if outcome.verdict is Verdict.MPLS_AFFECTED and outcome.reason == REASON_UNRESOLVABLE:
             diag.warn("resolve_unresolvable", f"{ip}: no usable anchor consensus")
         outcomes[ip] = outcome

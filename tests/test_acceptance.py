@@ -46,12 +46,11 @@ from traceloc.report import (
     summarize,
 )
 from traceloc.resolve import (
-    AnchorObservation,
     ResolveConfig,
     Verdict,
-    aggregate_medians,
-    build_buffers,
+    disc_radius_km,
     resolve_all,
+    select_anchors,
 )
 from traceloc.synth import (
     InjectionSpec,
@@ -536,22 +535,30 @@ def test_run_determinism(tmp_path):
 
 
 def test_median_robustness():
+    anchor, tagged = "203.0.7.1", "203.0.7.9"
+    states = make_states(
+        {
+            anchor: [CityCluster(0, GeoPoint(0.0, 0.0), "a", "FR", {"db1"})],
+            tagged: [CityCluster(0, GeoPoint(0.0, 10.0), "b", "FR", {"db1"})],
+        }
+    )
+    states[tagged].status = IpStatus.ANOMALOUS
+
     def obs(delta, rtt):
-        return AnchorObservation(
-            anomalous_ip="203.0.7.9",
-            anchor_ip="203.0.7.1",
-            anchor_location=GeoPoint(0.0, 0.0),
-            anchor_country="FR",
-            delta_rtt_ms=delta,
-            anchor_rtt_ms=rtt,
-        )
+        """One path on which ``tagged`` votes for ``anchor``."""
+        return [(anchor, rtt), (tagged, rtt + delta)]
+
+    def radius(votes):
+        paths = [CleanPath(f"p{i}", hops) for i, hops in enumerate(votes)]
+        (summary,) = select_anchors(paths, states)[tagged]
+        return disc_radius_km(summary, cfg)
 
     cfg = ResolveConfig()
     clean = [obs(1.0, 10.0), obs(2.0, 10.0), obs(3.0, 10.0), obs(4.0, 10.0), obs(5.0, 10.0)]
     spiked = list(clean)
     spiked[-1] = obs(50.0, 100.0)  # one observation blown up tenfold
-    r_clean = build_buffers(aggregate_medians(clean), cfg)[0].radius_km
-    r_spiked = build_buffers(aggregate_medians(spiked), cfg)[0].radius_km
+    r_clean = radius(clean)
+    r_spiked = radius(spiked)
     shift = abs(r_spiked - r_clean)
     _gate(
         "median-robustness",

@@ -115,6 +115,7 @@ class TestBuildConfig:
             {"resolve.tie_merge_max_km": "10"},  # below tie_merge_km
             {"synth.decoy_db_count": "-1"},
             {"synth.n_routers": "63751"},  # past the router address plan
+            {"synth.tunnel_len": "1"},
         ],
     )
     def test_rejects(self, entries):
@@ -696,6 +697,27 @@ class TestExitCodes:
     def test_unknown_key(self, tmp_path):
         cfg = write_config(tmp_path / "a.conf", ["bogus_key = 1"])
         assert main(["run", "--config", str(cfg)]) == 2
+
+    def assert_one_config_error(self, argv, caplog):
+        caplog.clear()
+        assert main(argv) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith("config error: "), errors
+
+    def test_config_file_with_bad_byte(self, tmp_path, caplog):
+        cfg = tmp_path / "a.conf"
+        cfg.write_bytes(b"seed = 1\n# caf\xe9\n")
+        self.assert_one_config_error(["run", "--config", str(cfg)], caplog)
+
+    def test_config_path_is_directory(self, tmp_path, caplog):
+        self.assert_one_config_error(["run", "--config", str(tmp_path)], caplog)
+
+    def test_unreadable_fetch_ips_file(self, tmp_path, caplog):
+        cfg = write_config(
+            tmp_path / "a.conf",
+            [f"fetch_ips_file = {tmp_path}", "source.a.url = https://x/{ip}"],
+        )
+        self.assert_one_config_error(["fetch-geo", "--config", str(cfg)], caplog)
 
     def test_run_requires_snapshot_and_catalog(self, tmp_path):
         trs = tmp_path / "t.jsonl"

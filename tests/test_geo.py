@@ -76,6 +76,12 @@ class TestHaversine:
     def test_triangle_inequality(self, a, b, c):
         assert haversine_km(a, c) <= haversine_km(a, b) + haversine_km(b, c) + 1e-6
 
+    def test_triangle_inequality_near_antipode(self):
+        # A triple drawn by the test above: the arcsine form put d(a, c)
+        # 1.3e-5 km above d(a, b) + d(b, c).
+        a, b, c = GeoPoint(0.0, 0.0), GeoPoint(1.0, 0.0), GeoPoint(1.192092896e-07, 180.0)
+        assert haversine_km(a, c) <= haversine_km(a, b) + haversine_km(b, c) + 1e-6
+
     def test_sol_km_round_trip_ms(self):
         # A round-trip millisecond buys 100 km of one-way separation.
         assert sol_km(2.0) == 200.0

@@ -1,4 +1,4 @@
-"""Anchor selection, median aggregation, buffer voting, classification."""
+"""Anchor selection with per-anchor medians, disc voting, classification."""
 from __future__ import annotations
 
 import bisect
@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -23,15 +24,12 @@ from traceloc.refine import CandidateState, IpStatus, make_states
 from traceloc.resolve import (
     REASON_COUNTRY_DISPERSED,
     REASON_UNRESOLVABLE,
-    AnchorObservation,
     AnchorSummary,
-    BufferRegion,
     LocationFix,
     ResolveConfig,
     Verdict,
-    aggregate_medians,
-    build_buffers,
     classify,
+    disc_radius_km,
     mpls_country_filter,
     resolve_all,
     resolve_anomaly,
@@ -84,30 +82,30 @@ class TestSelectAnchors:
     def test_smaller_delta_side_wins(self):
         states = self._states()
         path = CleanPath("p", [(A1, 10.0), (X, 12.0), (A2, 30.0)])
-        (obs,) = select_anchors([path], states).get(X, [])
-        assert obs.anchor_ip == A1
-        assert obs.delta_rtt_ms == pytest.approx(2.0)
-        assert obs.anchor_rtt_ms == 10.0
+        (summary,) = select_anchors([path], states).get(X, [])
+        assert summary.anchor_ip == A1
+        assert summary.median_delta_ms == pytest.approx(2.0)
+        assert summary.median_anchor_rtt_ms == 10.0
 
     def test_tie_prefers_preceding(self):
         states = self._states()
         path = CleanPath("p", [(A1, 10.0), (X, 12.0), (A2, 14.0)])
-        (obs,) = select_anchors([path], states).get(X, [])
-        assert obs.anchor_ip == A1
+        (summary,) = select_anchors([path], states).get(X, [])
+        assert summary.anchor_ip == A1
 
     def test_following_only(self):
         states = self._states()
         path = CleanPath("p", [(X, 12.0), (A2, 14.0)])
-        (obs,) = select_anchors([path], states).get(X, [])
-        assert obs.anchor_ip == A2
-        assert obs.delta_rtt_ms == pytest.approx(-2.0)
+        (summary,) = select_anchors([path], states).get(X, [])
+        assert summary.anchor_ip == A2
+        assert summary.median_delta_ms == pytest.approx(-2.0)
 
     def test_scan_skips_non_anchor_hops(self):
         states = self._states()
         # M has two candidate clusters; the scan must pass over it.
         path = CleanPath("p", [(A1, 10.0), (M, 11.0), (X, 12.0)])
-        (obs,) = select_anchors([path], states).get(X, [])
-        assert obs.anchor_ip == A1
+        (summary,) = select_anchors([path], states).get(X, [])
+        assert summary.anchor_ip == A1
 
     def test_anomalous_hop_is_not_an_anchor(self):
         states = self._states()
@@ -127,15 +125,50 @@ class TestSelectAnchors:
             CleanPath("p2", [(A2, 13.0), (X, 12.0)]),
             CleanPath("p3", [(Y, 1.0), (M, 2.0)]),
         ]
-        obs = select_anchors(paths, states).get(X, [])
-        assert [o.anchor_ip for o in obs] == [A1, A2]
+        got = select_anchors(paths, states).get(X, [])
+        assert [(s.anchor_ip, s.observation_count) for s in got] == [(A1, 1), (A2, 1)]
+
+
+@dataclasses.dataclass
+class Vote:
+    """One path's vote: the nearest trustworthy hop and the RTT gap to it."""
+
+    anomalous_ip: str
+    anchor_ip: str
+    anchor_location: GeoPoint
+    anchor_country: str
+    delta_rtt_ms: float
+    anchor_rtt_ms: float
+
+
+def reference_aggregate_medians(votes):
+    """Group one IP's votes by anchor IP and take medians (an even count
+    averages the middle two).  Anchors keep the order they are first seen."""
+    by_anchor = {}
+    for v in votes:
+        by_anchor.setdefault(v.anchor_ip, []).append(v)
+    return [
+        AnchorSummary(
+            anchor_ip=anchor_ip,
+            location=group[0].anchor_location,
+            country=group[0].anchor_country,
+            median_delta_ms=float(statistics.median(v.delta_rtt_ms for v in group)),
+            median_anchor_rtt_ms=float(statistics.median(v.anchor_rtt_ms for v in group)),
+            observation_count=len(group),
+        )
+        for anchor_ip, group in by_anchor.items()
+    ]
+
+
+def reference_summaries(votes_by_ip):
+    return {ip: reference_aggregate_medians(votes) for ip, votes in votes_by_ip.items()}
 
 
 def reference_select_anchors(paths, states):
     """The per-IP scan that the one-pass :func:`select_anchors` replaced,
     kept as its reference: bucket each tagged IP's paths, then scan every
-    such path outward from the IP's first position.  Observations come
-    out as field tuples in :class:`AnchorObservation` order."""
+    such path outward from the IP's first position.  Each IP's votes come
+    out in path order."""
 
     def is_anchor(state):
         return (
@@ -177,7 +210,7 @@ def reference_select_anchors(paths, states):
             anchor_ip, anchor_rtt = chosen
             anchor_cluster = states[anchor_ip].candidates[0]
             out.setdefault(ip, []).append(
-                (
+                Vote(
                     ip,
                     anchor_ip,
                     anchor_cluster.centroid,
@@ -229,10 +262,6 @@ def random_anchor_world(rng):
     return states, paths
 
 
-def observation_fields(obs):
-    return tuple(getattr(obs, f.name) for f in dataclasses.fields(obs))
-
-
 class TestSelectAnchorsMatchesReference:
     def test_random_worlds(self):
         rng = random.Random(2024)
@@ -240,12 +269,10 @@ class TestSelectAnchorsMatchesReference:
         for trial in range(300):
             states, paths = random_anchor_world(rng)
             got = select_anchors(paths, states)
-            want = reference_select_anchors(paths, states)
+            want = reference_summaries(reference_select_anchors(paths, states))
             tagged = [ip for ip, st in states.items() if st.status is IpStatus.ANOMALOUS]
             for ip in tagged:
-                assert [observation_fields(o) for o in got.get(ip, [])] == want.get(ip, []), (
-                    f"trial {trial}, ip {ip}"
-                )
+                assert got.get(ip, []) == want.get(ip, []), f"trial {trial}, ip {ip}"
             assert set(got) <= set(tagged)
             # Count the cases the worlds are drawn to contain.
             for path in paths:
@@ -274,7 +301,8 @@ def reference_one_walk_select_anchors(paths, states):
     """:func:`select_anchors` before it compared the two sides directly and
     skipped paths with no tagged hop: every path walked once, the nearest
     anchor on each side found by bisect, and ``min`` over the two sides,
-    which keeps the first of equals, so the preceding side wins ties."""
+    which keeps the first of equals, so the preceding side wins ties.
+    Each IP's votes come out in path order."""
     anchors = {
         ip: state.candidates[0]
         for ip, state in states.items()
@@ -299,7 +327,7 @@ def reference_one_walk_select_anchors(paths, states):
             anchor_ip, anchor_rtt = min(sides, key=lambda hop: abs(rtt_here - hop[1]))
             anchor_cluster = anchors[anchor_ip]
             observations.setdefault(ip, []).append(
-                AnchorObservation(
+                Vote(
                     anomalous_ip=ip,
                     anchor_ip=anchor_ip,
                     anchor_location=anchor_cluster.centroid,
@@ -346,7 +374,8 @@ def anchor_corpora(draw):
 
 class TestSelectAnchorsMatchesOneWalk:
     def check(self, states, paths):
-        assert select_anchors(paths, states) == reference_one_walk_select_anchors(paths, states)
+        want = reference_summaries(reference_one_walk_select_anchors(paths, states))
+        assert select_anchors(paths, states) == want
 
     @GENERATED
     @given(anchor_corpora())
@@ -382,46 +411,57 @@ class TestSelectAnchorsMatchesOneWalk:
 
     def test_tie_prefers_preceding_and_repeat_uses_first_position(self):
         states, corpora = self.cases()
-        (obs,) = select_anchors(corpora["tie"], states)[X]
-        assert (obs.anchor_ip, obs.delta_rtt_ms) == (A1, 2.0)
-        (obs,) = select_anchors(corpora["repeat_after_anchor"], states)[X]
-        assert (obs.anchor_ip, obs.delta_rtt_ms) == (A2, -5.0)
+        (summary,) = select_anchors(corpora["tie"], states)[X]
+        assert (summary.anchor_ip, summary.median_delta_ms) == (A1, 2.0)
+        (summary,) = select_anchors(corpora["repeat_after_anchor"], states)[X]
+        assert (summary.anchor_ip, summary.median_delta_ms) == (A2, -5.0)
         assert select_anchors(corpora["no_anchor"], states) == {}
 
 
-def make_obs(anchor_ip, delta, anchor_rtt=10.0, country="FR", x_km=0.0):
-    return AnchorObservation(
-        anomalous_ip=X,
-        anchor_ip=anchor_ip,
-        anchor_location=pt(x_km),
-        anchor_country=country,
-        delta_rtt_ms=delta,
-        anchor_rtt_ms=anchor_rtt,
-    )
+def vote(anchor_ip, delta, anchor_rtt=10.0):
+    return anchor_ip, delta, anchor_rtt
+
+
+def summarize_votes(votes):
+    """X's anchor summaries over one two-hop path per ``(anchor, delta,
+    anchor_rtt)`` vote; A1 is a French anchor and A2 a British one."""
+    states = {
+        A1: anchor_state(A1, 0, country="FR"),
+        A2: anchor_state(A2, 30, country="GB"),
+        X: tagged_state(X, [cluster(0, 1000)]),
+    }
+    paths = [
+        CleanPath(f"p{i}", [(anchor_ip, anchor_rtt), (X, anchor_rtt + delta)])
+        for i, (anchor_ip, delta, anchor_rtt) in enumerate(votes)
+    ]
+    return select_anchors(paths, states)[X]
 
 
 class TestAggregateMedians:
     def test_median_damps_outlier(self):
-        obs = [make_obs(A1, d) for d in (2.0, 4.0, 100.0)]
-        (summary,) = aggregate_medians(obs)
+        (summary,) = summarize_votes([vote(A1, d) for d in (2.0, 4.0, 100.0)])
         assert summary.median_delta_ms == 4.0
         assert summary.observation_count == 3
 
     def test_even_count_averages_middle(self):
-        obs = [make_obs(A1, d) for d in (2.0, 4.0)]
-        (summary,) = aggregate_medians(obs)
+        (summary,) = summarize_votes([vote(A1, d) for d in (2.0, 4.0)])
         assert summary.median_delta_ms == 3.0
 
     def test_groups_by_anchor_sorted(self):
-        obs = [make_obs(A2, 5.0), make_obs(A1, 1.0), make_obs(A2, 7.0)]
-        summaries = aggregate_medians(obs)
+        summaries = summarize_votes([vote(A2, 5.0), vote(A1, 1.0), vote(A2, 7.0)])
         assert [s.anchor_ip for s in summaries] == [A2, A1]
         assert summaries[0].median_delta_ms == 6.0
 
     def test_anchor_rtt_median_independent_of_delta(self):
-        obs = [make_obs(A1, 1.0, anchor_rtt=8.0), make_obs(A1, 9.0, anchor_rtt=12.0)]
-        (summary,) = aggregate_medians(obs)
+        (summary,) = summarize_votes([vote(A1, 1.0, anchor_rtt=8.0), vote(A1, 9.0, anchor_rtt=12.0)])
         assert summary.median_anchor_rtt_ms == 10.0
+
+    def test_many_paths_one_anchor_give_one_summary(self):
+        n = 7
+        (summary,) = summarize_votes([vote(A1, float(d)) for d in range(n)])
+        assert summary.anchor_ip == A1
+        assert summary.observation_count == n
+        assert summary.median_delta_ms == 3.0
 
 
 def summaries(countries):
@@ -454,37 +494,31 @@ class TestCountryFilter:
         assert mpls_country_filter(summaries(["FR"] * 19 + ["GB"]), ResolveConfig())
 
     def test_counts_distinct_anchors_not_observations(self):
-        base = [make_obs(A1, 1.0, country="FR"), make_obs(A2, 1.0, country="GB")]
-        duplicated = base + [make_obs(A1, 5.0, country="FR")] * 10
+        base = [vote(A1, 1.0), vote(A2, 1.0)]  # A1 is French, A2 British
+        duplicated = base + [vote(A1, 5.0)] * 10
         cfg = ResolveConfig()
-        assert mpls_country_filter(aggregate_medians(base), cfg) == mpls_country_filter(
-            aggregate_medians(duplicated), cfg
+        assert mpls_country_filter(summarize_votes(base), cfg) == mpls_country_filter(
+            summarize_votes(duplicated), cfg
         )
 
 
 class TestBuildBuffers:
+    """The anchor discs' radii, from :func:`disc_radius_km`."""
+
     def test_allowance_only(self):
-        (buf,) = build_buffers(
-            [AnchorSummary(A1, pt(0), "FR", 0.0, 10.0, 1)], ResolveConfig()
-        )
-        assert buf.radius_km == pytest.approx(100.0)  # sol_km(0 + 0.1*10)
+        radius = disc_radius_km(AnchorSummary(A1, pt(0), "FR", 0.0, 10.0, 1), ResolveConfig())
+        assert radius == pytest.approx(100.0)  # sol_km(0 + 0.1*10)
 
     def test_floor(self):
-        (buf,) = build_buffers(
-            [AnchorSummary(A1, pt(0), "FR", 0.0, 0.0, 1)], ResolveConfig()
-        )
-        assert buf.radius_km == 20.0
+        radius = disc_radius_km(AnchorSummary(A1, pt(0), "FR", 0.0, 0.0, 1), ResolveConfig())
+        assert radius == 20.0
 
     def test_median_delta_term(self):
-        (buf,) = build_buffers(
-            [AnchorSummary(A1, pt(0), "FR", 10.0, 50.0, 1)], ResolveConfig()
-        )
-        assert buf.radius_km == pytest.approx(1500.0)  # sol_km(10 + 5)
+        radius = disc_radius_km(AnchorSummary(A1, pt(0), "FR", 10.0, 50.0, 1), ResolveConfig())
+        assert radius == pytest.approx(1500.0)  # sol_km(10 + 5)
 
     def test_delta_sign_ignored(self):
-        mk = lambda d: build_buffers(
-            [AnchorSummary(A1, pt(0), "FR", d, 50.0, 1)], ResolveConfig()
-        )[0].radius_km
+        mk = lambda d: disc_radius_km(AnchorSummary(A1, pt(0), "FR", d, 50.0, 1), ResolveConfig())
         assert mk(-10.0) == mk(10.0)
 
 
@@ -494,8 +528,8 @@ def grid_catalog(xs, radius_km=20.0, country="FR"):
     ]
 
 
-def buffer_at(x_km, radius_km, anchor=A1, y_km=0.0):
-    return BufferRegion(anchor_ip=anchor, center=pt(x_km, y_km), radius_km=radius_km)
+def buffer_at(x_km, radius_km, y_km=0.0):
+    return pt(x_km, y_km), radius_km
 
 
 class TestResolveLocation:
@@ -564,17 +598,13 @@ class TestResolveLocation:
             ]
             index = SpatialIndex(catalog)
             buffers = [
-                BufferRegion(
-                    anchor_ip=f"198.51.100.{i + 1}",
-                    center=GeoPoint(rng.uniform(40, 55), rng.uniform(-5, 15)),
-                    radius_km=rng.uniform(10, 400),
-                )
-                for i in range(rng.randint(2, 8))
+                (GeoPoint(rng.uniform(40, 55), rng.uniform(-5, 15)), rng.uniform(10, 400))
+                for _ in range(rng.randint(2, 8))
             ]
             counts: dict[int, int] = {}
-            for buf in buffers:
+            for center, radius_km in buffers:
                 for poly in catalog:
-                    if haversine_km(buf.center, poly.centroid) <= buf.radius_km + poly.radius_km:
+                    if haversine_km(center, poly.centroid) <= radius_km + poly.radius_km:
                         counts[poly.polygon_id] = counts.get(poly.polygon_id, 0) + 1
             fix = resolve_location(buffers, index, ResolveConfig())
             if not counts:
