@@ -230,6 +230,15 @@ def _read_traceroutes(cfg: PipelineConfig, diag: Diagnostics) -> list[CleanPath]
     return paths
 
 
+def _make_out_dir(cfg: PipelineConfig) -> Path:
+    out_dir = Path(cfg.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create out_dir {out_dir}: {exc}") from exc
+    return out_dir
+
+
 @contextlib.contextmanager
 def _collector_paused():
     """Pause the cyclic garbage collector and restore the caller's setting
@@ -251,12 +260,13 @@ def run(cfg: PipelineConfig) -> int:
     for name, value in (("geo_snapshot", cfg.geo_snapshot), ("city_catalog", cfg.city_catalog)):
         if not value:
             raise ConfigError(f"config key {name} is required for run")
-    paths = _read_traceroutes(cfg, diag)
     try:
+        paths = _read_traceroutes(cfg, diag)
         snapshot = ingest.load_geo_snapshot(cfg.geo_snapshot, diag)
         catalog = load_city_catalog(cfg.city_catalog)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
+    out_dir = _make_out_dir(cfg)
     index = SpatialIndex(catalog)
 
     corpus_ips = {ip for p in paths for ip, _ in p.hops}
@@ -279,9 +289,6 @@ def run(cfg: PipelineConfig) -> int:
     baseline = report.sol_baseline(clusters_by_ip, budgets)
     del budgets  # freed before resolve_all, so they add nothing to its peak memory
     outcomes = resolve_all(states, paths, index, cfg.resolve, diag=diag)
-
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     table = report.summarize(outcomes, paths, links, corpus_ips)
     report.write_summary_csv(table, out_dir / "summary.csv")
@@ -327,8 +334,9 @@ def synth_cmd(cfg: PipelineConfig) -> int:
         raise ConfigError("config key city_catalog is required for synth")
     try:
         catalog = load_city_catalog(cfg.city_catalog)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
+    out_dir = _make_out_dir(cfg)
     s = cfg.synth
     try:
         world = synth.generate_world(
@@ -360,8 +368,6 @@ def synth_cmd(cfg: PipelineConfig) -> int:
             f"{synth.max_path_attempts(s.n_paths)} attempts",
         )
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     synth.save_world(world, out_dir / "world.json")
     with (out_dir / "traceroutes.jsonl").open("w", encoding="utf-8") as fh:
         ingest.dump_native(paths, fh)
@@ -463,8 +469,7 @@ def fetch_cmd(cfg: PipelineConfig) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read fetch_ips_file {ips_path}: {exc}") from exc
     ips = [line.strip() for line in text.splitlines() if line.strip()]
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(cfg)
     diag = Diagnostics()
     try:
         out = ingest.fetch_geo(

@@ -193,6 +193,8 @@ def load_city_catalog(path: str | Path) -> list[CityPolygon]:
                 raise ValueError(f"city catalog {path} row {lineno + 2}: bad radius") from exc
             if radius < 0:
                 raise ValueError(f"city catalog {path} row {lineno + 2}: negative radius")
+            if row["name"] is None or row["country"] is None:
+                raise ValueError(f"city catalog {path} row {lineno + 2}: missing name or country")
             polygons.append(
                 CityPolygon(
                     polygon_id=len(polygons),

@@ -9,6 +9,10 @@ ratio are pruned, and the process repeats — each round rescoring against
 the *previous* round's surviving candidate sets — until candidate sets
 stop changing.  IPs whose best candidate still scores poorly, either
 overall or in exactly one travel direction, are tagged anomalous.
+
+Observations are plain ``(rtt_a, rtt_b, a_first)`` tuples.  A pair's
+:class:`PairBudgets` holds their sorted budgets and a feasibility table per
+candidate pair, which every round and :func:`traceloc.report.sol_baseline` read.
 """
 from __future__ import annotations
 
@@ -39,27 +43,17 @@ class IpStatus(enum.Enum):
 
 
 @dataclass
-class PairObservation:
-    """One adjacency sighting: RTTs for the string-lower ip (``rtt_a``) and
-    the string-higher ip (``rtt_b``), plus which one the packet reached
-    first."""
-
-    rtt_a: float
-    rtt_b: float
-    a_first: bool
-
-
-@dataclass
 class NeighborPair:
     """All observations of two IPs appearing adjacent in some path.
 
     ``ip_a`` < ``ip_b`` as strings; observations accumulate across every
-    path regardless of travel direction.
+    path regardless of travel direction, each as ``(rtt_a, rtt_b, a_first)``:
+    the two RTTs, and whether the packet reached ``ip_a`` first.
     """
 
     ip_a: str
     ip_b: str
-    observations: list[PairObservation] = field(default_factory=list)
+    observations: list[tuple[float, float, bool]] = field(default_factory=list)
 
 
 @dataclass
@@ -100,14 +94,18 @@ def extract_pairs(paths: list[CleanPath]) -> list[NeighborPair]:
     Each pair is oriented by string comparison of its two addresses, and
     pairs come out in the order they are first seen.  No address is parsed.
     """
-    acc: dict[tuple[str, str], list[PairObservation]] = {}
+    acc: dict[tuple[str, str], list[tuple[float, float, bool]]] = {}
     for path in paths:
         for (ip_x, rtt_x), (ip_y, rtt_y) in zip(path.hops, path.hops[1:]):
             if ip_x <= ip_y:
-                key, obs = (ip_x, ip_y), PairObservation(rtt_x, rtt_y, a_first=True)
+                key, obs = (ip_x, ip_y), (rtt_x, rtt_y, True)
             else:
-                key, obs = (ip_y, ip_x), PairObservation(rtt_y, rtt_x, a_first=False)
-            acc.setdefault(key, []).append(obs)
+                key, obs = (ip_y, ip_x), (rtt_y, rtt_x, False)
+            seen = acc.get(key)
+            if seen is None:
+                acc[key] = [obs]
+            else:
+                seen.append(obs)
     return [NeighborPair(ip_a=a, ip_b=b, observations=obs) for (a, b), obs in acc.items()]
 
 
@@ -130,47 +128,38 @@ def budget_km(rtt_a: float, rtt_b: float, cfg: RefineConfig) -> float:
 
 
 class PairBudgets:
-    """A NeighborPair's observations as distance budgets in km, sorted per
-    travel direction, so a candidate-pair distance turns into
-    feasible/total counts with one bisect.  Each budget is computed once;
-    :func:`iterate` and :func:`traceloc.report.sol_baseline` both read it."""
+    """A NeighborPair's distance budgets in km, sorted per travel direction,
+    and its feasibility table: per (cand_a, cand_b) cluster-id pair, how many
+    budgets of each direction their distance fits.  :func:`iterate` and
+    :func:`traceloc.report.sol_baseline` both read it."""
 
-    __slots__ = ("ip_a", "ip_b", "budgets_a_first", "budgets_b_first", "_dist")
+    __slots__ = ("ip_a", "ip_b", "budgets_a_first", "budgets_b_first", "_table")
 
     def __init__(self, pair: NeighborPair, cfg: RefineConfig) -> None:
         self.ip_a = pair.ip_a
         self.ip_b = pair.ip_b
-        a_first: list[float] = []
-        b_first: list[float] = []
-        for obs in pair.observations:
-            (a_first if obs.a_first else b_first).append(budget_km(obs.rtt_a, obs.rtt_b, cfg))
-        a_first.sort()
-        b_first.sort()
-        self.budgets_a_first = a_first
-        self.budgets_b_first = b_first
-        self._dist: dict[tuple[int, int], float] = {}
+        obs = pair.observations
+        self.budgets_a_first = sorted([budget_km(a, b, cfg) for a, b, a_first in obs if a_first])
+        self.budgets_b_first = sorted([budget_km(a, b, cfg) for a, b, a_first in obs if not a_first])
+        self._table: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def smallest(self) -> float:
-        """The pair's tightest budget, whichever way it was travelled."""
-        return min(self.budgets_a_first[:1] + self.budgets_b_first[:1])
-
-    def distance(self, cand_a: CityCluster, cand_b: CityCluster) -> float:
+    def feasible(self, cand_a: CityCluster, cand_b: CityCluster) -> tuple[int, int]:
+        """How many a-first and b-first budgets fit the distance from
+        ``cand_a`` (a candidate of ``ip_a``) to ``cand_b``, measured once."""
         key = (cand_a.cluster_id, cand_b.cluster_id)
-        d = self._dist.get(key)
-        if d is None:
+        counts = self._table.get(key)
+        if counts is None:
             d = haversine_km(cand_a.centroid, cand_b.centroid)
-            self._dist[key] = d
-        return d
+            # budget >= distance means feasible; budgets are sorted ascending.
+            a, b = self.budgets_a_first, self.budgets_b_first
+            counts = (len(a) - bisect_left(a, d), len(b) - bisect_left(b, d))
+            self._table[key] = counts
+        return counts
 
 
 def pair_budgets(pairs: list[NeighborPair], cfg: RefineConfig) -> list[PairBudgets]:
     """Every pair's budgets under ``cfg.deviation_fraction``, in pair order."""
     return [PairBudgets(pair, cfg) for pair in pairs]
-
-
-def _feasible_count(sorted_budgets: list[float], distance_km: float) -> int:
-    # budget >= distance means feasible; budgets are sorted ascending.
-    return len(sorted_budgets) - bisect_left(sorted_budgets, distance_km)
 
 
 def _score_ip(
@@ -194,16 +183,18 @@ def _score_ip(
         evaluated = True
         # Budgets where the neighbor came first count toward the previous-
         # direction ratio; the rest toward the next-direction ratio.
-        prev_budgets = pb.budgets_b_first if is_a else pb.budgets_a_first
-        next_budgets = pb.budgets_a_first if is_a else pb.budgets_b_first
-        prev_total += len(prev_budgets) * len(other.candidates)
-        next_total += len(next_budgets) * len(other.candidates)
+        n_a_first, n_b_first = len(pb.budgets_a_first), len(pb.budgets_b_first)
+        prev_total += (n_b_first if is_a else n_a_first) * len(other.candidates)
+        next_total += (n_a_first if is_a else n_b_first) * len(other.candidates)
         for cand in state.candidates:
             cid = cand.cluster_id
             for other_cand in other.candidates:
-                d = pb.distance(cand, other_cand) if is_a else pb.distance(other_cand, cand)
-                prev_feas[cid] += _feasible_count(prev_budgets, d)
-                next_feas[cid] += _feasible_count(next_budgets, d)
+                if is_a:
+                    next_f, prev_f = pb.feasible(cand, other_cand)
+                else:
+                    prev_f, next_f = pb.feasible(other_cand, cand)
+                prev_feas[cid] += prev_f
+                next_feas[cid] += next_f
     if not evaluated:
         return
     total = prev_total + next_total

@@ -151,17 +151,18 @@ def sol_baseline(
     A cluster survives when every observation of every neighbor holding
     clusters has at least one neighbor cluster within the observation's
     budget, the budgets :func:`traceloc.refine.iterate` scores with.  That
-    is tested per pair as: the nearest neighbor cluster lies within the
-    pair's smallest budget.  Neighbor candidate sets are always the full
-    original clusters.  IPs with no neighbors keep everything; IPs can end
-    up with zero clusters; IPs without clusters are left out.
+    is tested per pair as: some neighbor cluster fits all the pair's budgets
+    in the feasibility table ``iterate`` fills.  Neighbor candidate sets are
+    always the full original clusters.  IPs with no neighbors keep
+    everything; IPs can end up with zero clusters; IPs without clusters are
+    left out.
     """
-    limits: dict[str, list[tuple[list[CityCluster], float]]] = {}
+    sides: dict[str, list[tuple[PairBudgets, bool, int, list[CityCluster]]]] = {}
     for pb in budgets:
-        limit = pb.smallest()
-        for ip, other in ((pb.ip_a, pb.ip_b), (pb.ip_b, pb.ip_a)):
+        n = len(pb.budgets_a_first) + len(pb.budgets_b_first)
+        for ip, other, is_a in ((pb.ip_a, pb.ip_b, True), (pb.ip_b, pb.ip_a, False)):
             if clusters_by_ip.get(other):
-                limits.setdefault(ip, []).append((clusters_by_ip[other], limit))
+                sides.setdefault(ip, []).append((pb, is_a, n, clusters_by_ip[other]))
 
     out: dict[str, CandidateState] = {}
     for ip, clusters in clusters_by_ip.items():
@@ -171,8 +172,8 @@ def sol_baseline(
             cand
             for cand in clusters
             if all(
-                min(haversine_km(cand.centroid, oc.centroid) for oc in others) <= limit
-                for others, limit in limits.get(ip, ())
+                any(n == sum(pb.feasible(cand, oc) if is_a else pb.feasible(oc, cand)) for oc in ocs)
+                for pb, is_a, n, ocs in sides.get(ip, ())
             )
         ]
         out[ip] = CandidateState(ip=ip, candidates=survivors)

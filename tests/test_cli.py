@@ -771,6 +771,7 @@ class TestExitCodes:
             ("run", "geo_snapshot", "ip,source,lat,lon,city\n198.51.100.1,db1,1.0,2.0,x\n"),
             ("synth", "city_catalog", "name,country,lat,lon\nx,FR,abc,2.0\n"),
             ("run", "city_catalog", "name,country,lat,lon,radius_km\nx,FR,1.0,2.0,nan\n"),
+            ("run", "city_catalog", "lat,lon,name,country\n1.0,2.0\n"),
         ],
         ids=[
             "catalog-without-lon",
@@ -778,6 +779,7 @@ class TestExitCodes:
             "snapshot-without-country",
             "synth-bad-lat",
             "catalog-nan-radius",
+            "catalog-short-row",
         ],
     )
     def test_malformed_catalog_or_snapshot_is_input_error(
@@ -799,6 +801,62 @@ class TestExitCodes:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1
         assert errors[0].startswith("input error: ") and str(bad) in errors[0]
+
+    def corpus_settings(self, small_corpus, tmp_path):
+        root, catalog, synth_dir = small_corpus
+        return {
+            "traceroutes": synth_dir / "traceroutes.jsonl",
+            "geo_snapshot": synth_dir / "snapshot.csv",
+            "city_catalog": catalog,
+            "out_dir": tmp_path / "out",
+        }
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("run", "traceroutes"),
+            ("run", "geo_snapshot"),
+            ("run", "city_catalog"),
+            ("synth", "city_catalog"),
+        ],
+    )
+    def test_input_that_is_a_directory_is_input_error(
+        self, small_corpus, tmp_path, caplog, command, key
+    ):
+        settings = self.corpus_settings(small_corpus, tmp_path) | {key: tmp_path}
+        cfg = write_config(tmp_path / "a.conf", [f"{k} = {v}" for k, v in settings.items()])
+        caplog.clear()
+        assert main([command, "--config", str(cfg)]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].startswith("input error: ") and str(tmp_path) in errors[0]
+
+    @pytest.mark.parametrize("command", ["run", "synth", "fetch-geo"])
+    @pytest.mark.parametrize("in_the_way", ["out_dir", "parent"])
+    def test_file_in_the_way_of_out_dir_is_config_error(
+        self, small_corpus, tmp_path, caplog, monkeypatch, command, in_the_way
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out_dir = blocker if in_the_way == "out_dir" else blocker / "out"
+        ips_file = tmp_path / "ips.txt"
+        ips_file.write_text("203.0.113.7\n")
+        settings = self.corpus_settings(small_corpus, tmp_path) | {
+            "out_dir": out_dir,
+            "fetch_ips_file": ips_file,
+            "fetch_cache_dir": tmp_path / "cache",
+            "source.geoa.url": "https://geoa.example/{ip}",
+        }
+        cfg = write_config(tmp_path / "a.conf", [f"{k} = {v}" for k, v in settings.items()])
+
+        def no_work(*args, **kwargs):  # pragma: no cover - must never run
+            raise AssertionError("work started before out_dir was made")
+
+        # The failure comes before refinement, generation or fetching.
+        monkeypatch.setattr(traceloc.cli, "extract_pairs", no_work)
+        monkeypatch.setattr(traceloc.ingest, "_default_http_get", no_work)
+        monkeypatch.setattr("traceloc.synth.generate_world", no_work)
+        self.assert_one_config_error([command, "--config", str(cfg)], caplog)
 
 
 class TestFetchGeo:

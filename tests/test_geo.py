@@ -246,6 +246,12 @@ class TestCityCatalog:
         with pytest.raises(ValueError, match="out of range"):
             load_city_catalog(p)
 
+    def test_short_row_is_fatal(self, tmp_path):
+        p = tmp_path / "short.csv"
+        p.write_text("lat,lon,name,country\n1.0,2.0\n")
+        with pytest.raises(ValueError, match=r"short\.csv row 2: missing name or country"):
+            load_city_catalog(p)
+
     @pytest.mark.parametrize("radius", ["nan", "inf", "abc"])
     def test_bad_radius_is_fatal(self, tmp_path, radius):
         # A NaN disc matches no query and an infinite one every grid cell.

@@ -54,11 +54,13 @@ class TestExtractPairs:
         assert [(p.ip_a, p.ip_b) for p in pairs] == [(IP_A, IP_B), (IP_A, IP_C)]
         ab, ac = pairs
         # p1 saw B before A; p2 saw A before B.
-        assert [(o.rtt_a, o.rtt_b, o.a_first) for o in ab.observations] == [
+        assert [(rtt_a, rtt_b, a_first) for rtt_a, rtt_b, a_first in ab.observations] == [
             (1.0, 2.0, False),
             (1.1, 2.1, True),
         ]
-        assert [(o.rtt_a, o.rtt_b, o.a_first) for o in ac.observations] == [(1.0, 3.0, True)]
+        assert [(rtt_a, rtt_b, a_first) for rtt_a, rtt_b, a_first in ac.observations] == [
+            (1.0, 3.0, True)
+        ]
 
     def test_no_pairs_from_single_hop(self):
         assert extract_pairs([CleanPath("p", [(IP_A, 1.0)])]) == []
@@ -189,8 +191,8 @@ def reference_score_round(states, pairs, cfg):
     previous round's candidate sets and then applied."""
     by_ip = {}
     for pair in pairs:
-        a_first = [budget_km(o.rtt_a, o.rtt_b, cfg) for o in pair.observations if o.a_first]
-        b_first = [budget_km(o.rtt_a, o.rtt_b, cfg) for o in pair.observations if not o.a_first]
+        a_first = [budget_km(ra, rb, cfg) for ra, rb, is_a_first in pair.observations if is_a_first]
+        b_first = [budget_km(ra, rb, cfg) for ra, rb, is_a_first in pair.observations if not is_a_first]
         by_ip.setdefault(pair.ip_a, []).append((pair.ip_b, True, b_first, a_first))
         by_ip.setdefault(pair.ip_b, []).append((pair.ip_a, False, a_first, b_first))
     all_tallies = {}

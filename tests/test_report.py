@@ -4,13 +4,21 @@ per-country deltas."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceloc.diagnostics import Diagnostics
-from traceloc.geo import CityCluster, GeoPoint, cluster_candidates, haversine_km
+from traceloc.geo import (
+    EARTH_RADIUS_KM,
+    CityCluster,
+    GeoPoint,
+    cluster_candidates,
+    haversine_km,
+    load_city_catalog,
+)
 from traceloc.ingest import CleanPath, GeoRecord, ip_key
 from traceloc.refine import (
     CandidateState,
@@ -205,9 +213,9 @@ def reference_sol_baseline(ips, snapshot, paths):
                 other_clusters = clusters_by_ip.get(other_ip, [])
                 if not other_clusters:
                     continue
-                for obs in pair.observations:
-                    rtt_self = obs.rtt_a if is_a else obs.rtt_b
-                    rtt_other = obs.rtt_b if is_a else obs.rtt_a
+                for rtt_a, rtt_b, _ in pair.observations:
+                    rtt_self = rtt_a if is_a else rtt_b
+                    rtt_other = rtt_b if is_a else rtt_a
                     if not any(
                         pair_feasible(cand.centroid, oc.centroid, rtt_self, rtt_other, cfg)
                         for oc in other_clusters
@@ -222,30 +230,78 @@ def reference_sol_baseline(ips, snapshot, paths):
     return out
 
 
+def decoy_heavy_world(catalog, seed, n_routers=60, n_cities=12):
+    """A seeded world where half the IPs have a decoy cluster: its
+    addresses, snapshot and paths."""
+    world = generate_world(seed, n_routers, n_cities, 0.05, catalog)
+    paths = simulate_traceroutes(world, 400, 0.05)
+    spec = InjectionSpec(
+        interface_error_fraction=0.05,
+        min_displacement_km=300.0,
+        db_count=4,
+        db_noise_km=2.0,
+        decoy_fraction=0.5,
+        decoy_db_count=1,
+    )
+    snapshot, _ = corrupt_geodb(world, spec, seed, catalog)
+    ips = sorted({ip for p in paths for ip, _ in p.hops}, key=ip_key)
+    return ips, snapshot, paths
+
+
 class TestSolBaselineMatchesReference:
-    @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_same_survivors_on_decoy_heavy_worlds(self, grid_catalog, seed):
-        world = generate_world(seed, 60, 12, 0.05, grid_catalog)
-        paths = simulate_traceroutes(world, 400, 0.05)
-        spec = InjectionSpec(
-            interface_error_fraction=0.05,
-            min_displacement_km=300.0,
-            db_count=4,
-            db_noise_km=2.0,
-            decoy_fraction=0.5,
-            decoy_db_count=1,
-        )
-        snapshot, _ = corrupt_geodb(world, spec, seed, grid_catalog)
-        ips = sorted({ip for p in paths for ip, _ in p.hops}, key=ip_key)
-
-        def survivors(states):
-            return {ip: [c.cluster_id for c in s.candidates] for ip, s in states.items()}
-
+    def assert_matches_reference(self, ips, snapshot, paths):
         got = survivors(baseline_of(ips, snapshot, paths))
         assert got == survivors(reference_sol_baseline(ips, snapshot, paths))
         # The worlds exercise the filter: some candidates die, some live.
         total = sum(len(cluster_candidates(snapshot[ip], 20.0)) for ip in ips)
         assert 0 < sum(len(v) for v in got.values()) < total
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_same_survivors_on_decoy_heavy_worlds(self, grid_catalog, seed):
+        self.assert_matches_reference(*decoy_heavy_world(grid_catalog, seed))
+
+    def test_same_survivors_on_a_global_world(self, data_dir):
+        # Candidate pairs more than a quarter of the circumference apart take
+        # haversine_km's atan2 form, which is not exactly symmetric.
+        ips, snapshot, paths = decoy_heavy_world(
+            load_city_catalog(data_dir / "cities_global.csv"), 5, n_routers=80, n_cities=60
+        )
+        clusters = {ip: cluster_candidates(snapshot.get(ip, []), 20.0) for ip in ips}
+        assert any(
+            haversine_km(ca.centroid, cb.centroid) > EARTH_RADIUS_KM * math.pi / 2
+            for pair in extract_pairs(paths)
+            for ca in clusters[pair.ip_a]
+            for cb in clusters[pair.ip_b]
+        )
+        self.assert_matches_reference(ips, snapshot, paths)
+
+
+class TestDistancesMeasuredOnce:
+    def test_iterate_and_sol_baseline_share_each_distance(self, grid_catalog, monkeypatch):
+        ips, snapshot, paths = decoy_heavy_world(grid_catalog, 3)
+        clusters = {ip: cluster_candidates(snapshot.get(ip, []), 20.0) for ip in ips}
+        pairs = extract_pairs(paths)
+        calls = Counter()
+
+        def counting_haversine(a, b):
+            calls[(a, b)] += 1
+            return haversine_km(a, b)
+
+        monkeypatch.setattr("traceloc.refine.haversine_km", counting_haversine)
+        monkeypatch.setattr("traceloc.report.haversine_km", counting_haversine)
+        cfg = RefineConfig()
+        budgets = pair_budgets(pairs, cfg)
+        iterate(make_states(clusters), budgets, cfg)
+        sol_baseline(clusters, budgets)
+        # One distance per (pair, cand_a, cand_b), always measured a to b.
+        allowed = Counter(
+            (ca.centroid, cb.centroid)
+            for pair in pairs
+            for ca in clusters[pair.ip_a]
+            for cb in clusters[pair.ip_b]
+        )
+        assert calls
+        assert {k: n for k, n in calls.items() if n > allowed[k]} == {}
 
 
 def reference_pairs_sol_baseline(clusters_by_ip, pairs, cfg):
@@ -253,7 +309,7 @@ def reference_pairs_sol_baseline(clusters_by_ip, pairs, cfg):
     with: each pair's smallest budget recomputed from its observations."""
     limits = {}
     for pair in pairs:
-        limit = min(budget_km(o.rtt_a, o.rtt_b, cfg) for o in pair.observations)
+        limit = min(budget_km(rtt_a, rtt_b, cfg) for rtt_a, rtt_b, _ in pair.observations)
         for ip, other in ((pair.ip_a, pair.ip_b), (pair.ip_b, pair.ip_a)):
             if clusters_by_ip.get(other):
                 limits.setdefault(ip, []).append((clusters_by_ip[other], limit))
@@ -385,7 +441,7 @@ class TestRewrittenStagesMatchReferences:
             path("q3", (c, 1.0), (b, 2.0)),
         ]
         pairs = extract_pairs(paths)
-        assert {(p.ip_a, p.ip_b): {o.a_first for o in p.observations} for p in pairs} == {
+        assert {(p.ip_a, p.ip_b): {a_first for _, _, a_first in p.observations} for p in pairs} == {
             (a, b): {True}, (b, c): {False}
         }
         cfg = RefineConfig()
