@@ -176,9 +176,7 @@ def _validate_knobs(cfg: PipelineConfig) -> None:
         (cfg.refine.min_observations >= 0, "refine.min_observations >= 0"),
         (0.0 <= cfg.resolve.country_dominance <= 1.0, "resolve.country_dominance in [0,1]"),
         (cfg.resolve.anchor_allowance_fraction >= 0.0, "resolve.anchor_allowance_fraction >= 0"),
-        (cfg.resolve.tie_merge_km > 0, "resolve.tie_merge_km > 0"),
-        (cfg.resolve.tie_merge_step_km > 0, "resolve.tie_merge_step_km > 0"),
-        (cfg.resolve.tie_merge_max_km >= cfg.resolve.tie_merge_km, "resolve.tie_merge_max_km >= tie_merge_km"),
+        (cfg.resolve.tie_merge_max_km > 0, "resolve.tie_merge_max_km > 0"),
         (cfg.resolve.match_radius_km >= 0, "resolve.match_radius_km >= 0"),
         (cfg.resolve.min_anchors >= 1, "resolve.min_anchors >= 1"),
         (cfg.merge_radius_km >= 0, "merge_radius_km >= 0"),
@@ -214,10 +212,20 @@ def load_config(path: str | Path, args: argparse.Namespace | None = None) -> Pip
     return cfg
 
 
+def _require_inputs(cfg: PipelineConfig, command: str, *keys: str) -> None:
+    """Each input key must be set and name a path that exists: a config
+    error otherwise.  A path that exists but cannot be read is left to the
+    loaders, as an input error."""
+    for key in keys:
+        value = getattr(cfg, key)
+        if not value:
+            raise ConfigError(f"config key {key} is required for {command}")
+        if not Path(value).exists():
+            raise ConfigError(f"{key} file not found: {value}")
+
+
 def _read_traceroutes(cfg: PipelineConfig, diag: Diagnostics) -> list[CleanPath]:
     path = Path(cfg.traceroutes)
-    if not path.exists():
-        raise ConfigError(f"traceroutes file not found: {path}")
     # A bad byte reads as a lone surrogate, and the reader counts its line.
     with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         fmt, head = cfg.traceroute_format, []
@@ -240,6 +248,16 @@ def _make_out_dir(cfg: PipelineConfig) -> Path:
 
 
 @contextlib.contextmanager
+def _writing_to(out_dir: Path):
+    """An output file that cannot be written (a directory in its place, say)
+    is a config error, like an ``out_dir`` that cannot be created."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write to out_dir {out_dir}: {exc}") from exc
+
+
+@contextlib.contextmanager
 def _collector_paused():
     """Pause the cyclic garbage collector and restore the caller's setting
     on the way out.  A run's objects form no reference cycles, so the
@@ -257,9 +275,7 @@ def _collector_paused():
 def run(cfg: PipelineConfig) -> int:
     """End-to-end analysis: ingest, cluster, refine, tag, resolve, report."""
     diag = Diagnostics()
-    for name, value in (("geo_snapshot", cfg.geo_snapshot), ("city_catalog", cfg.city_catalog)):
-        if not value:
-            raise ConfigError(f"config key {name} is required for run")
+    _require_inputs(cfg, "run", "traceroutes", "geo_snapshot", "city_catalog")
     try:
         paths = _read_traceroutes(cfg, diag)
         snapshot = ingest.load_geo_snapshot(cfg.geo_snapshot, diag)
@@ -291,15 +307,15 @@ def run(cfg: PipelineConfig) -> int:
     outcomes = resolve_all(states, paths, index, cfg.resolve, diag=diag)
 
     table = report.summarize(outcomes, paths, links, corpus_ips)
-    report.write_summary_csv(table, out_dir / "summary.csv")
     hist = report.cluster_histogram(states, baseline)
-    report.write_histogram_csv(hist, out_dir / "clusters_hist.csv")
     distances, under_20 = report.distance_cdf(outcomes, snapshot, diag)
-    report.write_distance_cdf_csv(distances, out_dir / "distance_cdf.csv")
     deltas, changed_fraction = report.country_delta(outcomes, snapshot)
-    report.write_country_delta_csv(deltas, out_dir / "country_delta.csv")
-
-    _write_ips_jsonl(states, outcomes, out_dir / "ips.jsonl")
+    with _writing_to(out_dir):
+        report.write_summary_csv(table, out_dir / "summary.csv")
+        report.write_histogram_csv(hist, out_dir / "clusters_hist.csv")
+        report.write_distance_cdf_csv(distances, out_dir / "distance_cdf.csv")
+        report.write_country_delta_csv(deltas, out_dir / "country_delta.csv")
+        _write_ips_jsonl(states, outcomes, out_dir / "ips.jsonl")
 
     tagged = sum(1 for s in states.values() if s.status is IpStatus.ANOMALOUS)
     logger.info(
@@ -330,8 +346,7 @@ def synth_cmd(cfg: PipelineConfig) -> int:
     from . import synth  # imported here, so that `run` never loads it
 
     diag = Diagnostics()
-    if not cfg.city_catalog:
-        raise ConfigError("config key city_catalog is required for synth")
+    _require_inputs(cfg, "synth", "city_catalog")
     try:
         catalog = load_city_catalog(cfg.city_catalog)
     except (OSError, ValueError) as exc:
@@ -368,14 +383,15 @@ def synth_cmd(cfg: PipelineConfig) -> int:
             f"{synth.max_path_attempts(s.n_paths)} attempts",
         )
 
-    synth.save_world(world, out_dir / "world.json")
-    with (out_dir / "traceroutes.jsonl").open("w", encoding="utf-8") as fh:
-        ingest.dump_native(paths, fh)
-    ingest.write_geo_snapshot(snapshot, out_dir / "snapshot.csv")
-    (out_dir / "displaced.json").write_text(
-        json.dumps({"displaced": sorted(displaced, key=ip_key)}, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    with _writing_to(out_dir):
+        synth.save_world(world, out_dir / "world.json")
+        with (out_dir / "traceroutes.jsonl").open("w", encoding="utf-8") as fh:
+            ingest.dump_native(paths, fh)
+        ingest.write_geo_snapshot(snapshot, out_dir / "snapshot.csv")
+        (out_dir / "displaced.json").write_text(
+            json.dumps({"displaced": sorted(displaced, key=ip_key)}, indent=2) + "\n",
+            encoding="utf-8",
+        )
     logger.info(
         "synth: %d routers, %d links, %d tunnels, %d paths, %d displaced ips",
         len(world.routers), len(world.links), len(world.mpls_tunnels),

@@ -21,7 +21,7 @@ FIBER_KM_PER_MS = 200.0  # one-way speed of light in fiber, km per millisecond
 DEFAULT_CITY_RADIUS_KM = 20.0
 DEFAULT_MERGE_RADIUS_KM = 20.0
 
-_KM_PER_DEG_LAT = EARTH_RADIUS_KM * math.pi / 180.0
+KM_PER_DEG_LAT = EARTH_RADIUS_KM * math.pi / 180.0  # km in one degree of latitude
 
 
 @dataclass(frozen=True)

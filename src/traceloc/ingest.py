@@ -69,13 +69,9 @@ def _ip_version(text: str) -> int:
 _JSON_NUMBER = {int, float}
 
 
-def is_bogon(ip: str, networks: Iterable[ipaddress.IPv4Network] = DEFAULT_BOGONS) -> bool:
+def is_bogon(ip: str) -> bool:
     addr = ipaddress.IPv4Address(ip)
-    return any(addr in net for net in networks)
-
-
-def _cached_bogon(networks: Iterable[ipaddress.IPv4Network]) -> Callable[[str], bool]:
-    return functools.cache(functools.partial(is_bogon, networks=tuple(networks)))
+    return any(addr in net for net in DEFAULT_BOGONS)
 
 
 @dataclass
@@ -218,11 +214,7 @@ def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTracer
     return rt, ipv6
 
 
-def normalize(
-    rt: RawTraceroute,
-    bogon_filter: Iterable[ipaddress.IPv4Network] = DEFAULT_BOGONS,
-    diag: Diagnostics | None = None,
-) -> CleanPath | None:
+def normalize(rt: RawTraceroute, diag: Diagnostics | None = None) -> CleanPath | None:
     """Turn a raw traceroute into a :class:`CleanPath`, or reject it.
 
     Unresponsive hops are dropped; a surviving hop reports the responder
@@ -233,7 +225,7 @@ def normalize(
     or fewer than two hops survive.  Running the result through
     normalization again would change nothing.
     """
-    return _normalize(rt, _cached_bogon(bogon_filter), diag or Diagnostics())
+    return _normalize(rt, functools.cache(is_bogon), diag or Diagnostics())
 
 
 def _normalize(
@@ -263,14 +255,12 @@ def _normalize(
 
 
 def clean_paths(
-    raws: Iterable[RawTraceroute],
-    bogon_filter: Iterable[ipaddress.IPv4Network] = DEFAULT_BOGONS,
-    diag: Diagnostics | None = None,
+    raws: Iterable[RawTraceroute], diag: Diagnostics | None = None
 ) -> list[CleanPath]:
     """Normalize each raw traceroute as it comes, disambiguating colliding
     path ids with a suffix.  Each responder's bogon status is decided once."""
     diag = diag or Diagnostics()
-    bogon = _cached_bogon(bogon_filter)
+    bogon = functools.cache(is_bogon)
     out: list[CleanPath] = []
     seen: dict[str, int] = {}
     for rt in raws:

@@ -9,9 +9,12 @@ and summarised by their medians.  Anchors spread across countries mark the
 IP as tunnel-distorted; otherwise each anchor casts a disc whose radius is
 the light-in-fiber budget of its median RTT difference (plus an allowance,
 floored at 20 km).  The city disc overlapped by the most anchor discs
-becomes the corrected location; ties merge by proximity.  A corrected
-location landing back on one of the IP's own original candidates demotes
-the anomaly to a false positive.
+becomes the corrected location, attributed to that city.  Tied cities
+merge when single linkage within ``tie_merge_max_km`` joins them into one
+group: their mean centroid is the location, attributed to the tied city
+nearest it; a tie that stays apart leaves the IP unresolvable.  A corrected
+city landing back on one of the IP's own original candidates demotes the
+anomaly to a false positive.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from enum import Enum
 from operator import itemgetter
 
 from .diagnostics import Diagnostics
-from .geo import CityCluster, GeoPoint, SpatialIndex, haversine_km, sol_km
+from .geo import CityCluster, CityPolygon, GeoPoint, SpatialIndex, haversine_km, sol_km
 from .ingest import CleanPath
 from .refine import CandidateState, IpStatus
 
@@ -33,9 +36,7 @@ BUFFER_FLOOR_KM = 20.0
 class ResolveConfig:
     country_dominance: float = 0.95
     anchor_allowance_fraction: float = 0.10
-    tie_merge_km: float = 20.0
     tie_merge_max_km: float = 100.0
-    tie_merge_step_km: float = 20.0
     match_radius_km: float = 20.0
     min_anchors: int = 2
 
@@ -64,18 +65,17 @@ class AnchorSummary:
 
 @dataclass
 class LocationFix:
-    """Outcome of disc-overlap voting; ``point`` is None when unresolvable.
+    """Outcome of disc-overlap voting; ``point`` and ``city`` are None when
+    unresolvable.
 
-    ``city_point`` is the centroid of the polygon the fix is attributed
-    to — the corrected location at city granularity.  It coincides with
-    ``point`` for a single winner and is the nearest tied centroid after
-    a merge.
+    ``city`` is the polygon the fix is attributed to — the corrected
+    location at city granularity.  ``point`` is its centroid for a single
+    winner and the mean of the tied centroids after a merge.
     """
 
     point: GeoPoint | None
-    polygon_id: int | None
+    city: CityPolygon | None
     max_overlap: int
-    city_point: GeoPoint | None = None
 
 
 @dataclass
@@ -187,24 +187,19 @@ def disc_radius_km(anchor: AnchorSummary, cfg: ResolveConfig) -> float:
     return max(sol_km(budget_ms), BUFFER_FLOOR_KM)
 
 
-def _single_linkage(ids: list[int], points: dict[int, GeoPoint], threshold_km: float) -> int:
-    """Number of connected components when linking ids whose points sit
-    within ``threshold_km`` of each other."""
-    parent = {i: i for i in ids}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            if haversine_km(points[a], points[b]) <= threshold_km:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    return len({find(i) for i in ids})
+def _one_group(points: list[GeoPoint], threshold_km: float) -> bool:
+    """True when linking points within ``threshold_km`` of each other
+    (single linkage) joins them all into one group.  Each pair's distance
+    is measured lower index first, as ``haversine_km`` can differ in the
+    last bit when its arguments swap."""
+    group, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(len(points)):
+            if j not in group and haversine_km(points[min(i, j)], points[max(i, j)]) <= threshold_km:
+                group.add(j)
+                frontier.append(j)
+    return len(group) == len(points)
 
 
 def resolve_location(
@@ -214,48 +209,31 @@ def resolve_location(
     discs and return the winner.
 
     Fewer discs than ``min_anchors`` — or no overlapped polygon at all —
-    is unresolvable.  Tied winners merge by single linkage starting at
-    ``tie_merge_km`` and widening stepwise to ``tie_merge_max_km``; if one
-    merged group emerges its mean centroid wins (attributed to the nearest
-    polygon), otherwise the tie stands and the IP is unresolvable.
+    is unresolvable.  Tied winners merge when single linkage within
+    ``tie_merge_max_km`` makes them one group: their mean centroid wins,
+    attributed to the tied polygon nearest it.  Otherwise the tie stands
+    and the IP is unresolvable.
     """
     if len(discs) < cfg.min_anchors:
-        return LocationFix(point=None, polygon_id=None, max_overlap=0)
+        return LocationFix(point=None, city=None, max_overlap=0)
     counts: Counter[int] = Counter()
     for center, radius_km in discs:
         for pid in index.query(center, radius_km):
             counts[pid] += 1
     if not counts:
-        return LocationFix(point=None, polygon_id=None, max_overlap=0)
+        return LocationFix(point=None, city=None, max_overlap=0)
     top = max(counts.values())
-    tied = sorted(pid for pid, n in counts.items() if n == top)
+    tied = [index.polygon(pid) for pid in sorted(pid for pid, n in counts.items() if n == top)]
     if len(tied) == 1:
-        poly = index.polygon(tied[0])
-        return LocationFix(
-            point=poly.centroid,
-            polygon_id=poly.polygon_id,
-            max_overlap=top,
-            city_point=poly.centroid,
-        )
-
-    centroids = {pid: index.polygon(pid).centroid for pid in tied}
-    threshold = cfg.tie_merge_km
-    while True:
-        if _single_linkage(tied, centroids, threshold) == 1:
-            mean = GeoPoint(
-                sum(c.lat for c in centroids.values()) / len(tied),
-                sum(c.lon for c in centroids.values()) / len(tied),
-            )
-            nearest = min(tied, key=lambda pid: (haversine_km(mean, centroids[pid]), pid))
-            return LocationFix(
-                point=mean,
-                polygon_id=nearest,
-                max_overlap=top,
-                city_point=centroids[nearest],
-            )
-        if threshold >= cfg.tie_merge_max_km:
-            return LocationFix(point=None, polygon_id=None, max_overlap=top)
-        threshold = min(threshold + cfg.tie_merge_step_km, cfg.tie_merge_max_km)
+        return LocationFix(point=tied[0].centroid, city=tied[0], max_overlap=top)
+    if not _one_group([poly.centroid for poly in tied], cfg.tie_merge_max_km):
+        return LocationFix(point=None, city=None, max_overlap=top)
+    mean = GeoPoint(
+        sum(poly.centroid.lat for poly in tied) / len(tied),
+        sum(poly.centroid.lon for poly in tied) / len(tied),
+    )
+    nearest = min(tied, key=lambda poly: (haversine_km(mean, poly.centroid), poly.polygon_id))
+    return LocationFix(point=mean, city=nearest, max_overlap=top)
 
 
 def classify(
@@ -270,35 +248,23 @@ def classify(
     granularity — ``match_radius_km`` is one city radius — so the fix's
     attributed city stands in for the (possibly between-cities) mean
     point.  A corrected city within the radius (inclusive) of any
-    original candidate confirms that candidate and demotes the anomaly;
-    otherwise the IP's database locations were genuinely wrong.
-    Candidate order does not matter."""
-    assert fix.point is not None, "classify requires a resolved location"
-    matched = fix.city_point if fix.city_point is not None else fix.point
-    within = [
-        c
-        for c in original_candidates
-        if haversine_km(matched, c.centroid) <= cfg.match_radius_km
-    ]
-    if within:
-        confirmed = min(
-            within,
-            key=lambda c: (haversine_km(matched, c.centroid), c.cluster_id),
-        )
-        return ResolutionOutcome(
-            ip=ip,
-            verdict=Verdict.FALSE_POSITIVE,
-            resolved=fix.point,
-            polygon_id=fix.polygon_id,
-            confirmed=confirmed,
-            anchor_count=anchor_count,
-            max_overlap=fix.max_overlap,
-        )
+    original candidate confirms the nearest such candidate and demotes
+    the anomaly; otherwise the IP's database locations were genuinely
+    wrong.  Candidate order does not matter."""
+    assert fix.city is not None, "classify requires a resolved location"
+    matched = fix.city.centroid
+    confirmed = min(
+        (c for c in original_candidates if haversine_km(matched, c.centroid) <= cfg.match_radius_km),
+        key=lambda c: (haversine_km(matched, c.centroid), c.cluster_id),
+        default=None,
+    )
     return ResolutionOutcome(
         ip=ip,
-        verdict=Verdict.INTERFACE_AFFECTED,
+        verdict=Verdict.INTERFACE_AFFECTED if confirmed is None else Verdict.FALSE_POSITIVE,
         resolved=fix.point,
-        polygon_id=fix.polygon_id,
+        polygon_id=fix.city.polygon_id,
+        resolved_country=fix.city.country,
+        confirmed=confirmed,
         anchor_count=anchor_count,
         max_overlap=fix.max_overlap,
     )
@@ -314,41 +280,25 @@ def resolve_anomaly(
     """Full resolution of one anomalous IP from its anchor summaries
     (see :func:`select_anchors`).
 
-    No anchors at all, or a tie that survives merging, yields an
-    unresolvable tunnel verdict; country-dispersed anchors yield the
-    dispersed tunnel verdict; otherwise the corrected location is
+    Country-dispersed anchors yield the dispersed tunnel verdict; too few
+    anchors (none at all among them) or a tie that stays apart yields the
+    unresolvable tunnel verdict; otherwise the corrected location is
     classified against the IP's original candidates.
     """
-    if not anchors:
-        return ResolutionOutcome(
-            ip=ip,
-            verdict=Verdict.MPLS_AFFECTED,
-            reason=REASON_UNRESOLVABLE,
-            anchor_count=0,
-        )
-    if mpls_country_filter(anchors, cfg):
-        return ResolutionOutcome(
-            ip=ip,
-            verdict=Verdict.MPLS_AFFECTED,
-            reason=REASON_COUNTRY_DISPERSED,
-            anchor_count=len(anchors),
-        )
-    discs = [(anchor.location, disc_radius_km(anchor, cfg)) for anchor in anchors]
-    fix = resolve_location(discs, index, cfg)
-    if fix.point is None:
-        return ResolutionOutcome(
-            ip=ip,
-            verdict=Verdict.MPLS_AFFECTED,
-            reason=REASON_UNRESOLVABLE,
-            anchor_count=len(anchors),
-            max_overlap=fix.max_overlap,
-        )
-    outcome = classify(
-        ip, fix, states[ip].candidates, cfg, anchor_count=len(anchors)
+    reason, max_overlap = REASON_COUNTRY_DISPERSED, 0
+    if not mpls_country_filter(anchors, cfg):
+        discs = [(anchor.location, disc_radius_km(anchor, cfg)) for anchor in anchors]
+        fix = resolve_location(discs, index, cfg)
+        if fix.city is not None:
+            return classify(ip, fix, states[ip].candidates, cfg, anchor_count=len(anchors))
+        reason, max_overlap = REASON_UNRESOLVABLE, fix.max_overlap
+    return ResolutionOutcome(
+        ip=ip,
+        verdict=Verdict.MPLS_AFFECTED,
+        reason=reason,
+        anchor_count=len(anchors),
+        max_overlap=max_overlap,
     )
-    if outcome.polygon_id is not None:
-        outcome.resolved_country = index.polygon(outcome.polygon_id).country
-    return outcome
 
 
 def resolve_all(

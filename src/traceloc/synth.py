@@ -27,6 +27,8 @@ from pathlib import Path
 
 from .diagnostics import Diagnostics
 from .geo import (
+    FIBER_KM_PER_MS,
+    KM_PER_DEG_LAT,
     CityPolygon,
     GeoPoint,
     haversine_km,
@@ -37,7 +39,8 @@ from .refine import IpStatus
 from .report import _fmt
 from .resolve import Verdict
 
-_KM_PER_DEG = 111.19492664455873  # mean degree of latitude
+# Links each router adds to its nearest peers, on top of the backbone.
+EXTRA_DEGREE = 2
 
 
 @dataclass
@@ -99,13 +102,12 @@ def generate_world(
     catalog: list[CityPolygon],
     *,
     tunnel_len: int = 4,
-    extra_degree: int = 2,
 ) -> World:
     """Build a connected router graph over ``n_cities`` catalog cities.
 
     Routers sit exactly on city centroids.  The backbone is the minimum
     spanning tree of router distances; each router additionally links to
-    its ``extra_degree`` nearest peers.  ``mpls_fraction`` of backbone
+    its ``EXTRA_DEGREE`` nearest peers.  ``mpls_fraction`` of backbone
     segments (rounded) become tunnels: node-disjoint runs of
     ``tunnel_len`` routers contiguous along the backbone, preferring the
     geographically longest runs (long-haul trunks are where tunnels live).
@@ -177,7 +179,7 @@ def generate_world(
     links = set(backbone)
     for i in range(n):
         row = dist[i]
-        nearest = heapq.nsmallest(extra_degree, ((row[j], j) for j in range(n) if j != i))
+        nearest = heapq.nsmallest(EXTRA_DEGREE, ((row[j], j) for j in range(n) if j != i))
         for _, j in nearest:
             links.add((min(i, j), max(i, j)))
 
@@ -366,8 +368,8 @@ def simulate_traceroutes(
         cumulative = [0.0]
         for link in zip(nodes, nodes[1:]):
             cumulative.append(cumulative[-1] + link_km[link])
-        # RTT in ms: out-and-back distance over 200 km/ms.
-        rtts = [2.0 * c / 200.0 for c in cumulative]
+        # RTT in ms: out-and-back distance over the fiber speed.
+        rtts = [2.0 * c / FIBER_KM_PER_MS for c in cumulative]
 
         hops_nodes = nodes[1:]
         hop_rtts = rtts[1:]
@@ -520,8 +522,8 @@ def corrupt_geodb(
 
 
 def _offset(point: GeoPoint, bearing_rad: float, distance_km: float) -> tuple[float, float]:
-    dlat = distance_km * math.cos(bearing_rad) / _KM_PER_DEG
-    denom = _KM_PER_DEG * max(0.01, math.cos(math.radians(point.lat)))
+    dlat = distance_km * math.cos(bearing_rad) / KM_PER_DEG_LAT
+    denom = KM_PER_DEG_LAT * max(0.01, math.cos(math.radians(point.lat)))
     dlon = distance_km * math.sin(bearing_rad) / denom
     lat = max(-90.0, min(90.0, point.lat + dlat))
     lon = ((point.lon + dlon + 180.0) % 360.0) - 180.0

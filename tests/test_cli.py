@@ -112,7 +112,7 @@ class TestBuildConfig:
             {"refine.prune_fraction": "1.5"},
             {"synth.noise_fraction": "1.0"},
             {"traceroute_format": "xml"},
-            {"resolve.tie_merge_max_km": "10"},  # below tie_merge_km
+            {"resolve.tie_merge_max_km": "0"},  # must be positive
             {"synth.decoy_db_count": "-1"},
             {"synth.n_routers": "63751"},  # past the router address plan
             {"synth.tunnel_len": "1"},
@@ -751,6 +751,60 @@ class TestExitCodes:
             ],
         )
         assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key", ["resolve.tie_merge_km", "resolve.tie_merge_step_km"])
+    def test_removed_tie_merge_keys_are_unknown(self, tmp_path, caplog, key):
+        cfg = write_config(tmp_path / "a.conf", [f"{key} = 20"])
+        self.assert_one_config_error(["run", "--config", str(cfg)], caplog)
+        assert key in caplog.records[-1].getMessage()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("run", "traceroutes"),
+            ("run", "geo_snapshot"),
+            ("run", "city_catalog"),
+            ("synth", "city_catalog"),
+        ],
+    )
+    def test_missing_input_path_is_config_error(
+        self, small_corpus, tmp_path, caplog, monkeypatch, command, key
+    ):
+        missing = tmp_path / "nowhere.csv"
+        settings = self.corpus_settings(small_corpus, tmp_path) | {key: missing}
+        cfg = write_config(tmp_path / "a.conf", [f"{k} = {v}" for k, v in settings.items()])
+
+        def no_work(*args, **kwargs):  # pragma: no cover - must never run
+            raise AssertionError("an input was loaded before every path was checked")
+
+        # Every path is checked before any input is read.
+        monkeypatch.setattr(traceloc.cli, "_read_traceroutes", no_work)
+        monkeypatch.setattr(traceloc.cli, "load_city_catalog", no_work)
+        self.assert_one_config_error([command, "--config", str(cfg)], caplog)
+        assert str(missing) in caplog.records[-1].getMessage()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, occupied",
+        [
+            ("run", "ips.jsonl"),
+            ("run", "summary.csv"),
+            ("synth", "world.json"),
+            ("synth", "displaced.json"),
+        ],
+    )
+    def test_output_path_that_is_a_directory_is_config_error(
+        self, small_corpus, tmp_path, caplog, command, occupied
+    ):
+        settings = self.corpus_settings(small_corpus, tmp_path) | {
+            "synth.n_routers": 24,
+            "synth.n_cities": 12,
+            "synth.n_paths": 50,
+        }
+        (settings["out_dir"] / occupied).mkdir(parents=True)
+        cfg = write_config(tmp_path / "a.conf", [f"{k} = {v}" for k, v in settings.items()])
+        self.assert_one_config_error([command, "--config", str(cfg)], caplog)
+        assert occupied in caplog.records[-1].getMessage()
 
     def test_synth_rejects_impossible_world(self, tmp_path, data_dir):
         cfg = write_config(

@@ -1,10 +1,11 @@
-"""The README's library snippet runs as written on a synthetic corpus."""
+"""The README's library snippet runs as written on a synthetic corpus, and
+its configuration reference names the keys the config reader accepts."""
 from __future__ import annotations
 
 import re
 from pathlib import Path
 
-from traceloc.cli import main
+from traceloc.cli import _SECTION_TYPES, _TOP_KEYS, main
 from traceloc.refine import IpStatus
 from tests.conftest import write_plane_catalog
 
@@ -46,3 +47,25 @@ def test_library_snippet_runs(tmp_path, monkeypatch):
     assert set(namespace["outcomes"]) == tagged
     assert set(namespace["baseline"]) == set(namespace["states"])
     assert namespace["table"].total_traceroutes == len(namespace["paths"])
+
+
+def config_reference_keys() -> set[str]:
+    """The keys the README's "Configuration reference" names: every
+    backticked word of the "Top level:" paragraph, and of each
+    "`<section>.*`" paragraph with that section's prefix."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for paragraph in section.split("\n\n"):
+        head = re.match(r"\s*(?:Top level:|`(\w+)\.\*`)", paragraph)
+        if head:
+            prefix = f"{head.group(1)}." if head.group(1) else ""
+            keys |= {prefix + name for name in re.findall(r"`([a-z_]+)`", paragraph)}
+    return keys
+
+
+def test_config_reference_names_every_accepted_key():
+    accepted = set(_TOP_KEYS) | {"threads"} | {
+        f"{section}.{name}" for section, fields in _SECTION_TYPES.items() for name in fields
+    }
+    assert config_reference_keys() == accepted

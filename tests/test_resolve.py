@@ -538,10 +538,10 @@ class TestResolveLocation:
         index = SpatialIndex(catalog)
         buffers = [buffer_at(-10, 40), buffer_at(15, 40), buffer_at(280, 40)]
         fix = resolve_location(buffers, index, ResolveConfig())
-        assert fix.polygon_id == 0
+        assert fix.city.polygon_id == 0
         assert fix.max_overlap == 2
         assert fix.point == catalog[0].centroid
-        assert fix.city_point == catalog[0].centroid
+        assert fix.city.centroid == catalog[0].centroid
 
     def test_fewer_than_min_anchors_unresolvable(self):
         index = SpatialIndex(grid_catalog([0]))
@@ -565,8 +565,8 @@ class TestResolveLocation:
             (catalog[0].centroid.lon + catalog[1].centroid.lon) / 2,
         )
         assert fix.point == mean
-        assert fix.polygon_id in (0, 1)
-        assert fix.city_point == catalog[fix.polygon_id].centroid
+        assert fix.city.polygon_id in (0, 1)
+        assert fix.city.centroid == catalog[fix.city.polygon_id].centroid
 
     def test_tie_merge_escalates_to_100km(self):
         catalog = grid_catalog([0, 90])
@@ -614,17 +614,106 @@ class TestResolveLocation:
             winners = [pid for pid, n in counts.items() if n == top]
             assert fix.max_overlap == top, f"trial {trial}"
             if len(winners) == 1 and fix.point is not None:
-                assert fix.polygon_id == winners[0], f"trial {trial}"
+                assert fix.city.polygon_id == winners[0], f"trial {trial}"
+
+
+def reference_single_linkage(ids, points, threshold_km):
+    """Number of connected components when linking ids whose points sit
+    within ``threshold_km`` of each other, by union-find."""
+    parent = {i: i for i in ids}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            if haversine_km(points[a], points[b]) <= threshold_km:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
+    return len({find(i) for i in ids})
+
+
+def reference_widening_resolve(discs, index, min_anchors, start_km, step_km, max_km):
+    """:func:`resolve_location` before it made one linkage test at the cap:
+    tied winners are linked at ``start_km``, then at distances widening by
+    ``step_km`` up to ``max_km``, until they form one group.  Returns
+    ``(point, polygon id, max_overlap)`` and the linkage distance of the
+    last test (None when no tie was tested)."""
+    if len(discs) < min_anchors:
+        return (None, None, 0), None
+    counts = {}
+    for center, radius_km in discs:
+        for pid in index.query(center, radius_km):
+            counts[pid] = counts.get(pid, 0) + 1
+    if not counts:
+        return (None, None, 0), None
+    top = max(counts.values())
+    tied = sorted(pid for pid, n in counts.items() if n == top)
+    if len(tied) == 1:
+        return (index.polygon(tied[0]).centroid, tied[0], top), None
+    centroids = {pid: index.polygon(pid).centroid for pid in tied}
+    threshold = start_km
+    while True:
+        if reference_single_linkage(tied, centroids, threshold) == 1:
+            mean = GeoPoint(
+                sum(c.lat for c in centroids.values()) / len(tied),
+                sum(c.lon for c in centroids.values()) / len(tied),
+            )
+            nearest = min(tied, key=lambda pid: (haversine_km(mean, centroids[pid]), pid))
+            return (mean, nearest, top), threshold
+        if threshold >= max_km:
+            return (None, None, top), threshold
+        threshold = min(threshold + step_km, max_km)
+
+
+class TestOneTieTestMatchesWideningLoop:
+    def test_random_tied_catalogs(self):
+        """Cities spread over a few hundred km, voted by wide discs that
+        cover them all and narrow ones that pick a few, so most votes end in
+        a tie: one linkage test at the cap gives what the widening loop gave
+        for any start at or below the cap and any step."""
+        rng = random.Random(1406)
+        seen = {"merged": 0, "merged_after_widening": 0, "apart": 0, "single": 0}
+        for trial in range(400):
+            spread_km = rng.choice([60.0, 150.0, 400.0])
+            catalog = [
+                CityPolygon(i, f"c{i}", "FR", pt(rng.uniform(0, spread_km), rng.uniform(0, spread_km)), 10.0)
+                for i in range(rng.randint(2, 9))
+            ]
+            index = SpatialIndex(catalog)
+            discs = [buffer_at(spread_km / 2, spread_km, spread_km / 2)] * rng.randint(1, 3)
+            discs += [
+                buffer_at(rng.uniform(0, spread_km), rng.uniform(10, 80), rng.uniform(0, spread_km))
+                for _ in range(rng.randint(0, 2))
+            ]
+            cap = rng.uniform(20.0, 300.0)
+            start = rng.uniform(1.0, cap)
+            step = rng.uniform(1.0, 120.0)
+            fix = resolve_location(discs, index, ResolveConfig(tie_merge_max_km=cap))
+            want, last_km = reference_widening_resolve(discs, index, 2, start, step, cap)
+            got = (fix.point, fix.city.polygon_id if fix.city else None, fix.max_overlap)
+            assert got == want, f"trial {trial}"
+            if last_km is None:
+                seen["single"] += fix.city is not None
+            elif fix.city is None:
+                seen["apart"] += 1
+            else:
+                seen["merged"] += 1
+                seen["merged_after_widening"] += last_km > start
+        assert all(n > 0 for n in seen.values()), seen
 
 
 class TestClassify:
     def _fix(self, x_km, city_x_km=None):
-        p = pt(x_km)
+        city_x_km = x_km if city_x_km is None else city_x_km
         return LocationFix(
-            point=p,
-            polygon_id=0,
+            point=pt(x_km),
+            city=CityPolygon(0, "fixed", "FR", pt(city_x_km), 20.0),
             max_overlap=3,
-            city_point=pt(city_x_km) if city_x_km is not None else p,
         )
 
     def test_nearby_candidate_demotes(self):
