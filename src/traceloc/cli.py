@@ -21,6 +21,7 @@ import logging
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import ingest, report
 from .diagnostics import Diagnostics, logger
@@ -247,13 +248,23 @@ def _make_out_dir(cfg: PipelineConfig) -> Path:
     return out_dir
 
 
-@contextlib.contextmanager
-def _writing_to(out_dir: Path):
-    """An output file that cannot be written (a directory in its place, say)
-    is a config error, like an ``out_dir`` that cannot be created."""
+def _write_outputs(out_dir: Path, writers: dict[str, Callable[[Path], object]]) -> None:
+    """Write each named file of ``out_dir`` with its writer, or none.  Like an
+    ``out_dir`` that cannot be created, a config error: found before any write
+    when a path exists as something other than a file, and after deleting the
+    files written so far on any other ``OSError``."""
+    for name in writers:
+        if (out_dir / name).exists() and not (out_dir / name).is_file():
+            raise ConfigError(f"cannot write to out_dir {out_dir}: {out_dir / name} is not a file")
+    written: list[Path] = []
     try:
-        yield
+        for name, write in writers.items():
+            written.append(out_dir / name)
+            write(out_dir / name)
     except OSError as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
         raise ConfigError(f"cannot write to out_dir {out_dir}: {exc}") from exc
 
 
@@ -310,12 +321,13 @@ def run(cfg: PipelineConfig) -> int:
     hist = report.cluster_histogram(states, baseline)
     distances, under_20 = report.distance_cdf(outcomes, snapshot, diag)
     deltas, changed_fraction = report.country_delta(outcomes, snapshot)
-    with _writing_to(out_dir):
-        report.write_summary_csv(table, out_dir / "summary.csv")
-        report.write_histogram_csv(hist, out_dir / "clusters_hist.csv")
-        report.write_distance_cdf_csv(distances, out_dir / "distance_cdf.csv")
-        report.write_country_delta_csv(deltas, out_dir / "country_delta.csv")
-        _write_ips_jsonl(states, outcomes, out_dir / "ips.jsonl")
+    _write_outputs(out_dir, {
+        "summary.csv": lambda path: report.write_summary_csv(table, path),
+        "clusters_hist.csv": lambda path: report.write_histogram_csv(hist, path),
+        "distance_cdf.csv": lambda path: report.write_distance_cdf_csv(distances, path),
+        "country_delta.csv": lambda path: report.write_country_delta_csv(deltas, path),
+        "ips.jsonl": lambda path: _write_ips_jsonl(states, outcomes, path),
+    })
 
     tagged = sum(1 for s in states.values() if s.status is IpStatus.ANOMALOUS)
     logger.info(
@@ -383,15 +395,19 @@ def synth_cmd(cfg: PipelineConfig) -> int:
             f"{synth.max_path_attempts(s.n_paths)} attempts",
         )
 
-    with _writing_to(out_dir):
-        synth.save_world(world, out_dir / "world.json")
-        with (out_dir / "traceroutes.jsonl").open("w", encoding="utf-8") as fh:
+    def write_traceroutes(path: Path) -> None:
+        with path.open("w", encoding="utf-8") as fh:
             ingest.dump_native(paths, fh)
-        ingest.write_geo_snapshot(snapshot, out_dir / "snapshot.csv")
-        (out_dir / "displaced.json").write_text(
+
+    _write_outputs(out_dir, {
+        "world.json": lambda path: synth.save_world(world, path),
+        "traceroutes.jsonl": write_traceroutes,
+        "snapshot.csv": lambda path: ingest.write_geo_snapshot(snapshot, path),
+        "displaced.json": lambda path: path.write_text(
             json.dumps({"displaced": sorted(displaced, key=ip_key)}, indent=2) + "\n",
             encoding="utf-8",
-        )
+        ),
+    })
     logger.info(
         "synth: %d routers, %d links, %d tunnels, %d paths, %d displaced ips",
         len(world.routers), len(world.links), len(world.mpls_tunnels),

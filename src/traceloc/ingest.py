@@ -183,7 +183,7 @@ def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTracer
     msm = doc["msm_id"]
     prb = doc["prb_id"]
     ts = doc["timestamp"]
-    if not isinstance(ts, int) or ts <= 0:
+    if type(ts) is not int or ts <= 0:  # exact: a bool is no timestamp
         raise ValueError("timestamp must be a positive integer")
     hops_raw = doc.get("result", [])
     if not isinstance(hops_raw, list):
@@ -194,21 +194,24 @@ def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTracer
         if not isinstance(entry, dict) or "hop" not in entry:
             continue
         hop_no = entry["hop"]
-        if not isinstance(hop_no, int) or hop_no < 1:
+        if type(hop_no) is not int or hop_no < 1:  # exact: a bool is no hop number
             continue
-        hop = by_index.setdefault(hop_no, RawHop(hop_index=hop_no))
+        hop = by_index.get(hop_no)
+        if hop is None:
+            hop = by_index[hop_no] = RawHop(hop_no)
+        append = hop.replies.append
         for reply in entry.get("result", []) or []:
             if not isinstance(reply, dict):
                 continue
             responder = reply.get("from")
-            v = version(responder) if isinstance(responder, str) else 0
-            if v != 4:
-                ipv6 += v == 6
-                responder = None
+            if responder is not None:  # None is a timeout
+                v = version(responder) if isinstance(responder, str) else 0
+                if v != 4:
+                    ipv6 += v == 6
+                    responder = None
             rtt = reply.get("rtt")
-            if type(rtt) not in _JSON_NUMBER or not 0 <= rtt < math.inf:
-                rtt = None
-            hop.replies.append((responder, float(rtt) if rtt is not None else None))
+            ok = (type(rtt) is float or type(rtt) in _JSON_NUMBER) and 0 <= rtt < math.inf
+            append((responder, float(rtt) if ok else None))
     hops = [by_index[k] for k in sorted(by_index)]
     rt = RawTraceroute(measurement_id=str(msm), probe_id=str(prb), timestamp=ts, hops=hops)
     return rt, ipv6
@@ -231,15 +234,22 @@ def normalize(rt: RawTraceroute, diag: Diagnostics | None = None) -> CleanPath |
 def _normalize(
     rt: RawTraceroute, bogon: Callable[[str], bool], diag: Diagnostics
 ) -> CleanPath | None:
+    """:func:`normalize` with a shared bogon test.  A hop whose replies all
+    name one responder and all carry an RTT takes that responder unvoted."""
     ident = f"{rt.measurement_id}-{rt.probe_id}-{rt.timestamp}"
     kept: list[tuple[str, float]] = []
     seen: set[str] = set()
     for hop in rt.hops:
-        responders = [ip for ip, _ in hop.replies if ip is not None]
-        rtts = sorted(rtt for _, rtt in hop.replies if rtt is not None)
-        if not responders or not rtts:
-            continue
-        ip = max(responders, key=responders.count)  # the first of a tie
+        replies = hop.replies
+        ip = replies[0][0] if replies else None
+        rtts = [rtt for r, rtt in replies if r == ip and rtt is not None]
+        if ip is None or len(rtts) != len(replies):  # not one responder with every RTT: vote
+            responders = [r for r, _ in replies if r is not None]
+            rtts = [rtt for _, rtt in replies if rtt is not None]
+            if not responders or not rtts:
+                continue
+            ip = max(responders, key=responders.count)  # the first of a tie
+        rtts.sort()
         if bogon(ip) or (kept and kept[-1][0] == ip):
             continue  # a bogon, or a repeat of the hop before, which keeps its RTT
         if ip in seen:
@@ -343,9 +353,13 @@ def load_geo_snapshot(
 ) -> dict[str, list[GeoRecord]]:
     """Load a geolocation snapshot CSV (``ip,source,lat,lon,city,country``).
 
-    Malformed rows (a bad byte in source, city or country among them) and
-    coordinate-range violations are skipped with a warning; duplicate
-    (ip, source) rows keep the first occurrence.  A missing file is fatal.
+    Rows are read by position as ``csv.DictReader`` reads them: a repeated
+    column name reads its last column, a short row lacks its missing fields,
+    extra fields are ignored and blank lines skipped.  Malformed rows (a bad
+    byte in source, city or country among them) and coordinate-range
+    violations are skipped with a warning naming the file line the row ends
+    on; duplicate (ip, source) rows keep the first occurrence.  A missing
+    file is fatal.
     """
     diag = diag or Diagnostics()
     version = functools.cache(_ip_version)
@@ -356,27 +370,32 @@ def load_geo_snapshot(
     seen: set[tuple[str, str]] = set()
     # A bad byte reads as a lone surrogate, and the check below counts its row.
     with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.DictReader(fh)
-        required = {"ip", "source", "lat", "lon", "city", "country"}
-        header = set(reader.fieldnames or [])
-        if not required.issubset(header):
-            raise ValueError(f"snapshot {path} missing columns {sorted(required - header)}")
-        for lineno, row in enumerate(reader, start=2):
-            ip = (row["ip"] or "").strip()
-            source = (row["source"] or "").strip()
+        reader = csv.reader(fh)
+        column = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name: its last
+        required = ("ip", "source", "lat", "lon", "city", "country")
+        if missing := sorted(set(required) - column.keys()):
+            raise ValueError(f"snapshot {path} missing columns {missing}")
+        at = [column[name] for name in required]
+        for row in reader:
+            if not row:
+                continue
+            ip, source, lat, lon, city, country = [row[i] if i < len(row) else None for i in at]
+            lineno = reader.line_num
+            ip = (ip or "").strip()
+            source = (source or "").strip()
             if version(ip) != 4 or not source:
                 diag.warn("snapshot_malformed", f"{path}:{lineno}: bad ip/source")
                 continue
-            city = (row["city"] or "").strip()
-            country = (row["country"] or "").strip().upper()
+            city = (city or "").strip()
+            country = (country or "").strip().upper()
             try:
                 (source + city + country).encode("utf-8")
             except UnicodeEncodeError:
                 diag.warn("snapshot_malformed", f"{path}:{lineno}: not valid UTF-8")
                 continue
             try:
-                lat = float(row["lat"])
-                lon = float(row["lon"])
+                lat = float(lat)
+                lon = float(lon)
             except (TypeError, ValueError):
                 diag.warn("snapshot_malformed", f"{path}:{lineno}: bad coordinates")
                 continue
@@ -387,16 +406,7 @@ def load_geo_snapshot(
                 diag.warn("snapshot_duplicate", f"{path}:{lineno}: duplicate ({ip}, {source})")
                 continue
             seen.add((ip, source))
-            by_ip.setdefault(ip, []).append(
-                GeoRecord(
-                    ip=ip,
-                    source=source,
-                    lat=lat,
-                    lon=lon,
-                    city=city,
-                    country=country,
-                )
-            )
+            by_ip.setdefault(ip, []).append(GeoRecord(ip, source, lat, lon, city, country))
     return by_ip
 
 

@@ -162,62 +162,54 @@ def pair_budgets(pairs: list[NeighborPair], cfg: RefineConfig) -> list[PairBudge
     return [PairBudgets(pair, cfg) for pair in pairs]
 
 
-def _score_ip(
-    state: CandidateState,
-    sides: list[tuple[PairBudgets, bool]],
-    states: dict[str, CandidateState],
-) -> None:
-    """Score one IP's candidates against the candidate sets its neighbors
-    currently hold and store the ratios.  Every candidate meets the same
-    neighbor candidates and observations, so the evaluation totals are per
-    IP and only the feasible counts are per candidate.  When no neighbor
-    holds candidates the ratios carry over."""
-    prev_feas = {c.cluster_id: 0 for c in state.candidates}
-    next_feas = dict(prev_feas)
-    prev_total = next_total = 0
-    evaluated = False
-    for pb, is_a in sides:
-        other = states.get(pb.ip_b if is_a else pb.ip_a)
-        if other is None or not other.candidates:
-            continue
-        evaluated = True
-        # Budgets where the neighbor came first count toward the previous-
-        # direction ratio; the rest toward the next-direction ratio.
-        n_a_first, n_b_first = len(pb.budgets_a_first), len(pb.budgets_b_first)
-        prev_total += (n_b_first if is_a else n_a_first) * len(other.candidates)
-        next_total += (n_a_first if is_a else n_b_first) * len(other.candidates)
-        for cand in state.candidates:
-            cid = cand.cluster_id
-            for other_cand in other.candidates:
-                if is_a:
-                    next_f, prev_f = pb.feasible(cand, other_cand)
-                else:
-                    prev_f, next_f = pb.feasible(other_cand, cand)
-                prev_feas[cid] += prev_f
-                next_feas[cid] += next_f
-    if not evaluated:
-        return
-    total = prev_total + next_total
-    state.ratio = {k: (prev_feas[k] + next_feas[k]) / total if total else 1.0 for k in prev_feas}
-    state.prev_ratio = {k: f / prev_total if prev_total else None for k, f in prev_feas.items()}
-    state.next_ratio = {k: f / next_total if next_total else None for k, f in next_feas.items()}
-    state.evaluations = total
-
-
 def score_iteration(
     states: dict[str, CandidateState], budgets: list[PairBudgets]
 ) -> dict[str, CandidateState]:
     """Score one round: every candidate of every IP against every neighbor
     candidate and every observation.  Updates ratios in place and returns
-    the states.  Scoring an IP reads only candidate lists and writes only
-    ratio maps and evaluation counts, so every IP is scored against the
-    same candidate sets whatever the order."""
-    by_ip: dict[str, list[tuple[PairBudgets, bool]]] = {}
+    the states.  One pass reads each pair's feasibility once per candidate
+    pair and credits each end whose other end holds candidates: an a-first
+    budget counts toward ``ip_a``'s next and ``ip_b``'s previous direction,
+    a b-first one the other way round.  Every candidate of an IP meets the
+    same neighbor candidates, so the totals are per IP.  An IP never
+    credited keeps its ratios, and scoring reads only candidate lists, so
+    every IP is scored against the same candidate sets."""
+    # Per credited IP: previous- and next-direction feasible counts per
+    # candidate, and the two totals.
+    sums: dict[str, tuple[dict[int, int], dict[int, int], list[int]]] = {}
+
+    def credit(ip: str, state: CandidateState, n_prev: int, n_next: int):
+        got = sums.get(ip)
+        if got is None:
+            zero = {c.cluster_id: 0 for c in state.candidates}
+            got = sums[ip] = (zero, dict(zero), [0, 0])
+        got[2][0] += n_prev
+        got[2][1] += n_next
+        return got
+
     for pb in budgets:
-        by_ip.setdefault(pb.ip_a, []).append((pb, True))
-        by_ip.setdefault(pb.ip_b, []).append((pb, False))
-    for ip, state in states.items():
-        _score_ip(state, by_ip.get(ip, []), states)
+        a, b = states.get(pb.ip_a), states.get(pb.ip_b)
+        if a is None or b is None:
+            continue
+        n_a, n_b = len(pb.budgets_a_first), len(pb.budgets_b_first)
+        if b.candidates:
+            prev_a, next_a, _ = credit(pb.ip_a, a, n_b * len(b.candidates), n_a * len(b.candidates))
+        if a.candidates:
+            prev_b, next_b, _ = credit(pb.ip_b, b, n_a * len(a.candidates), n_b * len(a.candidates))
+        for cand_a in a.candidates:  # both ends hold candidates, so both were credited
+            for cand_b in b.candidates:
+                f_a, f_b = pb.feasible(cand_a, cand_b)
+                next_a[cand_a.cluster_id] += f_a
+                prev_a[cand_a.cluster_id] += f_b
+                prev_b[cand_b.cluster_id] += f_a
+                next_b[cand_b.cluster_id] += f_b
+    for ip, (prev_feas, next_feas, (prev_total, next_total)) in sums.items():
+        state = states[ip]
+        total = prev_total + next_total
+        state.ratio = {k: (prev_feas[k] + next_feas[k]) / total if total else 1.0 for k in prev_feas}
+        state.prev_ratio = {k: f / prev_total if prev_total else None for k, f in prev_feas.items()}
+        state.next_ratio = {k: f / next_total if next_total else None for k, f in next_feas.items()}
+        state.evaluations = total
     return states
 
 

@@ -805,6 +805,36 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "a.conf", [f"{k} = {v}" for k, v in settings.items()])
         self.assert_one_config_error([command, "--config", str(cfg)], caplog)
         assert occupied in caplog.records[-1].getMessage()
+        # Checked before anything is written: no other output file exists.
+        assert [p.name for p in settings["out_dir"].iterdir()] == [occupied]
+
+    @pytest.mark.parametrize(
+        "command, module, writer",
+        [
+            ("run", traceloc.cli, "_write_ips_jsonl"),
+            ("synth", traceloc.ingest, "write_geo_snapshot"),
+        ],
+    )
+    def test_failed_write_deletes_the_files_written(
+        self, small_corpus, tmp_path, caplog, monkeypatch, command, module, writer
+    ):
+        settings = self.corpus_settings(small_corpus, tmp_path) | {
+            "synth.n_routers": 24,
+            "synth.n_cities": 12,
+            "synth.n_paths": 50,
+        }
+        cfg = write_config(tmp_path / "a.conf", [f"{k} = {v}" for k, v in settings.items()])
+
+        def disk_full(*args):
+            path = next(a for a in args if isinstance(a, Path))
+            path.write_text("partial")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(module, writer, disk_full)
+        self.assert_one_config_error([command, "--config", str(cfg)], caplog)
+        assert "No space left on device" in caplog.records[-1].getMessage()
+        # The files written before it, and its own partial file, are gone.
+        assert list(settings["out_dir"].iterdir()) == []
 
     def test_synth_rejects_impossible_world(self, tmp_path, data_dir):
         cfg = write_config(

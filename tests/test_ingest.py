@@ -8,6 +8,7 @@ import io
 import ipaddress
 import json
 import logging
+import re
 import statistics
 import tempfile
 from pathlib import Path
@@ -279,6 +280,29 @@ class TestParseAtlas:
         assert len(rt.hops) == 1
         assert rt.hops[0].replies == [("198.51.100.1", 1.0), ("198.51.100.1", 1.2)]
 
+    def test_bool_timestamp_is_malformed(self):
+        # true is an int to isinstance, and would make path id 1-2-True.
+        diag = Diagnostics()
+        assert parse_atlas(['{"msm_id": 1, "prb_id": 2, "timestamp": true, "result": []}'], diag) == []
+        assert diag.count("atlas_malformed") == 1
+
+    def test_bool_hop_number_is_skipped(self):
+        # true == 1 as a dict key, so it would merge into hop 1; it is
+        # skipped like the hop number "2".
+        doc = {
+            "msm_id": 1,
+            "prb_id": 2,
+            "timestamp": 100,
+            "result": [
+                {"hop": 1, "result": [{"from": "198.51.100.1", "rtt": 1.0}]},
+                {"hop": True, "result": [{"from": "198.51.100.9", "rtt": 9.0}]},
+            ],
+        }
+        diag = Diagnostics()
+        (rt,) = parse_atlas([json.dumps(doc)], diag)
+        assert [(h.hop_index, h.replies) for h in rt.hops] == [(1, [("198.51.100.1", 1.0)])]
+        assert diag.total() == 0
+
 
 def raw(hops, msm="1", prb="2", ts=100):
     return RawTraceroute(
@@ -316,6 +340,15 @@ class TestNormalize:
         ])
         path = normalize(rt)
         assert path.hops[0][0] == "198.51.100.1"
+
+    def test_majority_responder_beats_first_seen(self):
+        # Every reply has an RTT but the first responder is outvoted; the
+        # median still runs over every reply's RTT.
+        rt = raw([
+            [("198.51.100.2", 1.0), ("198.51.100.1", 3.0), ("198.51.100.1", 2.0)],
+            [("198.51.100.9", 5.0)],
+        ])
+        assert normalize(rt).hops[0] == ("198.51.100.1", 2.0)
 
     def test_median_rtt_ignores_null_slots(self):
         rt = raw([
@@ -420,18 +453,23 @@ class RecordingDiagnostics(Diagnostics):
 
 # Generated exports.  The draws are weighted towards valid values (a reply
 # from the hop's own address with a plain RTT), so most records keep a
-# path; the rest give every case the reader handles: repeated and bad hop
+# path.  Half the hops are uniform: one to five replies from the hop's own
+# address, each with a valid RTT, the hops normalisation takes without a
+# vote.  The rest give every case the reader handles: repeated and bad hop
 # numbers, responders seen on other hops (loops), bogons, IPv6 and invalid
 # ``from``, null/bool/NaN/negative/string RTTs, short paths, and ids
 # drawn from a small pool, so they collide.
 BAD_RTTS = [None, True, False, float("nan"), float("inf"), -1.0, "7"]
 
 
+valid_rtts = st.floats(min_value=0.0, max_value=50.0) | st.integers(0, 50)
+
+
 @st.composite
 def rtts(draw):
     """A plain RTT five times in six, else one that is no RTT."""
     if draw(st.integers(min_value=0, max_value=5)) < 5:
-        return draw(st.floats(min_value=0.0, max_value=50.0) | st.integers(0, 50))
+        return draw(valid_rtts)
     return draw(st.sampled_from(BAD_RTTS))
 
 
@@ -445,6 +483,11 @@ def atlas_records(draw):
     hop = 0
     for _ in range(draw(st.integers(min_value=1, max_value=7))):
         hop += draw(st.sampled_from([1, 0, 2]))  # 0 repeats a hop number
+        if draw(st.booleans()):  # uniform: the hop's own address, every RTT valid
+            n = draw(st.integers(min_value=1, max_value=5))
+            replies = [{"from": f"198.51.100.{hop}", "rtt": draw(valid_rtts)} for _ in range(n)]
+            result.append({"hop": hop, "result": replies})
+            continue
         replies = []
         for _ in range(draw(st.integers(min_value=1, max_value=3))):
             kind = draw(st.sampled_from(["own", "own", "seen", "other", "timeout"]))
@@ -787,6 +830,115 @@ class TestReaderFuzz:
         assert kept + rejected == rows
 
 
+
+def reference_load_geo_snapshot(path, diag):
+    """The snapshot loader as it was before it read rows by position: one
+    ``csv.DictReader`` dict per row, and warnings numbered by the rows it
+    yields.  Kept to pin the loader's records and warnings to its old ones."""
+    version = ingest._ip_version
+    by_ip, seen = {}, set()
+    with Path(path).open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.DictReader(fh)
+        required = {"ip", "source", "lat", "lon", "city", "country"}
+        header = set(reader.fieldnames or [])
+        if not required.issubset(header):
+            raise ValueError(f"snapshot {path} missing columns {sorted(required - header)}")
+        for lineno, row in enumerate(reader, start=2):
+            ip = (row["ip"] or "").strip()
+            source = (row["source"] or "").strip()
+            if version(ip) != 4 or not source:
+                diag.warn("snapshot_malformed", f"{path}:{lineno}: bad ip/source")
+                continue
+            city = (row["city"] or "").strip()
+            country = (row["country"] or "").strip().upper()
+            try:
+                (source + city + country).encode("utf-8")
+            except UnicodeEncodeError:
+                diag.warn("snapshot_malformed", f"{path}:{lineno}: not valid UTF-8")
+                continue
+            try:
+                lat = float(row["lat"])
+                lon = float(row["lon"])
+            except (TypeError, ValueError):
+                diag.warn("snapshot_malformed", f"{path}:{lineno}: bad coordinates")
+                continue
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                diag.warn("snapshot_range", f"{path}:{lineno}: coordinates out of range")
+                continue
+            if (ip, source) in seen:
+                diag.warn("snapshot_duplicate", f"{path}:{lineno}: duplicate ({ip}, {source})")
+                continue
+            seen.add((ip, source))
+            by_ip.setdefault(ip, []).append(GeoRecord(ip, source, lat, lon, city, country))
+    return by_ip
+
+
+SNAPSHOT_COLUMNS = ["ip", "source", "lat", "lon", "city", "country"]
+# Plausible and broken values per column; "\udcff" is written as the byte
+# 0xff, which is not UTF-8.
+SNAPSHOT_VALUES = {
+    "ip": ["198.51.100.1", "198.51.100.2", " 198.51.100.3 ", "10.0.0.1", "2001:db8::1", "x", ""],
+    "source": ["db1", "db2", " db1", "d\udcffb", ""],
+    "lat": ["48.85", "-33.9", "91", "abc", "nan", ""],
+    "lon": ["2.35", "151.2", "-181", "1e400", ""],
+    "city": ["Paris", "Par\nis", "Par\udcffis", ""],
+    "country": ["fr", "AU", "F\udcff", ""],
+}
+
+
+@st.composite
+def snapshot_files(draw):
+    """Snapshot CSV text: the six columns in any order, some repeated, one
+    now and then missing, extra columns; rows that are short, long or
+    blank, with any column's value drawn under any name."""
+    header = list(draw(st.permutations(SNAPSHOT_COLUMNS)))
+    for extra in draw(st.lists(st.sampled_from(SNAPSHOT_COLUMNS + ["asn", "note"]), max_size=3)):
+        header.insert(draw(st.integers(0, len(header))), extra)
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from(SNAPSHOT_COLUMNS)))
+    values = st.sampled_from(sorted({v for vs in SNAPSHOT_VALUES.values() for v in vs}))
+    rows = [header]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["full", "full", "full", "short", "long", "blank"]))
+        if kind == "blank":
+            rows.append([])
+            continue
+        row = [
+            draw(st.sampled_from(SNAPSHOT_VALUES[name]) if name in SNAPSHOT_VALUES else values)
+            for name in header
+        ]
+        if kind == "short":
+            row = row[: draw(st.integers(1, max(1, len(row) - 1)))]
+        elif kind == "long":
+            row += draw(st.lists(values, min_size=1, max_size=3))
+        rows.append(row)
+    return csv_rows(rows)
+
+
+def without_line(message, path):
+    return re.sub(rf"^{re.escape(str(path))}:\d+: ", f"{path}: ", message)
+
+
+class TestGeoSnapshotMatchesReference:
+    @GENERATED
+    @given(snapshot_files())
+    def test_generated_snapshots(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "snapshot.csv"
+            f.write_bytes(text.encode("utf-8", errors="surrogateescape"))
+            results = []
+            for load in (load_geo_snapshot, reference_load_geo_snapshot):
+                diag = RecordingDiagnostics()
+                try:
+                    results.append((load(f, diag), None))
+                except ValueError as exc:
+                    results.append((None, str(exc)))
+                warnings = [(name, without_line(m, f), n) for name, m, n in diag.warnings]
+                results.append((diag.counters, warnings))
+        got_records, got_warnings, want_records, want_warnings = results
+        assert got_records == want_records
+        assert got_warnings == want_warnings
+
 class TestBogonsAndKeys:
     @pytest.mark.parametrize(
         "ip,expected",
@@ -867,6 +1019,28 @@ class TestGeoSnapshot:
         assert diag.total() == diag.count("snapshot_malformed") == 3
         assert [r.getMessage() for r in caplog.records] == [
             f"snapshot_malformed: {f}:{line}: not valid UTF-8" for line in (2, 3, 4)
+        ]
+
+    def test_warnings_name_the_file_line(self, tmp_path, caplog):
+        # A blank line 3 is skipped but still counts; a quoted city that
+        # spans lines 5-6 is named by the line its row ends on.
+        f = tmp_path / "snap.csv"
+        f.write_text(
+            "ip,source,lat,lon,city,country\n"
+            "198.51.100.1,db1,48.85,2.35,Paris,FR\n"
+            "\n"
+            "198.51.100.2,db1,abc,2.35,Paris,FR\n"
+            '198.51.100.3,db1,999,2.35,"Par\nis",FR\n'
+            "198.51.100.1,db1,48.85,2.35,Paris,FR\n"
+        )
+        diag = Diagnostics()
+        with caplog.at_level(logging.WARNING, logger="traceloc"):
+            loaded = load_geo_snapshot(f, diag)
+        assert list(loaded) == ["198.51.100.1"]
+        assert caplog.messages == [
+            f"snapshot_malformed: {f}:4: bad coordinates",
+            f"snapshot_range: {f}:6: coordinates out of range",
+            f"snapshot_duplicate: {f}:7: duplicate (198.51.100.1, db1)",
         ]
 
     def test_missing_file_fatal(self, tmp_path):

@@ -6,14 +6,16 @@ import math
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceloc.diagnostics import Diagnostics
 from traceloc.geo import CityCluster, GeoPoint, cluster_candidates, haversine_km
 from traceloc.ingest import CleanPath, ip_key
 from traceloc.refine import (
+    CandidateState,
     IpStatus,
+    PairBudgets,
     RefineConfig,
     budget_km,
     extract_pairs,
@@ -308,6 +310,102 @@ class TestScoringMatchesReference:
             got, got_n = iterate(make_states(clusters), pair_budgets(pairs, cfg), cfg)
             assert got_n == want_n
             assert scored_fields(got) == scored_fields(want)
+
+
+
+def reference_per_side_score_iteration(
+    states: dict[str, CandidateState], budgets: list[PairBudgets]
+) -> dict[str, CandidateState]:
+    """The scoring round before it took one pass over the pairs: each IP is
+    scored on its own, from a list of the pair sides it sits on, so every
+    pair's feasibility table is read twice, once from each end."""
+    by_ip: dict[str, list[tuple[PairBudgets, bool]]] = {}
+    for pb in budgets:
+        by_ip.setdefault(pb.ip_a, []).append((pb, True))
+        by_ip.setdefault(pb.ip_b, []).append((pb, False))
+    for ip, state in states.items():
+        prev_feas = {c.cluster_id: 0 for c in state.candidates}
+        next_feas = dict(prev_feas)
+        prev_total = next_total = 0
+        evaluated = False
+        for pb, is_a in by_ip.get(ip, []):
+            other = states.get(pb.ip_b if is_a else pb.ip_a)
+            if other is None or not other.candidates:
+                continue
+            evaluated = True
+            n_a_first, n_b_first = len(pb.budgets_a_first), len(pb.budgets_b_first)
+            prev_total += (n_b_first if is_a else n_a_first) * len(other.candidates)
+            next_total += (n_a_first if is_a else n_b_first) * len(other.candidates)
+            for c in state.candidates:
+                for oc in other.candidates:
+                    if is_a:
+                        next_f, prev_f = pb.feasible(c, oc)
+                    else:
+                        prev_f, next_f = pb.feasible(oc, c)
+                    prev_feas[c.cluster_id] += prev_f
+                    next_feas[c.cluster_id] += next_f
+        if not evaluated:
+            continue
+        total = prev_total + next_total
+        state.ratio = {k: (prev_feas[k] + next_feas[k]) / total if total else 1.0 for k in prev_feas}
+        state.prev_ratio = {k: f / prev_total if prev_total else None for k, f in prev_feas.items()}
+        state.next_ratio = {k: f / next_total if next_total else None for k, f in next_feas.items()}
+        state.evaluations = total
+    return states
+
+
+@st.composite
+def scoring_corpora(draw):
+    """Up to eight IPs with zero to three candidates on a 3,000 km line, and
+    paths over them with RTTs from 0 to 30 ms.  An IP without candidates is
+    left out of the states or, as the library allows, holds an empty state;
+    a path may repeat an address, next to itself or further on."""
+    ips = [f"198.51.100.{i}" for i in range(1, draw(st.integers(2, 8)) + 1)]
+    xs = st.floats(min_value=0.0, max_value=3000.0)
+    clusters = {
+        ip: [cand(cid, draw(xs)) for cid in range(draw(st.integers(0, 3)))] for ip in ips
+    }
+    routes = st.lists(st.lists(st.sampled_from(ips), min_size=2, max_size=6), min_size=1, max_size=12)
+    rtts = st.floats(min_value=0.0, max_value=30.0)
+    paths = [
+        CleanPath(f"p{n}", [(ip, draw(rtts)) for ip in hops])
+        for n, hops in enumerate(draw(routes))
+    ]
+    empty = [ip for ip in ips if not clusters[ip] and draw(st.booleans())]
+    return clusters, empty, paths
+
+
+def ordered_scores(states):
+    """Ratio maps as ordered item lists, and evaluation counts, per IP."""
+    return {
+        ip: (
+            [c.cluster_id for c in s.candidates],
+            list(s.ratio.items()),
+            list(s.prev_ratio.items()),
+            list(s.next_ratio.items()),
+            s.evaluations,
+        )
+        for ip, s in states.items()
+    }
+
+
+class TestOnePassScoringMatchesPerSide:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(scoring_corpora(), st.sampled_from([0.0, 0.1, 0.5]))
+    def test_rounds_match(self, corpus, deviation_fraction):
+        clusters, empty, paths = corpus
+        cfg = RefineConfig(deviation_fraction=deviation_fraction)
+        budgets = pair_budgets(extract_pairs(paths), cfg)
+        got, want = (
+            make_states(clusters) | {ip: CandidateState(ip=ip, candidates=[]) for ip in empty}
+            for _ in range(2)
+        )
+        for _ in range(4):
+            score_iteration(got, budgets)
+            reference_per_side_score_iteration(want, budgets)
+            assert ordered_scores(got) == ordered_scores(want)
+            for state in [*got.values(), *want.values()]:
+                prune(state, cfg)
 
 
 class TestPrune:
