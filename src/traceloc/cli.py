@@ -353,6 +353,7 @@ def _write_ips_jsonl(
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
+@_collector_paused()
 def synth_cmd(cfg: PipelineConfig) -> int:
     """Generate a world, its traceroute corpus, and a corrupted snapshot."""
     from . import synth  # imported here, so that `run` never loads it

@@ -337,10 +337,13 @@ def load_native(stream: Iterable[str], diag: Diagnostics | None = None) -> list[
     return out
 
 
+_NATIVE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def serialize_native(path: CleanPath) -> str:
     """Canonical single-line encoding; parsing it back is the identity."""
     doc = {"path_id": path.path_id, "hops": [{"ip": ip, "rtt": rtt} for ip, rtt in path.hops]}
-    return json.dumps(doc, separators=(",", ":"))
+    return _NATIVE_ENCODER.encode(doc)
 
 
 def dump_native(paths: Iterable[CleanPath], fh: TextIO) -> None:
@@ -411,16 +414,21 @@ def load_geo_snapshot(
 
 
 def write_geo_snapshot(by_ip: dict[str, list[GeoRecord]], path: str | Path) -> Path:
-    """Write a snapshot CSV with deterministic row order (atomic replace)."""
+    """Write a snapshot CSV with deterministic row order (atomic replace).
+    If the write or the replace fails, the temporary file is deleted."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ip", "source", "lat", "lon", "city", "country"])
-        for ip in sorted(by_ip, key=ip_key):
-            for rec in sorted(by_ip[ip], key=lambda r: r.source):
-                writer.writerow([rec.ip, rec.source, repr(rec.lat), repr(rec.lon), rec.city, rec.country])
-    os.replace(tmp, path)
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["ip", "source", "lat", "lon", "city", "country"])
+            for ip in sorted(by_ip, key=ip_key):
+                for rec in sorted(by_ip[ip], key=lambda r: r.source):
+                    writer.writerow([rec.ip, rec.source, repr(rec.lat), repr(rec.lon), rec.city, rec.country])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

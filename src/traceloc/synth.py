@@ -179,8 +179,9 @@ def generate_world(
     links = set(backbone)
     for i in range(n):
         row = dist[i]
-        nearest = heapq.nsmallest(EXTRA_DEGREE, ((row[j], j) for j in range(n) if j != i))
-        for _, j in nearest:
+        # Ranked by key, which nsmallest keeps stable: ties go to the lower index.
+        peers = itertools.chain(range(i), range(i + 1, n))
+        for j in heapq.nsmallest(EXTRA_DEGREE, peers, key=row.__getitem__):
             links.add((min(i, j), max(i, j)))
 
     mst_adj: dict[int, list[int]] = {i: [] for i in range(n)}
@@ -241,7 +242,7 @@ def _shortest_path(
     adj: dict[int, list[tuple[int, float]]],
     src: int,
     dst: int,
-    cache: dict[int, tuple],
+    cache: dict[int, list],
     route_seed: str,
 ) -> tuple[list[float], tuple[list[int], ...]]:
     """Distances from ``src`` and one predecessor list per route variant,
@@ -254,25 +255,24 @@ def _shortest_path(
     variant's predecessor; at an equal-cost tie each variant flips its own
     coin, in variant order.  Neither moves a distance or the heap, so each
     variant sees exactly the pushes, pops and coin flips of its own search
-    over the whole graph, in the same order.  Pops come in non-decreasing
-    distance, so a settled node can be neither improved nor tied later (a
-    tie needs ``w > eps``, and then ``nd - dist[v] >= w``): every node on the
-    route back from a settled ``dst`` already has its final predecessor.
+    over the whole graph, in the same order.  Until the first tie, then,
+    every variant's list holds the same values: the variants share one list
+    and seed no coins until then, and the list is copied per variant there.
+    Pops come in non-decreasing distance, so a settled node can be neither
+    improved nor tied later (a tie needs ``w > eps``, and then
+    ``nd - dist[v] >= w``): every node on the route back from a settled
+    ``dst`` already has its final predecessor.
     """
     state = cache.get(src)
     if state is None:
         n = len(adj)
         dist = [math.inf] * n
         dist[src] = 0.0
-        preds = tuple([-1] * n for _ in range(_ROUTE_VARIANTS))
-        flips = tuple(
-            (pred, random.Random(f"route:{route_seed}:{src}:{variant}").random)
-            for variant, pred in enumerate(preds)
-        )
-        state = cache[src] = (dist, preds, [False] * n, [(0.0, src)], flips)
+        state = cache[src] = [dist, ([-1] * n,) * _ROUTE_VARIANTS, [False] * n, [(0.0, src)], ()]
     dist, preds, settled, heap, flips = state
     if settled[dst]:
         return dist, preds
+    written = preds if flips else preds[:1]  # the lists an improvement writes
     pop, push, eps = heapq.heappop, heapq.heappush, _TIE_EPS_KM
     while heap:
         d, u = pop(heap)
@@ -284,7 +284,7 @@ def _shortest_path(
             dv = dist[v]
             if nd < dv - eps:
                 dist[v] = nd
-                for pred in preds:
+                for pred in written:
                     pred[v] = u
                 push(heap, (nd, v))
             elif w > eps and -eps <= nd - dv <= eps:
@@ -295,6 +295,12 @@ def _shortest_path(
                 # which keeps the predecessor graph a tree.  Zero-weight ties
                 # (co-located routers) stay excluded — re-parenting through
                 # them can chain into a predecessor cycle.
+                if not flips:
+                    written = preds = state[1] = tuple(map(list, preds))
+                    flips = state[4] = tuple(
+                        (pred, random.Random(f"route:{route_seed}:{src}:{variant}").random)
+                        for variant, pred in enumerate(preds)
+                    )
                 for pred, coin in flips:
                     if coin() < 0.5:
                         pred[v] = u
@@ -343,7 +349,7 @@ def simulate_traceroutes(
         for pos, node in enumerate(tunnel):
             member_of[node] = (t_idx, pos)
 
-    cache: dict[int, tuple] = {}
+    cache: dict[int, list] = {}
     paths: list[CleanPath] = []
     attempts = 0
     max_attempts = max_path_attempts(n_paths)

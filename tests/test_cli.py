@@ -28,6 +28,7 @@ from traceloc.cli import (
     main,
     parse_config_file,
     run,
+    synth_cmd,
 )
 from traceloc.report import ip_records
 from tests.conftest import write_plane_catalog
@@ -505,8 +506,8 @@ class TestParseCount:
 
 
 class TestCollectorPause:
-    """`run` pauses the cyclic collector and leaves the caller's setting as
-    it found it, on success and on error."""
+    """`run` and `synth` pause the cyclic collector and leave the caller's
+    setting as they found it, on success and on error."""
 
     @staticmethod
     def empty_corpus_config(small_corpus, tmp_path):
@@ -553,6 +554,46 @@ class TestCollectorPause:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+    @staticmethod
+    def synth_config(small_corpus, tmp_path, n_cities=12):
+        root, catalog, _ = small_corpus
+        return write_config(
+            tmp_path / "synth.conf",
+            [
+                f"city_catalog = {catalog}",
+                f"out_dir = {tmp_path / 'out'}",
+                "synth.n_routers = 24",
+                f"synth.n_cities = {n_cities}",
+                "synth.n_paths = 50",
+            ],
+        )
+
+    def test_paused_during_synth_and_restored(self, small_corpus, tmp_path, monkeypatch):
+        import traceloc.synth
+
+        seen = []
+        real_simulate = traceloc.synth.simulate_traceroutes
+
+        def recording_simulate(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real_simulate(*args, **kwargs)
+
+        monkeypatch.setattr(traceloc.synth, "simulate_traceroutes", recording_simulate)
+        assert gc.isenabled()
+        assert main(["synth", "--config", str(self.synth_config(small_corpus, tmp_path))]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_restored_after_synth_config_error(self, small_corpus, tmp_path):
+        # More cities than the 12-city catalog holds: found inside synth_cmd.
+        cfg = self.synth_config(small_corpus, tmp_path, n_cities=13)
+        with pytest.raises(ConfigError, match="exceeds catalog size"):
+            synth_cmd(load_config(cfg))
+        assert gc.isenabled()
+        assert main(["synth", "--config", str(cfg)]) == 2
+        assert gc.isenabled()
 
 
 GOLDEN_RUN_SYNTH_CONFIG = [
@@ -834,6 +875,29 @@ class TestExitCodes:
         self.assert_one_config_error([command, "--config", str(cfg)], caplog)
         assert "No space left on device" in caplog.records[-1].getMessage()
         # The files written before it, and its own partial file, are gone.
+        assert list(settings["out_dir"].iterdir()) == []
+
+    @pytest.mark.parametrize("failing", ["replace", "write"])
+    def test_failed_snapshot_write_leaves_no_temp_file(
+        self, small_corpus, tmp_path, caplog, monkeypatch, failing
+    ):
+        settings = self.corpus_settings(small_corpus, tmp_path) | {
+            "synth.n_routers": 24,
+            "synth.n_cities": 12,
+            "synth.n_paths": 50,
+        }
+        cfg = write_config(tmp_path / "a.conf", [f"{k} = {v}" for k, v in settings.items()])
+
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        if failing == "replace":
+            monkeypatch.setattr(traceloc.ingest.os, "replace", disk_full)
+        else:
+            monkeypatch.setattr(traceloc.ingest.csv, "writer", disk_full)
+        self.assert_one_config_error(["synth", "--config", str(cfg)], caplog)
+        assert "No space left on device" in caplog.records[-1].getMessage()
+        # None of synth's four files, and no snapshot.csv.tmp.
         assert list(settings["out_dir"].iterdir()) == []
 
     def test_synth_rejects_impossible_world(self, tmp_path, data_dir):

@@ -24,6 +24,7 @@ from traceloc.report import ip_records
 from traceloc.resolve import ResolutionOutcome, Verdict
 from traceloc.synth import (
     _ROUTE_VARIANTS,
+    EXTRA_DEGREE,
     _TIE_EPS_KM,
     MAX_ROUTERS,
     InjectionSpec,
@@ -139,6 +140,34 @@ def route(pred: list[int], src: int, dst: int) -> list[int]:
     return nodes[::-1]
 
 
+def reference_links(world: World) -> list[tuple[int, int]]:
+    """A world's links rebuilt from its router locations: Prim's backbone
+    with (distance, node) tie-breaking, plus each router's ``EXTRA_DEGREE``
+    nearest peers ranked as ``(distance, index)`` tuples."""
+    n = len(world.routers)
+    locs = [r.location for r in world.routers]
+    # Measured in the router pair's i < j order, as generate_world does.
+    dist = [[haversine_km(locs[min(i, j)], locs[max(i, j)]) for j in range(n)] for i in range(n)]
+    in_tree, best, parent = [False] * n, [math.inf] * n, [-1] * n
+    best[0] = 0.0
+    heap, links = [(0.0, 0)], set()
+    while heap:
+        _, u = heapq.heappop(heap)
+        if in_tree[u]:
+            continue
+        in_tree[u] = True
+        if parent[u] >= 0:
+            links.add((min(u, parent[u]), max(u, parent[u])))
+        for v in range(n):
+            if not in_tree[v] and dist[u][v] < best[v]:
+                best[v], parent[v] = dist[u][v], u
+                heapq.heappush(heap, (dist[u][v], v))
+    for i in range(n):
+        ranked = sorted((dist[i][j], j) for j in range(n) if j != i)
+        links.update((min(i, j), max(i, j)) for _, j in ranked[:EXTRA_DEGREE])
+    return sorted(links)
+
+
 class TestGenerateWorld:
     def test_deterministic(self, grid_catalog):
         w1 = generate_world(5, 20, 12, 0.1, grid_catalog)
@@ -196,6 +225,16 @@ class TestGenerateWorld:
             used.update(run)
             for a, b in zip(run, run[1:]):
                 assert (min(a, b), max(a, b)) in links
+
+    def test_links_rank_nearest_peers_by_distance_then_index(self, grid_catalog, data_dir):
+        # Co-located worlds (more routers than cities) tie at 0 km and at
+        # equal grid spacings; the lower index must win, as with the
+        # (distance, index) tuples the ranking once sorted.
+        global_catalog = load_city_catalog(data_dir / "cities_global.csv")
+        for catalog, n_routers in ((grid_catalog, 30), (global_catalog, 40)):
+            for seed in (1, 7):
+                world = generate_world(seed, n_routers, 12, 0.1, catalog, tunnel_len=3)
+                assert world.links == reference_links(world), (n_routers, seed)
 
     def test_zero_fraction_means_no_tunnels(self, grid_catalog):
         assert generate_world(3, 24, 12, 0.0, grid_catalog).mpls_tunnels == []
@@ -335,6 +374,7 @@ class TestResumableRouteSearch:
             sources.add(src)
             assert cache.keys() == sources
         assert stopped_early > 0
+        return cache
 
     def test_co_located_routers(self, data_dir):
         # Three to four routers per city: zero-weight links and tied routes.
@@ -349,7 +389,15 @@ class TestResumableRouteSearch:
     def test_tie_heavy_grid(self, grid_catalog):
         # A 200 km grid has many equal-cost routes, so coins are flipped.
         for seed in (3, 5):
-            self.assert_matches_reference(generate_world(seed, 30, 12, 0.0, grid_catalog), f"{seed}")
+            world = generate_world(seed, 30, 12, 0.0, grid_catalog)
+            cache = self.assert_matches_reference(world, f"{seed}")
+            # Some source met a tie and copied the shared list per variant,
+            # so the reference also checked the routes after that copy.
+            assert any(
+                preds[k] is not preds[0]
+                for _, preds, *_ in cache.values()
+                for k in range(1, _ROUTE_VARIANTS)
+            )
 
 
 # ``traceloc synth`` with noise, decoys, tunnels and co-located routers; the
@@ -378,18 +426,42 @@ GOLDEN_SYNTH_SHA256 = {
 }
 
 
+# A tie-heavy ``traceloc synth`` on the 200 km grid, with noise: every source
+# meets an equal-cost tie, so each copies its shared predecessor list per
+# variant and flips coins.  Digests recorded before the variants shared a
+# list until their first tie.
+GOLDEN_GRID_SYNTH_CONFIG = [
+    "seed = 3",
+    "synth.n_routers = 30",
+    "synth.n_cities = 12",
+    "synth.mpls_fraction = 0.1",
+    "synth.n_paths = 300",
+    "synth.noise_fraction = 0.05",
+    "synth.interface_error_fraction = 0.1",
+    "synth.min_displacement_km = 300",
+    "synth.db_count = 3",
+    "synth.db_noise_km = 3",
+    "synth.tunnel_len = 3",
+    "synth.decoy_fraction = 0.2",
+]
+GOLDEN_GRID_SYNTH_SHA256 = {
+    "world.json": "7803aae9d5ebaced874e382a9fdfe3422910c56507853ea12925188f1a5db8ed",
+    "traceroutes.jsonl": "c6b846e0ce0444e81290863067b2484ef2adfd094d03b4ac3750d70468b9aeff",
+    "snapshot.csv": "a083afd6b4cc7ee999497ee4a2034d6ac1c101461c18dc1d29b96dc4ac95edec",
+    "displaced.json": "4a0a5324f3b66fb170b32f517281dae3fceee3b91148ac62aecdbc7af449be3b",
+}
+
+
 class TestSynthGolden:
-    def test_outputs_match_recorded_digests_across_processes(self, data_dir, tmp_path):
+    @staticmethod
+    def assert_digests(catalog, config, want, tmp_path):
         src_dir = Path(traceloc.__file__).resolve().parents[1]
         pythonpath = os.pathsep.join(filter(None, [str(src_dir), os.environ.get("PYTHONPATH")]))
         for hash_seed in ("0", "1"):
             out = tmp_path / f"hashseed{hash_seed}"
             conf = tmp_path / f"synth{hash_seed}.conf"
             conf.write_text(
-                "\n".join(
-                    [f"city_catalog = {data_dir / 'cities_global.csv'}", f"out_dir = {out}",
-                     *GOLDEN_SYNTH_CONFIG]
-                ) + "\n",
+                "\n".join([f"city_catalog = {catalog}", f"out_dir = {out}", *config]) + "\n",
                 encoding="utf-8",
             )
             env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
@@ -399,10 +471,21 @@ class TestSynthGolden:
             )
             assert done.returncode == 0, done.stderr
             digests = {
-                name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                for name in GOLDEN_SYNTH_SHA256
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in want
             }
-            assert digests == GOLDEN_SYNTH_SHA256, hash_seed
+            assert digests == want, hash_seed
+
+    def test_outputs_match_recorded_digests_across_processes(self, data_dir, tmp_path):
+        self.assert_digests(
+            data_dir / "cities_global.csv", GOLDEN_SYNTH_CONFIG, GOLDEN_SYNTH_SHA256, tmp_path
+        )
+
+    def test_tie_heavy_grid_matches_recorded_digests(self, tmp_path):
+        catalog = write_plane_catalog(
+            tmp_path / "grid.csv",
+            [(f"g{r}{c}", "FR", 200.0 * c, 200.0 * r) for r in range(3) for c in range(4)],
+        )
+        self.assert_digests(catalog, GOLDEN_GRID_SYNTH_CONFIG, GOLDEN_GRID_SYNTH_SHA256, tmp_path)
 
 
 class TestCorruptGeodb:
