@@ -1,4 +1,4 @@
-"""Command-line entry points: ``run``, ``synth``, ``score``, ``fetch-geo``.
+"""Command-line entry points: ``run``, ``synth``, ``score``.
 
 Configuration is a flat key-value file (``key = value``, ``#`` comments).
 Every algorithm knob is overridable there; ``--out`` and ``--seed``
@@ -26,7 +26,7 @@ from typing import Callable
 from . import ingest, report
 from .diagnostics import Diagnostics, logger
 from .geo import SpatialIndex, cluster_candidates, load_city_catalog
-from .ingest import CleanPath, ConfigError, ip_key
+from .ingest import CleanPath, ip_key
 from .refine import (
     CandidateState,
     IpStatus,
@@ -38,6 +38,10 @@ from .refine import (
     tag_anomalies,
 )
 from .resolve import ResolutionOutcome, ResolveConfig, Verdict, resolve_all
+
+
+class ConfigError(Exception):
+    """Bad or missing configuration; maps to exit code 2."""
 
 
 class InputError(Exception):
@@ -69,12 +73,9 @@ class PipelineConfig:
     out_dir: str = "out"
     seed: int = 0
     merge_radius_km: float = 20.0
-    fetch_ips_file: str = ""
-    fetch_cache_dir: str = "geo_cache"
     refine: RefineConfig = field(default_factory=RefineConfig)
     resolve: ResolveConfig = field(default_factory=ResolveConfig)
     synth: SynthSettings = field(default_factory=SynthSettings)
-    sources: dict = field(default_factory=dict)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -125,7 +126,7 @@ _SECTION_TYPES = {
 _TOP_KEYS = {
     name: typ
     for name, typ in _field_types(PipelineConfig).items()
-    if name not in _SECTION_TYPES and name != "sources"
+    if name not in _SECTION_TYPES
 }
 
 
@@ -139,9 +140,6 @@ def _convert(key: str, raw: str, typ: type):
 def build_config(entries: dict[str, str]) -> PipelineConfig:
     cfg = PipelineConfig()
     for key, raw in entries.items():
-        if key.startswith("source."):
-            cfg.sources[key] = raw
-            continue
         if "." in key:
             section, _, name = key.partition(".")
             if section not in _SECTION_TYPES or name not in _SECTION_TYPES[section]:
@@ -446,12 +444,15 @@ def score_cmd(results_dir: str | Path, world_file: str | Path,
     records = _read_ips_jsonl(ips_file, router_ips)
 
     report_obj = synth.score_against_truth(records, world, displaced)
-    out_path = results_dir / "score.csv"
-    with out_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        writer.writerows(report_obj.rows())
-    logger.info("score written to %s", out_path)
+
+    def write_score(path: Path) -> None:
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["metric", "value"])
+            writer.writerows(report_obj.rows())
+
+    _write_outputs(results_dir, {"score.csv": write_score})
+    logger.info("score written to %s", results_dir / "score.csv")
     return 0
 
 
@@ -487,34 +488,6 @@ def _read_ips_jsonl(path: Path, router_ips: set[str]) -> list[dict]:
     return list(records.values())
 
 
-def fetch_cmd(cfg: PipelineConfig) -> int:
-    """Fetch geolocations for a list of IPs into a snapshot CSV."""
-    if not cfg.fetch_ips_file:
-        raise ConfigError("config key fetch_ips_file is required for fetch-geo")
-    ips_path = Path(cfg.fetch_ips_file)
-    if not ips_path.exists():
-        raise ConfigError(f"fetch_ips_file not found: {ips_path}")
-    sources = ingest.load_fetch_config(cfg.sources)
-    if not sources:
-        raise ConfigError("no source.<name>.url entries configured")
-    try:
-        text = ips_path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read fetch_ips_file {ips_path}: {exc}") from exc
-    ips = [line.strip() for line in text.splitlines() if line.strip()]
-    out_dir = _make_out_dir(cfg)
-    diag = Diagnostics()
-    try:
-        out = ingest.fetch_geo(
-            ips, sources, cfg.fetch_cache_dir, out_dir / "snapshot.csv", diag=diag
-        )
-    except ingest.FetchError as exc:
-        raise InputError(str(exc)) from exc
-    logger.info("snapshot written to %s", out)
-    logger.info("%s", diag.summary_line())
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="traceloc",
@@ -522,8 +495,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-        p.add_argument("--config", required=config_required, help="key=value config file")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", help="output directory (overrides out_dir)")
         p.add_argument("--threads", type=int, help="deprecated; ignored")
         p.add_argument("--seed", type=int, help="rng seed (overrides seed)")
@@ -534,8 +507,6 @@ def main(argv: list[str] | None = None) -> int:
     p_score.add_argument("results_dir")
     p_score.add_argument("world_file")
     p_score.add_argument("--displaced", help="displaced-set file (default: next to world)")
-    common(p_score, config_required=False)
-    common(sub.add_parser("fetch-geo", help="fetch geolocations into a snapshot"))
 
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -548,8 +519,6 @@ def main(argv: list[str] | None = None) -> int:
             return synth_cmd(load_config(args.config, args))
         if args.command == "score":
             return score_cmd(args.results_dir, args.world_file, args.displaced)
-        if args.command == "fetch-geo":
-            return fetch_cmd(load_config(args.config, args))
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return 2

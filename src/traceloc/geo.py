@@ -176,25 +176,26 @@ def load_city_catalog(path: str | Path) -> list[CityPolygon]:
         header = set(reader.fieldnames or [])
         if not required.issubset(header):
             raise ValueError(f"city catalog {path} missing columns {sorted(required - header)}")
-        for lineno, row in enumerate(reader):
+        for row in reader:
+            lineno = reader.line_num
             try:
                 lat = float(row["lat"])
                 lon = float(row["lon"])
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"city catalog {path} row {lineno + 2}: bad coordinates") from exc
+                raise ValueError(f"city catalog {path} row {lineno}: bad coordinates") from exc
             if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-                raise ValueError(f"city catalog {path} row {lineno + 2}: coordinates out of range")
+                raise ValueError(f"city catalog {path} row {lineno}: coordinates out of range")
             raw_radius = (row.get("radius_km") or "").strip()
             try:
                 radius = float(raw_radius) if raw_radius else DEFAULT_CITY_RADIUS_KM
                 if not math.isfinite(radius):
                     raise ValueError(f"non-finite radius {raw_radius!r}")
             except ValueError as exc:
-                raise ValueError(f"city catalog {path} row {lineno + 2}: bad radius") from exc
+                raise ValueError(f"city catalog {path} row {lineno}: bad radius") from exc
             if radius < 0:
-                raise ValueError(f"city catalog {path} row {lineno + 2}: negative radius")
+                raise ValueError(f"city catalog {path} row {lineno}: negative radius")
             if row["name"] is None or row["country"] is None:
-                raise ValueError(f"city catalog {path} row {lineno + 2}: missing name or country")
+                raise ValueError(f"city catalog {path} row {lineno}: missing name or country")
             polygons.append(
                 CityPolygon(
                     polygon_id=len(polygons),

@@ -6,8 +6,7 @@ line format holding already-cleaned paths, both read a few lines at a
 time: :func:`load_atlas` parses Atlas records and normalizes each with
 :func:`clean_paths`; :func:`load_native` parses native lines directly.  A
 line that is not valid UTF-8 or JSON is counted and skipped.  Geolocation
-data arrives either as a snapshot CSV or through the rate-limited
-:func:`fetch_geo` client.
+data arrives as a snapshot CSV.
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ import itertools
 import json
 import math
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
@@ -430,182 +428,3 @@ def write_geo_snapshot(by_ip: dict[str, list[GeoRecord]], path: str | Path) -> P
         tmp.unlink(missing_ok=True)
         raise
     return path
-
-
-# --- remote geolocation fetch (optional plumbing) -------------------------
-
-
-@dataclass(frozen=True)
-class GeoSource:
-    """One remote geolocation provider.
-
-    ``url`` is a template with ``{ip}`` (and optionally ``{key}``)
-    placeholders; ``rate_per_s`` caps request frequency against it.
-    """
-
-    name: str
-    url: str
-    key: str = ""
-    rate_per_s: float = 1.0
-
-
-class FetchError(RuntimeError):
-    """Raised when every configured source is unreachable."""
-
-
-class ConfigError(Exception):
-    """Bad or missing configuration; maps to exit code 2."""
-
-
-class _RateLimiter:
-    """Spaces calls at least 1/rate seconds apart, including before the
-    first one, so N requests take at least N/rate seconds."""
-
-    def __init__(
-        self,
-        rate_per_s: float,
-        sleep: Callable[[float], None],
-        monotonic: Callable[[], float],
-    ) -> None:
-        self._interval = 1.0 / rate_per_s if rate_per_s > 0 else 0.0
-        self._sleep = sleep
-        self._monotonic = monotonic
-        self._next_at = monotonic() + self._interval
-
-    def wait(self) -> None:
-        now = self._monotonic()
-        if now < self._next_at:
-            self._sleep(self._next_at - now)
-        self._next_at = max(now, self._next_at) + self._interval
-
-
-def _default_http_get(url: str) -> dict:
-    import requests
-
-    resp = requests.get(url, timeout=10)
-    resp.raise_for_status()
-    return resp.json()
-
-
-def _extract_record(payload: dict, ip: str, source: str) -> GeoRecord:
-    def pick(*names):
-        for n in names:
-            if n in payload and payload[n] is not None:
-                return payload[n]
-        return None
-
-    lat = pick("lat", "latitude")
-    lon = pick("lon", "lng", "longitude")
-    if lat is None or lon is None:
-        raise ValueError("response lacks coordinates")
-    lat, lon = float(lat), float(lon)
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        raise ValueError("response coordinates out of range")
-    city = pick("city") or ""
-    country = pick("country", "country_code", "countryCode") or ""
-    return GeoRecord(
-        ip=ip, source=source, lat=lat, lon=lon, city=str(city).strip(),
-        country=str(country).strip().upper(),
-    )
-
-
-def fetch_geo(
-    ips: Iterable[str],
-    sources: dict[str, GeoSource],
-    cache_dir: str | Path,
-    out_path: str | Path,
-    *,
-    http_get: Callable[[str], dict] | None = None,
-    sleep: Callable[[float], None] | None = None,
-    monotonic: Callable[[], float] | None = None,
-    diag: Diagnostics | None = None,
-) -> Path:
-    """Query each source for each IP, cache-first, and write a snapshot CSV.
-
-    A cached (ip, source) answer is never fetched again; only network
-    requests consume rate budget.  Per-IP failures are warnings; a source
-    that answers nothing marks itself unreachable, and if every source is
-    unreachable and the cache contributed nothing, :class:`FetchError`
-    is raised.
-    """
-    diag = diag or Diagnostics()
-    http_get = http_get or _default_http_get
-    sleep = sleep or time.sleep
-    monotonic = monotonic or time.monotonic
-    cache_dir = Path(cache_dir)
-
-    wanted = sorted({ip for ip in ips if _ip_version(ip) == 4}, key=ip_key)
-    by_ip: dict[str, list[GeoRecord]] = {}
-    any_success = False
-    sources_down = 0
-
-    for name in sorted(sources):
-        src = sources[name]
-        src_cache = cache_dir / name
-        src_cache.mkdir(parents=True, exist_ok=True)
-        limiter = _RateLimiter(src.rate_per_s, sleep, monotonic)
-        network_failures = 0
-        network_attempts = 0
-        for ip in wanted:
-            cache_file = src_cache / f"{ip}.json"
-            if cache_file.exists():
-                try:
-                    payload = json.loads(cache_file.read_text(encoding="utf-8"))
-                    rec = _extract_record(payload, ip, name)
-                except (json.JSONDecodeError, ValueError, KeyError):
-                    diag.warn("fetch_cache_corrupt", f"{cache_file} unreadable; refetching")
-                else:
-                    by_ip.setdefault(ip, []).append(rec)
-                    any_success = True
-                    continue
-            network_attempts += 1
-            limiter.wait()
-            url = src.url.format(ip=ip, key=src.key)
-            try:
-                payload = http_get(url)
-                rec = _extract_record(payload, ip, name)
-            except Exception as exc:  # provider errors must never kill the run
-                network_failures += 1
-                diag.warn("fetch_failed", f"{name}/{ip}: {exc}")
-                continue
-            tmp = cache_file.with_name(cache_file.name + ".tmp")
-            tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-            os.replace(tmp, cache_file)
-            by_ip.setdefault(ip, []).append(rec)
-            any_success = True
-        if network_attempts > 0 and network_failures == network_attempts:
-            sources_down += 1
-
-    if sources and sources_down == len(sources) and not any_success:
-        raise FetchError("all geolocation sources unreachable")
-    return write_geo_snapshot(by_ip, out_path)
-
-
-def load_fetch_config(entries: dict[str, str]) -> dict[str, GeoSource]:
-    """Build GeoSource specs from flat ``source.<name>.<field>`` keys.
-
-    Keys outside ``source.`` are skipped; a ``source.`` key whose field is
-    not one of ``url``, ``key`` or ``rate_per_s`` is a :class:`ConfigError`.
-    """
-    grouped: dict[str, dict[str, str]] = {}
-    for key, value in entries.items():
-        parts = key.split(".")
-        if parts[0] != "source":
-            continue
-        if len(parts) != 3 or parts[2] not in ("url", "key", "rate_per_s"):
-            raise ConfigError(f"unknown config key: {key}")
-        grouped.setdefault(parts[1], {})[parts[2]] = value
-    sources: dict[str, GeoSource] = {}
-    for name, fields in sorted(grouped.items()):
-        if "url" not in fields:
-            raise ConfigError(f"source.{name}: missing url")
-        try:
-            rate = float(fields.get("rate_per_s", "1"))
-        except ValueError as exc:
-            raise ConfigError(f"source.{name}: bad rate_per_s") from exc
-        if rate <= 0:
-            raise ConfigError(f"source.{name}: rate_per_s must be positive")
-        sources[name] = GeoSource(
-            name=name, url=fields["url"], key=fields.get("key", ""), rate_per_s=rate
-        )
-    return sources

@@ -89,14 +89,12 @@ class TestBuildConfig:
                 "refine.max_iterations": "7",
                 "resolve.match_radius_km": "50",
                 "synth.n_routers": "30",
-                "source.a.url": "https://x/{ip}",
             }
         )
         assert cfg.merge_radius_km == 25.5
         assert cfg.refine.max_iterations == 7
         assert cfg.resolve.match_radius_km == 50.0
         assert cfg.synth.n_routers == 30
-        assert cfg.sources == {"source.a.url": "https://x/{ip}"}
 
     def test_defaults(self):
         cfg = build_config({})
@@ -117,6 +115,9 @@ class TestBuildConfig:
             {"synth.decoy_db_count": "-1"},
             {"synth.n_routers": "63751"},  # past the router address plan
             {"synth.tunnel_len": "1"},
+            {"fetch_ips_file": "ips.txt"},  # removed with the fetch-geo command
+            {"fetch_cache_dir": "c"},
+            {"source.a.url": "https://x/{ip}"},
         ],
     )
     def test_rejects(self, entries):
@@ -730,6 +731,22 @@ class TestScoreCommand:
         _, _, synth_dir = small_corpus
         assert main(["score", str(tmp_path / "void"), str(synth_dir / "world.json")]) == 1
 
+    def test_rejects_the_flags_of_run_and_synth(self, small_corpus, tmp_path):
+        _, catalog, synth_dir = small_corpus
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(run_config(tmp_path, catalog, synth_dir, out_dir))]) == 0
+        flags = [
+            ["--out", str(tmp_path / "elsewhere")],
+            ["--config", str(tmp_path / "none.conf")],
+            ["--threads", "0"],
+            ["--seed", "1"],
+        ]
+        for flag in flags:
+            with pytest.raises(SystemExit) as exc:
+                main(["score", str(out_dir), str(synth_dir / "world.json"), *flag])
+            assert exc.value.code == 2, flag
+        assert not (out_dir / "score.csv").exists()
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
@@ -753,12 +770,11 @@ class TestExitCodes:
     def test_config_path_is_directory(self, tmp_path, caplog):
         self.assert_one_config_error(["run", "--config", str(tmp_path)], caplog)
 
-    def test_unreadable_fetch_ips_file(self, tmp_path, caplog):
-        cfg = write_config(
-            tmp_path / "a.conf",
-            [f"fetch_ips_file = {tmp_path}", "source.a.url = https://x/{ip}"],
-        )
-        self.assert_one_config_error(["fetch-geo", "--config", str(cfg)], caplog)
+    def test_fetch_geo_command_is_gone(self, tmp_path):
+        cfg = write_config(tmp_path / "a.conf", ["seed = 1"])
+        with pytest.raises(SystemExit) as exc:
+            main(["fetch-geo", "--config", str(cfg)])
+        assert exc.value.code == 2
 
     def test_run_requires_snapshot_and_catalog(self, tmp_path):
         trs = tmp_path / "t.jsonl"
@@ -848,6 +864,14 @@ class TestExitCodes:
         assert occupied in caplog.records[-1].getMessage()
         # Checked before anything is written: no other output file exists.
         assert [p.name for p in settings["out_dir"].iterdir()] == [occupied]
+
+    def test_score_csv_that_is_a_directory_is_config_error(self, small_corpus, tmp_path, caplog):
+        _, catalog, synth_dir = small_corpus
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(run_config(tmp_path, catalog, synth_dir, out_dir))]) == 0
+        (out_dir / "score.csv").mkdir()
+        self.assert_one_config_error(["score", str(out_dir), str(synth_dir / "world.json")], caplog)
+        assert "score.csv" in caplog.records[-1].getMessage()
 
     @pytest.mark.parametrize(
         "command, module, writer",
@@ -979,7 +1003,7 @@ class TestExitCodes:
         assert len(errors) == 1
         assert errors[0].startswith("input error: ") and str(tmp_path) in errors[0]
 
-    @pytest.mark.parametrize("command", ["run", "synth", "fetch-geo"])
+    @pytest.mark.parametrize("command", ["run", "synth"])
     @pytest.mark.parametrize("in_the_way", ["out_dir", "parent"])
     def test_file_in_the_way_of_out_dir_is_config_error(
         self, small_corpus, tmp_path, caplog, monkeypatch, command, in_the_way
@@ -987,104 +1011,13 @@ class TestExitCodes:
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory\n")
         out_dir = blocker if in_the_way == "out_dir" else blocker / "out"
-        ips_file = tmp_path / "ips.txt"
-        ips_file.write_text("203.0.113.7\n")
-        settings = self.corpus_settings(small_corpus, tmp_path) | {
-            "out_dir": out_dir,
-            "fetch_ips_file": ips_file,
-            "fetch_cache_dir": tmp_path / "cache",
-            "source.geoa.url": "https://geoa.example/{ip}",
-        }
+        settings = self.corpus_settings(small_corpus, tmp_path) | {"out_dir": out_dir}
         cfg = write_config(tmp_path / "a.conf", [f"{k} = {v}" for k, v in settings.items()])
 
         def no_work(*args, **kwargs):  # pragma: no cover - must never run
             raise AssertionError("work started before out_dir was made")
 
-        # The failure comes before refinement, generation or fetching.
+        # The failure comes before refinement or generation.
         monkeypatch.setattr(traceloc.cli, "extract_pairs", no_work)
-        monkeypatch.setattr(traceloc.ingest, "_default_http_get", no_work)
         monkeypatch.setattr("traceloc.synth.generate_world", no_work)
         self.assert_one_config_error([command, "--config", str(cfg)], caplog)
-
-
-class TestFetchGeo:
-    def test_fetch_uses_config_sources_and_cache(self, tmp_path, monkeypatch):
-        calls = []
-
-        def fake_get(url):
-            calls.append(url)
-            ip = url.rsplit("/", 1)[-1]
-            last = int(ip.split(".")[-1])
-            return {"lat": 10.0 + last, "lon": 20.0, "city": "x", "country": "fr"}
-
-        monkeypatch.setattr(traceloc.ingest, "_default_http_get", fake_get)
-        ips_file = tmp_path / "ips.txt"
-        ips_file.write_text("203.0.113.7\n203.0.113.9\n")
-        cache = tmp_path / "cache"
-        out_dir = tmp_path / "out"
-        cfg = write_config(
-            tmp_path / "fetch.conf",
-            [
-                f"fetch_ips_file = {ips_file}",
-                f"fetch_cache_dir = {cache}",
-                f"out_dir = {out_dir}",
-                "source.geoa.url = https://geoa.example/{ip}",
-                "source.geoa.rate_per_s = 100",
-            ],
-        )
-        assert main(["fetch-geo", "--config", str(cfg)]) == 0
-        assert len(calls) == 2
-        assert "https://geoa.example/203.0.113.7" in calls
-        snapshot = (out_dir / "snapshot.csv").read_text().splitlines()
-        assert snapshot[0] == "ip,source,lat,lon,city,country"
-        assert len(snapshot) == 3
-        assert "FR" in snapshot[1]
-
-        # Second invocation: everything is cached, no network at all.
-        def exploding_get(url):  # pragma: no cover - must never run
-            raise AssertionError("network hit despite warm cache")
-
-        monkeypatch.setattr(traceloc.ingest, "_default_http_get", exploding_get)
-        assert main(["fetch-geo", "--config", str(cfg)]) == 0
-
-    def test_fetch_requires_sources(self, tmp_path):
-        ips_file = tmp_path / "ips.txt"
-        ips_file.write_text("203.0.113.7\n")
-        cfg = write_config(tmp_path / "f.conf", [f"fetch_ips_file = {ips_file}"])
-        assert main(["fetch-geo", "--config", str(cfg)]) == 2
-
-    @pytest.mark.parametrize(
-        "bad_line", ["source.geoa.rate_per_s = abc", "source.geoa.rate = 100"]
-    )
-    def test_bad_source_field_exits_2(self, tmp_path, bad_line):
-        ips_file = tmp_path / "ips.txt"
-        ips_file.write_text("203.0.113.7\n")
-        cfg = write_config(
-            tmp_path / "f.conf",
-            [
-                f"fetch_ips_file = {ips_file}",
-                f"out_dir = {tmp_path / 'out'}",
-                "source.geoa.url = https://geoa.example/{ip}",
-                bad_line,
-            ],
-        )
-        assert main(["fetch-geo", "--config", str(cfg)]) == 2
-
-    def test_fetch_all_sources_down(self, tmp_path, monkeypatch):
-        def down(url):
-            raise OSError("connection refused")
-
-        monkeypatch.setattr(traceloc.ingest, "_default_http_get", down)
-        ips_file = tmp_path / "ips.txt"
-        ips_file.write_text("203.0.113.7\n")
-        cfg = write_config(
-            tmp_path / "f.conf",
-            [
-                f"fetch_ips_file = {ips_file}",
-                f"fetch_cache_dir = {tmp_path / 'cache'}",
-                f"out_dir = {tmp_path / 'out'}",
-                "source.geoa.url = https://geoa.example/{ip}",
-                "source.geoa.rate_per_s = 100",
-            ],
-        )
-        assert main(["fetch-geo", "--config", str(cfg)]) == 1

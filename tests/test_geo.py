@@ -260,6 +260,12 @@ class TestCityCatalog:
         with pytest.raises(ValueError, match=r"bad\.csv row 2: bad radius"):
             load_city_catalog(p)
 
+    def test_error_names_the_file_line_past_blank_lines(self, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text("name,country,lat,lon\na,FR,1,2\n\n\nb,FR,x,2\n")
+        with pytest.raises(ValueError, match=r"gaps\.csv row 5: bad coordinates"):
+            load_city_catalog(p)
+
     def test_duplicate_rows_keep_distinct_ids(self, tmp_path):
         p = tmp_path / "dup.csv"
         p.write_text("name,country,lat,lon\nParis,FR,48.85,2.35\nParis,FR,48.85,2.35\n")

@@ -21,19 +21,14 @@ from traceloc import ingest
 from traceloc.diagnostics import Diagnostics
 from traceloc.ingest import (
     CleanPath,
-    ConfigError,
-    FetchError,
     GeoRecord,
-    GeoSource,
     RawHop,
     RawTraceroute,
     clean_paths,
     dump_native,
-    fetch_geo,
     ip_key,
     is_bogon,
     load_atlas,
-    load_fetch_config,
     load_geo_snapshot,
     load_native,
     normalize,
@@ -1052,163 +1047,3 @@ class TestGeoSnapshot:
         f.write_text("ip,lat,lon\n")
         with pytest.raises(ValueError, match="missing columns"):
             load_geo_snapshot(f)
-
-
-class FakeClock:
-    """Deterministic monotonic clock; sleeping advances it exactly."""
-
-    def __init__(self):
-        self.now = 0.0
-        self.slept: list[float] = []
-
-    def monotonic(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.slept.append(seconds)
-        self.now += seconds
-
-
-class TestFetchGeo:
-    def _source(self, rate=10.0):
-        return {"prov": GeoSource(name="prov", url="https://x.test/{ip}", rate_per_s=rate)}
-
-    def test_fetch_writes_snapshot_and_caches(self, tmp_path):
-        clock = FakeClock()
-        calls = []
-
-        def http_get(url):
-            calls.append(url)
-            ip = url.rsplit("/", 1)[1]
-            return {"lat": 10.0, "lon": 20.0, "city": "Testville", "country": "fr"}
-
-        out = fetch_geo(
-            ["198.51.100.1", "198.51.100.2"],
-            self._source(),
-            tmp_path / "cache",
-            tmp_path / "snap.csv",
-            http_get=http_get,
-            sleep=clock.sleep,
-            monotonic=clock.monotonic,
-        )
-        assert len(calls) == 2
-        loaded = load_geo_snapshot(out)
-        assert set(loaded) == {"198.51.100.1", "198.51.100.2"}
-        assert loaded["198.51.100.1"][0].country == "FR"
-
-        # Second run: answered entirely from cache, no network, no sleeping.
-        calls.clear()
-        clock2 = FakeClock()
-        fetch_geo(
-            ["198.51.100.1", "198.51.100.2"],
-            self._source(),
-            tmp_path / "cache",
-            tmp_path / "snap2.csv",
-            http_get=http_get,
-            sleep=clock2.sleep,
-            monotonic=clock2.monotonic,
-        )
-        assert calls == []
-        assert clock2.slept == []
-
-    def test_rate_limit_spacing(self, tmp_path):
-        clock = FakeClock()
-        fetch_geo(
-            [f"198.51.100.{i}" for i in range(1, 6)],
-            self._source(rate=2.0),
-            tmp_path / "cache",
-            tmp_path / "snap.csv",
-            http_get=lambda url: {"lat": 1.0, "lon": 2.0},
-            sleep=clock.sleep,
-            monotonic=clock.monotonic,
-        )
-        # 5 requests at 2/s, spaced including before the first: >= 2.5 s.
-        assert clock.now >= 2.5
-
-    def test_partial_failure_warns_but_continues(self, tmp_path):
-        diag = Diagnostics()
-
-        def flaky(url):
-            if url.endswith(".1"):
-                raise RuntimeError("boom")
-            return {"lat": 1.0, "lon": 2.0}
-
-        clock = FakeClock()
-        out = fetch_geo(
-            ["198.51.100.1", "198.51.100.2"],
-            self._source(),
-            tmp_path / "cache",
-            tmp_path / "snap.csv",
-            http_get=flaky,
-            sleep=clock.sleep,
-            monotonic=clock.monotonic,
-            diag=diag,
-        )
-        loaded = load_geo_snapshot(out)
-        assert list(loaded) == ["198.51.100.2"]
-        assert diag.count("fetch_failed") == 1
-
-    def test_all_sources_unreachable_raises(self, tmp_path):
-        def dead(url):
-            raise RuntimeError("down")
-
-        clock = FakeClock()
-        with pytest.raises(FetchError):
-            fetch_geo(
-                ["198.51.100.1"],
-                self._source(),
-                tmp_path / "cache",
-                tmp_path / "snap.csv",
-                http_get=dead,
-                sleep=clock.sleep,
-                monotonic=clock.monotonic,
-            )
-
-    def test_corrupt_cache_refetches(self, tmp_path):
-        cache = tmp_path / "cache" / "prov"
-        cache.mkdir(parents=True)
-        (cache / "198.51.100.1.json").write_text("{broken")
-        calls = []
-        clock = FakeClock()
-        fetch_geo(
-            ["198.51.100.1"],
-            self._source(),
-            tmp_path / "cache",
-            tmp_path / "snap.csv",
-            http_get=lambda url: (calls.append(url), {"lat": 1.0, "lon": 2.0})[1],
-            sleep=clock.sleep,
-            monotonic=clock.monotonic,
-        )
-        assert len(calls) == 1
-
-
-class TestFetchConfig:
-    def test_groups_source_keys(self):
-        sources = load_fetch_config(
-            {
-                "source.alpha.url": "https://a.test/{ip}",
-                "source.alpha.rate_per_s": "4",
-                "source.beta.url": "https://b.test/{ip}",
-                "source.beta.key": "s3cret",
-                "unrelated": "x",
-            }
-        )
-        assert sorted(sources) == ["alpha", "beta"]
-        assert sources["alpha"].rate_per_s == 4.0
-        assert sources["beta"].key == "s3cret"
-
-    def test_missing_url_fatal(self):
-        with pytest.raises(ConfigError, match="missing url"):
-            load_fetch_config({"source.alpha.rate_per_s": "4"})
-
-    def test_bad_rate_fatal(self):
-        with pytest.raises(ConfigError, match="rate_per_s"):
-            load_fetch_config({"source.a.url": "u", "source.a.rate_per_s": "fast"})
-        with pytest.raises(ConfigError, match="positive"):
-            load_fetch_config({"source.a.url": "u", "source.a.rate_per_s": "0"})
-
-    def test_unknown_field_fatal(self):
-        with pytest.raises(ConfigError, match="unknown config key: source.a.rate"):
-            load_fetch_config({"source.a.url": "u", "source.a.rate": "4"})
-        with pytest.raises(ConfigError, match="unknown config key: source.a$"):
-            load_fetch_config({"source.a.url": "u", "source.a": "4"})
