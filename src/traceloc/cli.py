@@ -459,8 +459,8 @@ def score_cmd(results_dir: str | Path, world_file: str | Path,
 def _read_ips_jsonl(path: Path, router_ips: set[str]) -> list[dict]:
     """The records of a results file, each checked for what scoring reads:
     a world router's ``ip``, a known ``status`` and ``verdict``, string
-    cluster cities and a null or numeric ``resolved``.  A repeated ip keeps
-    its last record."""
+    cluster cities and countries and a null or numeric ``resolved``.  A
+    repeated ip keeps its last record."""
     records: dict[str, dict] = {}
     try:
         fh = path.open("rb")
@@ -476,8 +476,8 @@ def _read_ips_jsonl(path: Path, router_ips: set[str]) -> list[dict]:
                 IpStatus(rec["status"])
                 if rec["verdict"] is not None:
                     Verdict(rec["verdict"])
-                if not all(isinstance(c["city"], str) for c in rec["clusters"]):
-                    raise TypeError("cluster city must be a string")
+                if {type(c[k]) for c in rec["clusters"] for k in ("city", "country")} - {str}:
+                    raise TypeError("cluster city and country must be strings")
                 if resolved is not None and {type(resolved[k]) for k in ("lat", "lon")} - {int, float}:
                     raise TypeError("resolved lat and lon must be numbers")
                 if ip not in router_ips:

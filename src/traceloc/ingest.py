@@ -336,10 +336,21 @@ def load_native(stream: Iterable[str], diag: Diagnostics | None = None) -> list[
 
 
 _NATIVE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_quote = json.encoder.encode_basestring_ascii
 
 
 def serialize_native(path: CleanPath) -> str:
-    """Canonical single-line encoding; parsing it back is the identity."""
+    """Canonical single-line encoding; for a path that :func:`load_native`
+    accepts, parsing it back is the identity.  The line is built from strings,
+    byte for byte what ``_NATIVE_ENCODER`` writes: ``str`` ids and addresses
+    quoted as it quotes them, finite ``float`` RTTs by ``repr``.  Any other
+    value (an int or bool, NaN, ±inf, a subclass) sends the path to it."""
+    hops = [
+        f'{{"ip":{_quote(ip)},"rtt":{rtt!r}}}' for ip, rtt in path.hops
+        if type(ip) is str and type(rtt) is float and -math.inf < rtt < math.inf
+    ]
+    if type(path.path_id) is str and len(hops) == len(path.hops):
+        return f'{{"path_id":{_quote(path.path_id)},"hops":[{",".join(hops)}]}}'
     doc = {"path_id": path.path_id, "hops": [{"ip": ip, "rtt": rtt} for ip, rtt in path.hops]}
     return _NATIVE_ENCODER.encode(doc)
 

@@ -21,7 +21,6 @@ import itertools
 import json
 import math
 import random
-import statistics
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .geo import (
 from .ingest import CleanPath, GeoRecord
 from .refine import IpStatus
 from .report import _fmt
-from .resolve import Verdict
+from .resolve import Verdict, _median
 
 # Links each router adds to its nearest peers, on top of the backbone.
 EXTRA_DEGREE = 2
@@ -349,6 +348,9 @@ def simulate_traceroutes(
         for pos, node in enumerate(tunnel):
             member_of[node] = (t_idx, pos)
 
+    ips = [r.ip for r in world.routers]
+    # Random.uniform(lo, hi) is lo + (hi - lo) * random(): drawn inline below.
+    lo, span, rand = -noise_fraction, noise_fraction - -noise_fraction, rng.random
     cache: dict[int, list] = {}
     paths: list[CleanPath] = []
     attempts = 0
@@ -364,37 +366,22 @@ def simulate_traceroutes(
         if math.isinf(dist[dst]):
             continue
         pred = preds[variant]
-        nodes = [dst]
-        while nodes[-1] != src:
-            nodes.append(pred[nodes[-1]])
-        nodes.reverse()
+        node, nodes = dst, [dst]
+        while node != src:
+            node = pred[node]
+            nodes.append(node)
         if len(nodes) < 3:
             continue  # need at least two reported hops
-
-        cumulative = [0.0]
-        for link in zip(nodes, nodes[1:]):
-            cumulative.append(cumulative[-1] + link_km[link])
-        # RTT in ms: out-and-back distance over the fiber speed.
-        rtts = [2.0 * c / FIBER_KM_PER_MS for c in cumulative]
-
-        hops_nodes = nodes[1:]
-        hop_rtts = rtts[1:]
-        _apply_tunnels(hops_nodes, hop_rtts, member_of)
+        nodes.reverse()
+        km = itertools.accumulate(map(link_km.__getitem__, zip(nodes, nodes[1:])))
+        rtts = [2.0 * c / FIBER_KM_PER_MS for c in km]  # ms out and back over fiber
+        hop_nodes = nodes[1:]
+        _apply_tunnels(hop_nodes, rtts, member_of)
         if noise_fraction > 0.0:
-            hop_rtts = [
-                r * (1.0 + rng.uniform(-noise_fraction, noise_fraction))
-                for r in hop_rtts
-            ]
-        paths.append(
-            CleanPath(
-                path_id=f"synth-{len(paths)}",
-                hops=[
-                    (world.routers[node].ip, rtt)
-                    for node, rtt in zip(hops_nodes, hop_rtts)
-                ],
-                source_traceroute=f"router-{src}",
-            )
-        )
+            hops = [(ips[v], r * (1.0 + (lo + span * rand()))) for v, r in zip(hop_nodes, rtts)]
+        else:
+            hops = list(zip(map(ips.__getitem__, hop_nodes), rtts))
+        paths.append(CleanPath(f"synth-{len(paths)}", hops, f"router-{src}"))
     return paths
 
 
@@ -461,6 +448,7 @@ def corrupt_geodb(
     snapshot: dict[str, list[GeoRecord]] = {}
     displaced_ips: set[str] = set()
     catalog_sorted = sorted(catalog, key=lambda p: p.polygon_id)
+    catalog_names = [normalize_city(c.name) for c in catalog_sorted]
     for i, router in enumerate(world.routers):
         records: list[GeoRecord] = []
         if i in displaced_idx:
@@ -492,7 +480,8 @@ def corrupt_geodb(
             decoy_sources: set[str] = set()
             decoy_city: CityPolygon | None = None
             if i in decoy_idx and len(catalog_sorted) > 1:
-                others = [c for c in catalog_sorted if normalize_city(c.name) != normalize_city(router.city)]
+                city = normalize_city(router.city)
+                others = [c for c, name in zip(catalog_sorted, catalog_names) if name != city]
                 if others:
                     decoy_city = rng.choice(others)
                     take = min(spec.decoy_db_count, max(0, spec.db_count - 1))
@@ -714,8 +703,8 @@ def score_against_truth(
         report.interface_within_100km_fraction = (
             report.interface_within_100km / len(distances)
         )
-        report.interface_distance_mean_km = statistics.fmean(distances)
-        report.interface_distance_median_km = float(statistics.median(distances))
+        report.interface_distance_mean_km = math.fsum(distances) / len(distances)
+        report.interface_distance_median_km = _median(distances)
         report.interface_distance_max_km = max(distances)
 
     active = [

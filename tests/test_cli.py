@@ -688,6 +688,8 @@ class TestScoreCommand:
             ([good, json.dumps(good)[:30]], world_file, [], f"{ips_file}:2: bad record"),
             ([{**good, "status": "lost"}], world_file, [], f"{ips_file}:1: bad record (ValueError"),
             ([good, {**good, "verdict": "maybe"}], world_file, [], "'maybe' is not a valid Verdict"),
+            ([{**good, "clusters": [{"city": "x"}]}], world_file, [], f"{ips_file}:1: bad record (KeyError"),
+            ([{**good, "clusters": [{"city": "x", "country": 7}]}], world_file, [], "country must be"),
             ([good], broken_world, ["--displaced", str(synth_dir / "displaced.json")], "'routers'"),
             ([good], world_file, ["--displaced", str(broken_displaced)], str(broken_displaced)),
             ([good], far_tunnel, [*displaced_arg], "router index 9999 out of range for"),

@@ -8,6 +8,7 @@ import io
 import ipaddress
 import json
 import logging
+import math
 import re
 import statistics
 import tempfile
@@ -655,11 +656,52 @@ clean_path_strategy = st.builds(
 )
 
 
+def reference_serialize_native(path):
+    """The native writer as it was before lines were built from strings: the
+    whole document through one compact ``json.JSONEncoder``."""
+    doc = {"path_id": path.path_id, "hops": [{"ip": ip, "rtt": rtt} for ip, rtt in path.hops]}
+    return json.JSONEncoder(separators=(",", ":")).encode(doc)
+
+
+class OddFloat(float):
+    def __repr__(self):
+        return "odd"
+
+
+class OddStr(str):
+    pass
+
+
+# Every code point, lone surrogates, quotes, backslashes and control
+# characters included.
+any_text = st.text(st.characters(codec=None, exclude_categories=()), max_size=12)
+writer_rtts = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, True, False]),
+    st.integers(),
+    st.floats(allow_nan=False).map(OddFloat),
+)
+writer_names = st.one_of(
+    any_text, st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\ud800", "é€😀"]),
+    st.integers(), st.none(), any_text.map(OddStr),
+)
+writer_paths = st.builds(
+    lambda pid, hops: CleanPath(path_id=pid, hops=hops, source_traceroute=""),
+    writer_names,
+    st.lists(st.tuples(writer_names, writer_rtts), max_size=5),
+)
+
+
 class TestNativeFormat:
     @given(clean_path_strategy)
     def test_round_trip(self, path):
         (loaded,) = load_native([serialize_native(path)])
         assert loaded == path
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(writer_paths)
+    def test_writer_matches_json_encoder(self, path):
+        assert serialize_native(path) == reference_serialize_native(path)
 
     def test_rejects_bad_records(self):
         diag = Diagnostics()

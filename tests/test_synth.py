@@ -17,8 +17,8 @@ import pytest
 
 import traceloc
 from traceloc import cli
-from traceloc.geo import GeoPoint, haversine_km, load_city_catalog
-from traceloc.ingest import write_geo_snapshot
+from traceloc.geo import FIBER_KM_PER_MS, GeoPoint, haversine_km, load_city_catalog
+from traceloc.ingest import CleanPath, write_geo_snapshot
 from traceloc.refine import CandidateState, IpStatus, make_states
 from traceloc.report import ip_records
 from traceloc.resolve import ResolutionOutcome, Verdict
@@ -27,12 +27,14 @@ from traceloc.synth import (
     EXTRA_DEGREE,
     _TIE_EPS_KM,
     MAX_ROUTERS,
+    _apply_tunnels,
     InjectionSpec,
     Router,
     World,
     corrupt_geodb,
     generate_world,
     load_world,
+    max_path_attempts,
     save_world,
     score_against_truth,
     _router_ip,
@@ -166,6 +168,61 @@ def reference_links(world: World) -> list[tuple[int, int]]:
         ranked = sorted((dist[i][j], j) for j in range(n) if j != i)
         links.update((min(i, j), max(i, j)) for _, j in ranked[:EXTRA_DEGREE])
     return sorted(links)
+
+
+def reference_simulate_traceroutes(world: World, n_paths: int, noise_fraction: float):
+    """``simulate_traceroutes`` as it was before each path was built in one
+    pass: a running list of cumulative km, RTTs for every node, then
+    ``Random.uniform`` noise and router lookups hop by hop."""
+    rng = random.Random(f"paths:{world.rng_seed}")
+    n = len(world.routers)
+    adj = link_adjacency(world)
+    link_km = {}
+    for a, b in world.links:
+        loc_a, loc_b = world.routers[a].location, world.routers[b].location
+        link_km[a, b] = haversine_km(loc_a, loc_b)
+        link_km[b, a] = haversine_km(loc_b, loc_a)
+    member_of = {}
+    for t_idx, tunnel in enumerate(world.mpls_tunnels):
+        for pos, node in enumerate(tunnel):
+            member_of[node] = (t_idx, pos)
+    cache, paths, attempts = {}, [], 0
+    while len(paths) < n_paths and attempts < max_path_attempts(n_paths):
+        attempts += 1
+        src = rng.randrange(n)
+        dst = rng.randrange(n)
+        if src == dst:
+            continue
+        variant = rng.randrange(_ROUTE_VARIANTS)
+        dist, preds = _shortest_path(adj, src, dst, cache, f"{world.rng_seed}")
+        if math.isinf(dist[dst]):
+            continue
+        pred = preds[variant]
+        nodes = [dst]
+        while nodes[-1] != src:
+            nodes.append(pred[nodes[-1]])
+        nodes.reverse()
+        if len(nodes) < 3:
+            continue
+        cumulative = [0.0]
+        for link in zip(nodes, nodes[1:]):
+            cumulative.append(cumulative[-1] + link_km[link])
+        rtts = [2.0 * c / FIBER_KM_PER_MS for c in cumulative]
+        hops_nodes = nodes[1:]
+        hop_rtts = rtts[1:]
+        _apply_tunnels(hops_nodes, hop_rtts, member_of)
+        if noise_fraction > 0.0:
+            hop_rtts = [
+                r * (1.0 + rng.uniform(-noise_fraction, noise_fraction)) for r in hop_rtts
+            ]
+        paths.append(
+            CleanPath(
+                path_id=f"synth-{len(paths)}",
+                hops=[(world.routers[node].ip, rtt) for node, rtt in zip(hops_nodes, hop_rtts)],
+                source_traceroute=f"router-{src}",
+            )
+        )
+    return paths
 
 
 class TestGenerateWorld:
@@ -337,6 +394,21 @@ class TestSimulateTraceroutes:
                     assert pt_.hops[i][1] == pytest.approx(ph.hops[i][1], rel=1e-9)
                 i = j + 1
         assert rewritten > 0  # the corpus did cross the tunnel
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_matches_reference(self, grid_catalog, line_catalog, data_dir, noise):
+        # Exact equality: the same draws in the same order give the same floats.
+        global_catalog = load_city_catalog(data_dir / "cities_global.csv")
+        worlds = {
+            "tunnel line": generate_world(11, 6, 6, 0.2, line_catalog, tunnel_len=3),
+            "tunnel grid": generate_world(13, 24, 12, 0.15, grid_catalog, tunnel_len=3),
+            "tie-heavy grid": generate_world(3, 30, 12, 0.1, grid_catalog, tunnel_len=3),
+            "co-located": generate_world(7, 40, 12, 0.1, global_catalog, tunnel_len=3),
+        }
+        for name, world in worlds.items():
+            assert world.mpls_tunnels, name
+            want = reference_simulate_traceroutes(world, 300, noise)
+            assert simulate_traceroutes(world, 300, noise) == want, name
 
     def test_noise_validation(self, grid_catalog):
         world = generate_world(7, 18, 12, 0.0, grid_catalog)
