@@ -1,8 +1,8 @@
 """Command-line entry points: ``run``, ``synth``, ``score``.
 
 Configuration is a flat key-value file (``key = value``, ``#`` comments).
-Every algorithm knob is overridable there; ``--out`` and ``--seed``
-override their config counterparts.  The ``threads`` key and
+Every algorithm knob is overridable there; ``--out``, and ``--seed`` on
+``synth``, override their config counterparts.  The ``threads`` key and
 ``--threads`` are deprecated and ignored (a value below 1 is still
 rejected).  Exit codes: 0 success, 1 fatal input problem,
 2 configuration problem.  Given identical inputs, configuration, and seed,
@@ -18,6 +18,7 @@ import gc
 import itertools
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -189,7 +190,7 @@ def _validate_knobs(cfg: PipelineConfig) -> None:
         (0.0 <= cfg.synth.interface_error_fraction <= 1.0, "synth.interface_error_fraction in [0,1]"),
         (cfg.synth.min_displacement_km >= 0, "synth.min_displacement_km >= 0"),
         (cfg.synth.db_count >= 1, "synth.db_count >= 1"),
-        (cfg.synth.db_noise_km >= 0, "synth.db_noise_km >= 0"),
+        (0 <= cfg.synth.db_noise_km < math.inf, "synth.db_noise_km finite and >= 0"),
         (cfg.synth.tunnel_len >= 2, "synth.tunnel_len >= 2"),
         (0.0 <= cfg.synth.decoy_fraction <= 1.0, "synth.decoy_fraction in [0,1]"),
         (cfg.synth.decoy_db_count >= 0, "synth.decoy_db_count >= 0"),
@@ -436,14 +437,16 @@ def score_cmd(results_dir: str | Path, world_file: str | Path,
         world = synth.load_world(world_file)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{world_file}: bad world file ({type(exc).__name__}: {exc})") from exc
+    router_ips = {r.ip for r in world.routers}
     try:
-        displaced = set(json.loads(displaced_file.read_text(encoding="utf-8"))["displaced"])
+        displaced = json.loads(displaced_file.read_text(encoding="utf-8"))["displaced"]
+        if not isinstance(displaced, list) or not router_ips.issuperset(displaced):
+            raise ValueError("displaced must be a list of world router IPs")
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{displaced_file}: bad displaced set ({type(exc).__name__}: {exc})") from exc
-    router_ips = {r.ip for r in world.routers}
     records = _read_ips_jsonl(ips_file, router_ips)
 
-    report_obj = synth.score_against_truth(records, world, displaced)
+    report_obj = synth.score_against_truth(records, world, set(displaced))
 
     def write_score(path: Path) -> None:
         with path.open("w", newline="", encoding="utf-8") as fh:
@@ -499,10 +502,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", help="output directory (overrides out_dir)")
         p.add_argument("--threads", type=int, help="deprecated; ignored")
-        p.add_argument("--seed", type=int, help="rng seed (overrides seed)")
+        return p
 
     common(sub.add_parser("run", help="analyze a traceroute corpus"))
-    common(sub.add_parser("synth", help="generate a synthetic ground-truth corpus"))
+    p_synth = common(sub.add_parser("synth", help="generate a synthetic ground-truth corpus"))
+    p_synth.add_argument("--seed", type=int, help="rng seed (overrides seed)")
     p_score = sub.add_parser("score", help="grade results against a synthetic world")
     p_score.add_argument("results_dir")
     p_score.add_argument("world_file")

@@ -1,5 +1,5 @@
 """Geometric core: great-circle distance, RTT-to-distance budgets, candidate
-clustering, the city-disc catalog, and a degree-grid spatial index.
+clustering, the city-disc catalog, and a latitude-sorted spatial index.
 
 All distances are kilometres on a sphere of radius 6371 km.  Propagation
 budgets assume signals travel at ~200 km/ms one way in optical fiber, i.e.
@@ -7,11 +7,12 @@ a round-trip millisecond buys 100 km of separation.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotation only
     from .ingest import GeoRecord
@@ -208,82 +209,32 @@ def load_city_catalog(path: str | Path) -> list[CityPolygon]:
     return polygons
 
 
-def _disc_cells(center: GeoPoint, radius_km: float) -> Iterable[tuple[int, int]]:
-    """Yield the 1-degree grid cells a spherical disc can touch.
-
-    The latitude band is exact; the longitude span uses the bounding-box
-    formula for a spherical cap (asin(sin r / cos lat)), which widens
-    toward the poles.  A disc that reaches a pole wraps every longitude.
-    """
-    ang = min(math.pi, radius_km / EARTH_RADIUS_KM + 1e-12)
-    lat0 = math.radians(center.lat)
-    lat_lo = math.degrees(lat0 - ang)
-    lat_hi = math.degrees(lat0 + ang)
-
-    full_wrap = False
-    if lat_hi >= 90.0 or lat_lo <= -90.0:
-        full_wrap = True
-        lat_lo = max(lat_lo, -90.0)
-        lat_hi = min(lat_hi, 90.0)
-    else:
-        ratio = math.sin(ang) / math.cos(lat0)
-        if ratio >= 1.0:
-            full_wrap = True
-        else:
-            dlon = math.degrees(math.asin(ratio)) + 1e-9
-
-    lat_cells = range(
-        max(-90, math.floor(lat_lo)), min(89, math.floor(min(lat_hi, 89.999999))) + 1
-    )
-    if full_wrap:
-        lon_cells = list(range(-180, 180))
-    else:
-        lon_lo = center.lon - dlon
-        lon_hi = center.lon + dlon
-        lon_cells = []
-        seen = set()
-        for j in range(math.floor(lon_lo), math.floor(lon_hi) + 1):
-            wrapped = (j + 180) % 360 - 180
-            if wrapped not in seen:
-                seen.add(wrapped)
-                lon_cells.append(wrapped)
-    for i in lat_cells:
-        for j in lon_cells:
-            yield (i, j)
-
-
 class SpatialIndex:
-    """Buckets city discs into a 1-degree lat/lon grid.
+    """City discs sorted by centroid latitude.
 
-    The grid only prunes candidates: every query ends with an exact
-    haversine test, so results are identical to a linear scan over the
-    catalog.  The implementation is deliberately swappable — anything
-    honoring ``query(center, radius_km)`` can stand in.
+    A query gives the exact haversine test only to centroids within its
+    radius plus the widest catalog radius (and 1e-9 degree for rounding) of
+    its latitude: a great-circle distance is never shorter than its distance
+    along the meridian.  So results equal a linear scan over the catalog.
     """
 
     def __init__(self, polygons: Sequence[CityPolygon]) -> None:
         self._polygons: dict[int, CityPolygon] = {p.polygon_id: p for p in polygons}
-        self._grid: dict[tuple[int, int], list[int]] = {}
-        for poly in polygons:
-            for cell in _disc_cells(poly.centroid, poly.radius_km):
-                self._grid.setdefault(cell, []).append(poly.polygon_id)
+        self._by_lat = sorted(self._polygons.values(), key=lambda p: p.centroid.lat)
+        self._lats = [p.centroid.lat for p in self._by_lat]
+        self._max_radius_km = max((p.radius_km for p in self._by_lat), default=0.0)
 
     def polygon(self, polygon_id: int) -> CityPolygon:
         return self._polygons[polygon_id]
 
-    @property
-    def polygons(self) -> list[CityPolygon]:
-        return [self._polygons[pid] for pid in sorted(self._polygons)]
-
     def query(self, center: GeoPoint, radius_km: float) -> list[int]:
         """Polygon ids whose disc intersects the query disc (boundary
         touching counts), sorted ascending."""
-        candidates: set[int] = set()
-        for cell in _disc_cells(center, radius_km):
-            candidates.update(self._grid.get(cell, ()))
-        hits = []
-        for pid in candidates:
-            poly = self._polygons[pid]
-            if haversine_km(center, poly.centroid) <= radius_km + poly.radius_km:
-                hits.append(pid)
-        return sorted(hits)
+        reach = (radius_km + self._max_radius_km) / KM_PER_DEG_LAT + 1e-9
+        lo = bisect.bisect_left(self._lats, center.lat - reach)
+        hi = bisect.bisect_right(self._lats, center.lat + reach)
+        return sorted(
+            p.polygon_id
+            for p in self._by_lat[lo:hi]
+            if haversine_km(center, p.centroid) <= radius_km + p.radius_km
+        )

@@ -115,6 +115,7 @@ class TestBuildConfig:
             {"synth.decoy_db_count": "-1"},
             {"synth.n_routers": "63751"},  # past the router address plan
             {"synth.tunnel_len": "1"},
+            {"synth.db_noise_km": "inf"},
             {"fetch_ips_file": "ips.txt"},  # removed with the fetch-geo command
             {"fetch_cache_dir": "c"},
             {"source.a.url": "https://x/{ip}"},
@@ -677,6 +678,10 @@ class TestScoreCommand:
         broken_world.write_text(json.dumps({k: v for k, v in world.items() if k != "routers"}))
         broken_displaced = tmp_path / "broken_displaced.json"
         broken_displaced.write_text('{"displaced": [')
+        bad_displaced = []  # a bare string, numbers, an object, an IP off the world
+        for k, value in enumerate([good["ip"], [1, 2], {}, [good["ip"], "9.9.9.9"]]):
+            bad_displaced.append(tmp_path / f"bad_displaced{k}.json")
+            bad_displaced[-1].write_text(json.dumps({"displaced": value}))
         far_tunnel = tmp_path / "far_tunnel.json"
         far_tunnel.write_text(json.dumps({**world, "mpls_tunnels": [[0, 1, 9999]]}))
         far_link = tmp_path / "far_link.json"
@@ -692,6 +697,8 @@ class TestScoreCommand:
             ([{**good, "clusters": [{"city": "x", "country": 7}]}], world_file, [], "country must be"),
             ([good], broken_world, ["--displaced", str(synth_dir / "displaced.json")], "'routers'"),
             ([good], world_file, ["--displaced", str(broken_displaced)], str(broken_displaced)),
+            *(([good], world_file, ["--displaced", str(f)], f"{f}: bad displaced set (ValueError")
+              for f in bad_displaced),
             ([good], far_tunnel, [*displaced_arg], "router index 9999 out of range for"),
             ([good], far_link, [*displaced_arg], "router index -1 out of range for"),
         ]
@@ -771,6 +778,12 @@ class TestExitCodes:
 
     def test_config_path_is_directory(self, tmp_path, caplog):
         self.assert_one_config_error(["run", "--config", str(tmp_path)], caplog)
+
+    def test_run_has_no_seed_flag(self, tmp_path):
+        cfg = write_config(tmp_path / "a.conf", ["seed = 1"])
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_fetch_geo_command_is_gone(self, tmp_path):
         cfg = write_config(tmp_path / "a.conf", ["seed = 1"])

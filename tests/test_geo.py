@@ -1,6 +1,7 @@
 """Geometry core: distance oracle, clustering, catalog, spatial index."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -301,14 +302,30 @@ def random_catalog(rng, n):
 class TestSpatialIndex:
     def test_equals_linear_scan_random(self):
         rng = random.Random(4242)
-        for _ in range(60):
+        for trial in range(120):
             polygons = random_catalog(rng, rng.randint(1, 60))
+            if trial % 2:
+                # Radii from 0 to 3,000 km in one catalog, with latitudes
+                # repeated and some discs exactly at a pole.
+                lats = [rng.uniform(-90, 90) for _ in range(4)] + [90.0, -90.0]
+                polygons = [
+                    dataclasses.replace(
+                        p,
+                        centroid=GeoPoint(rng.choice(lats), p.centroid.lon),
+                        radius_km=rng.choice([0.0, rng.uniform(0.0, 3000.0)]),
+                    )
+                    for p in polygons
+                ]
             index = SpatialIndex(polygons)
-            center = GeoPoint(rng.uniform(-90, 90), rng.uniform(-180, 180))
-            radius = rng.uniform(1.0, 3000.0)
-            assert index.query(center, radius) == linear_scan(
-                polygons, center, radius
-            )
+            for _ in range(4):
+                center = GeoPoint(
+                    rng.choice([90.0, -90.0, rng.uniform(-90, 90)]),
+                    rng.choice([180.0, -180.0, rng.uniform(-180, 180)]),
+                )
+                radius = rng.choice([0.0, rng.uniform(1.0, 3000.0), rng.uniform(20015.0, 25000.0)])
+                assert index.query(center, radius) == linear_scan(
+                    polygons, center, radius
+                )
 
     def test_near_pole_query(self):
         polygons = [
@@ -344,4 +361,3 @@ class TestSpatialIndex:
         polygons = random_catalog(random.Random(1), 5)
         index = SpatialIndex(polygons)
         assert index.polygon(3).polygon_id == 3
-        assert [p.polygon_id for p in index.polygons] == [0, 1, 2, 3, 4]
