@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import gc
 import itertools
@@ -180,6 +179,7 @@ def _validate_knobs(cfg: PipelineConfig) -> None:
         (cfg.resolve.match_radius_km >= 0, "resolve.match_radius_km >= 0"),
         (cfg.resolve.min_anchors >= 1, "resolve.min_anchors >= 1"),
         (cfg.merge_radius_km >= 0, "merge_radius_km >= 0"),
+        (cfg.out_dir != "", "out_dir not empty"),
         (cfg.traceroute_format in ("auto", "native", "atlas"), "traceroute_format one of auto|native|atlas"),
         (cfg.synth.n_routers >= 2, "synth.n_routers >= 2"),
         (cfg.synth.n_routers <= MAX_SYNTH_ROUTERS, f"synth.n_routers <= {MAX_SYNTH_ROUTERS}"),
@@ -201,10 +201,11 @@ def _validate_knobs(cfg: PipelineConfig) -> None:
 
 
 def load_config(path: str | Path, args: argparse.Namespace | None = None) -> PipelineConfig:
-    cfg = build_config(parse_config_file(path))
+    entries = parse_config_file(path)
+    if getattr(args, "out", None) is not None:
+        entries["out_dir"] = args.out  # checked like the config's own value
+    cfg = build_config(entries)
     if args is not None:
-        if getattr(args, "out", None):
-            cfg.out_dir = args.out
         if getattr(args, "threads", None) is not None:
             _deprecated_threads(args.threads)
         if getattr(args, "seed", None) is not None:
@@ -227,7 +228,7 @@ def _require_inputs(cfg: PipelineConfig, command: str, *keys: str) -> None:
 def _read_traceroutes(cfg: PipelineConfig, diag: Diagnostics) -> list[CleanPath]:
     path = Path(cfg.traceroutes)
     # A bad byte reads as a lone surrogate, and the reader counts its line.
-    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+    with path.open(encoding="utf-8-sig", errors="surrogateescape") as fh:
         fmt, head = cfg.traceroute_format, []
         if fmt == "auto":
             fmt, head = ingest.sniff_format(fh)
@@ -448,13 +449,9 @@ def score_cmd(results_dir: str | Path, world_file: str | Path,
 
     report_obj = synth.score_against_truth(records, world, set(displaced))
 
-    def write_score(path: Path) -> None:
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "value"])
-            writer.writerows(report_obj.rows())
-
-    _write_outputs(results_dir, {"score.csv": write_score})
+    _write_outputs(results_dir, {
+        "score.csv": lambda path: ingest.write_csv(path, ("metric", "value"), report_obj.rows()),
+    })
     logger.info("score written to %s", results_dir / "score.csv")
     return 0
 

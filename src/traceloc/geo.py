@@ -8,14 +8,12 @@ a round-trip millisecond buys 100 km of separation.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotation only
-    from .ingest import GeoRecord
+from .ingest import GeoRecord, read_csv
 
 EARTH_RADIUS_KM = 6371.0
 FIBER_KM_PER_MS = 200.0  # one-way speed of light in fiber, km per millisecond
@@ -165,23 +163,28 @@ def load_city_catalog(path: str | Path) -> list[CityPolygon]:
 
     ``radius_km`` may be omitted (column or value) and defaults to 20 km.
     Duplicate (name, country) rows are kept and receive distinct polygon
-    ids.  A missing file or malformed row is fatal.
+    ids.  Rows are read as ``csv.DictReader`` reads them: a repeated column
+    name reads its last column, a short row lacks its missing fields and
+    blank lines are skipped.  A missing file, a malformed row or a row that
+    csv cannot parse is fatal.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"city catalog not found: {path}")
     polygons: list[CityPolygon] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        rows = read_csv(fh, path)
+        column = {name: i for i, name in enumerate(next(rows, (0, []))[1])}
         required = {"name", "country", "lat", "lon"}
-        header = set(reader.fieldnames or [])
-        if not required.issubset(header):
-            raise ValueError(f"city catalog {path} missing columns {sorted(required - header)}")
-        for row in reader:
-            lineno = reader.line_num
+        if missing := sorted(required - column.keys()):
+            raise ValueError(f"city catalog {path} missing columns {missing}")
+        for lineno, values in rows:
+            if not values:
+                continue
+            row = {name: values[i] for name, i in column.items() if i < len(values)}
             try:
-                lat = float(row["lat"])
-                lon = float(row["lon"])
+                lat = float(row.get("lat"))
+                lon = float(row.get("lon"))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"city catalog {path} row {lineno}: bad coordinates") from exc
             if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
@@ -195,7 +198,7 @@ def load_city_catalog(path: str | Path) -> list[CityPolygon]:
                 raise ValueError(f"city catalog {path} row {lineno}: bad radius") from exc
             if radius < 0:
                 raise ValueError(f"city catalog {path} row {lineno}: negative radius")
-            if row["name"] is None or row["country"] is None:
+            if row.get("name") is None or row.get("country") is None:
                 raise ValueError(f"city catalog {path} row {lineno}: missing name or country")
             polygons.append(
                 CityPolygon(

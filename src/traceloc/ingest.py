@@ -6,7 +6,8 @@ line format holding already-cleaned paths, both read a few lines at a
 time: :func:`load_atlas` parses Atlas records and normalizes each with
 :func:`clean_paths`; :func:`load_native` parses native lines directly.  A
 line that is not valid UTF-8 or JSON is counted and skipped.  Geolocation
-data arrives as a snapshot CSV.
+data arrives as a snapshot CSV.  :func:`read_csv` reads the snapshot and the
+city catalog strictly, and :func:`write_csv` writes every CSV table.
 """
 from __future__ import annotations
 
@@ -73,19 +74,13 @@ def is_bogon(ip: str) -> bool:
 
 
 @dataclass
-class RawHop:
-    hop_index: int
-    # (responder ip or None, rtt ms or None) per probe reply; timeouts keep
-    # their slot as (None, None).
-    replies: list[tuple[str | None, float | None]] = field(default_factory=list)
-
-
-@dataclass
 class RawTraceroute:
     measurement_id: str
     probe_id: str
     timestamp: int
-    hops: list[RawHop] = field(default_factory=list)
+    # Per hop number, ascending: its (responder ip or None, rtt ms or None)
+    # probe replies.  A timeout keeps its slot as (None, None).
+    hops: list[list[tuple[str | None, float | None]]] = field(default_factory=list)
 
 
 @dataclass
@@ -186,7 +181,7 @@ def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTracer
     hops_raw = doc.get("result", [])
     if not isinstance(hops_raw, list):
         raise ValueError("result must be a list")
-    by_index: dict[int, RawHop] = {}
+    by_index: dict[int, list[tuple[str | None, float | None]]] = {}
     ipv6 = 0
     for entry in hops_raw:
         if not isinstance(entry, dict) or "hop" not in entry:
@@ -194,10 +189,7 @@ def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTracer
         hop_no = entry["hop"]
         if type(hop_no) is not int or hop_no < 1:  # exact: a bool is no hop number
             continue
-        hop = by_index.get(hop_no)
-        if hop is None:
-            hop = by_index[hop_no] = RawHop(hop_no)
-        append = hop.replies.append
+        append = by_index.setdefault(hop_no, []).append
         for reply in entry.get("result", []) or []:
             if not isinstance(reply, dict):
                 continue
@@ -237,8 +229,7 @@ def _normalize(
     ident = f"{rt.measurement_id}-{rt.probe_id}-{rt.timestamp}"
     kept: list[tuple[str, float]] = []
     seen: set[str] = set()
-    for hop in rt.hops:
-        replies = hop.replies
+    for replies in rt.hops:
         ip = replies[0][0] if replies else None
         rtts = [rtt for r, rtt in replies if r == ip and rtt is not None]
         if ip is None or len(rtts) != len(replies):  # not one responder with every RTT: vote
@@ -360,6 +351,33 @@ def dump_native(paths: Iterable[CleanPath], fh: TextIO) -> None:
         fh.write(serialize_native(path) + "\n")
 
 
+SNAPSHOT_COLUMNS = ("ip", "source", "lat", "lon", "city", "country")
+
+
+def read_csv(
+    fh: TextIO, path: Path, bad_row: Callable[[int, str], object] | None = None
+) -> Iterator[tuple[int, list[str]]]:
+    """Each row of a strict csv reading of ``fh``, header first, with the
+    file line it ends on.  A row after the header with text after a closing
+    quote goes to ``bad_row(line, message)`` if given, and reading goes on at
+    the next line.  Any other csv error, such as a quote still open at end
+    of file or a field over csv's size limit, is a ``ValueError`` naming
+    ``path:line``, the line the row starts on."""
+    reader = csv.reader(fh, strict=True)
+    while True:
+        start = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # text after a closing quote: "... expected after ..."
+            if bad_row is None or start == 1 or "expected after" not in str(exc):
+                raise ValueError(f"{path}:{start}: {exc}") from exc
+            bad_row(reader.line_num, str(exc))
+            continue
+        yield reader.line_num, row
+
+
 def load_geo_snapshot(
     path: str | Path, diag: Diagnostics | None = None
 ) -> dict[str, list[GeoRecord]]:
@@ -367,11 +385,12 @@ def load_geo_snapshot(
 
     Rows are read by position as ``csv.DictReader`` reads them: a repeated
     column name reads its last column, a short row lacks its missing fields,
-    extra fields are ignored and blank lines skipped.  Malformed rows (a bad
-    byte in source, city or country among them) and coordinate-range
-    violations are skipped with a warning naming the file line the row ends
-    on; duplicate (ip, source) rows keep the first occurrence.  A missing
-    file is fatal.
+    extra fields are ignored and blank lines skipped.  Malformed rows (text
+    after a closing quote, or a bad byte in source, city or country, among
+    them) and coordinate-range violations are skipped with a warning naming
+    the file line the row ends on; duplicate (ip, source) rows keep the first
+    occurrence.  A missing file, and a file that csv cannot read on from a
+    row (see :func:`read_csv`), are fatal.
     """
     diag = diag or Diagnostics()
     version = functools.cache(_ip_version)
@@ -381,18 +400,18 @@ def load_geo_snapshot(
     by_ip: dict[str, list[GeoRecord]] = {}
     seen: set[tuple[str, str]] = set()
     # A bad byte reads as a lone surrogate, and the check below counts its row.
-    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        column = {name: i for i, name in enumerate(next(reader, []))}  # a repeated name: its last
-        required = ("ip", "source", "lat", "lon", "city", "country")
-        if missing := sorted(set(required) - column.keys()):
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        rows = read_csv(
+            fh, path, lambda line, msg: diag.warn("snapshot_malformed", f"{path}:{line}: {msg}")
+        )
+        column = {name: i for i, name in enumerate(next(rows, (0, []))[1])}  # a repeated name: its last
+        if missing := sorted(set(SNAPSHOT_COLUMNS) - column.keys()):
             raise ValueError(f"snapshot {path} missing columns {missing}")
-        at = [column[name] for name in required]
-        for row in reader:
+        at = [column[name] for name in SNAPSHOT_COLUMNS]
+        for lineno, row in rows:
             if not row:
                 continue
             ip, source, lat, lon, city, country = [row[i] if i < len(row) else None for i in at]
-            lineno = reader.line_num
             ip = (ip or "").strip()
             source = (source or "").strip()
             if version(ip) != 4 or not source:
@@ -428,14 +447,22 @@ def write_geo_snapshot(by_ip: dict[str, list[GeoRecord]], path: str | Path) -> P
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with tmp.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ip", "source", "lat", "lon", "city", "country"])
-            for ip in sorted(by_ip, key=ip_key):
-                for rec in sorted(by_ip[ip], key=lambda r: r.source):
-                    writer.writerow([rec.ip, rec.source, repr(rec.lat), repr(rec.lon), rec.city, rec.country])
+        write_csv(tmp, SNAPSHOT_COLUMNS, (
+            (r.ip, r.source, repr(r.lat), repr(r.lon), r.city, r.country)
+            for ip in sorted(by_ip, key=ip_key) for r in sorted(by_ip[ip], key=lambda r: r.source)
+        ))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return path
+
+
+def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> Path:
+    """Write ``header`` and then ``rows`` as UTF-8 CSV in csv's default dialect."""
+    path = Path(path)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
     return path

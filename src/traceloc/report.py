@@ -5,7 +5,6 @@ and every percentage ships next to the raw counts that produce it.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -13,7 +12,7 @@ from typing import AbstractSet, Collection, Iterator
 
 from .diagnostics import Diagnostics
 from .geo import CityCluster, GeoPoint, haversine_km, normalize_city
-from .ingest import CleanPath, GeoRecord
+from .ingest import CleanPath, GeoRecord, write_csv
 from .refine import CandidateState, PairBudgets
 from .resolve import ResolutionOutcome, Verdict
 
@@ -329,53 +328,23 @@ def ip_records(
 
 
 def write_summary_csv(table: SummaryTable, path: str | Path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["category", "ips", "ips_pct", "links", "links_pct", "traceroutes", "traceroutes_pct"]
-        )
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.category,
-                    row.ip_count,
-                    _fmt(row.ip_pct),
-                    row.link_count,
-                    _fmt(row.link_pct),
-                    row.traceroute_count,
-                    _fmt(row.traceroute_pct),
-                ]
-            )
-    return path
+    header = ("category", "ips", "ips_pct", "links", "links_pct", "traceroutes", "traceroutes_pct")
+    return write_csv(path, header, (
+        (r.category, r.ip_count, _fmt(r.ip_pct), r.link_count, _fmt(r.link_pct),
+         r.traceroute_count, _fmt(r.traceroute_pct)) for r in table.rows
+    ))
 
 
 def write_histogram_csv(rows: list[HistRow], path: str | Path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "clusters", "count", "fraction"])
-        for row in rows:
-            writer.writerow([row.method, row.clusters, row.count, _fmt(row.fraction)])
-    return path
+    lines = ((r.method, r.clusters, r.count, _fmt(r.fraction)) for r in rows)
+    return write_csv(path, ("method", "clusters", "count", "fraction"), lines)
 
 
 def write_distance_cdf_csv(distances: list[float], path: str | Path) -> Path:
-    path = Path(path)
     n = len(distances)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "distance_km", "cdf"])
-        for rank, dist in enumerate(distances, start=1):
-            writer.writerow([rank, _fmt(dist), _fmt(rank / n)])
-    return path
+    lines = ((rank, _fmt(d), _fmt(rank / n)) for rank, d in enumerate(distances, start=1))
+    return write_csv(path, ("rank", "distance_km", "cdf"), lines)
 
 
 def write_country_delta_csv(deltas: dict[str, int], path: str | Path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["country", "delta"])
-        for country in sorted(deltas):
-            writer.writerow([country, deltas[country]])
-    return path
+    return write_csv(path, ("country", "delta"), ((c, deltas[c]) for c in sorted(deltas)))

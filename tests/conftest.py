@@ -15,6 +15,12 @@ DATA_DIR = Path(__file__).parent / "data"
 ACCEPT_LINES: list[str] = []
 
 
+def pytest_configure(config):
+    # A file handle left open fails the test that leaked it.
+    config.addinivalue_line("filterwarnings", "error::ResourceWarning")
+    config.addinivalue_line("filterwarnings", "error::pytest.PytestUnraisableExceptionWarning")
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPT_LINES:
         return

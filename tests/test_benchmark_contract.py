@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from traceloc import cli
+from traceloc import cli, ingest
 from traceloc.geo import SpatialIndex, cluster_candidates
 from traceloc.ingest import ip_key
 from traceloc.refine import IpStatus, RefineConfig, make_states, pair_budgets
@@ -88,3 +88,17 @@ def test_count_hooks_read_a_run(tracer, tiny_run):
     assert counts["resolve.path_scans"] == sum(len({ip for ip, _ in p.hops} & tagged) for p in paths)
     verdicts = Counter(f"resolve.{o.verdict.value}" for o in outcomes.values())
     assert {k: counts[k] for k in verdicts} == verdicts
+
+
+def test_atlas_record_normalises_alone_as_in_its_export(data_dir):
+    # perfbench/run.py checks each undamaged Atlas record of its workload
+    # with normalize(parse_atlas([line])[0]).hops.
+    lines = (data_dir / "atlas_sample.jsonl").read_text(encoding="utf-8").splitlines()
+    alone = []
+    for line in lines:
+        raws = ingest.parse_atlas([line])
+        path = ingest.normalize(raws[0]) if raws else None
+        if path is not None:
+            alone.append(path.hops)
+    assert alone == [path.hops for path in ingest.load_atlas(lines)]
+    assert len(alone) == 8

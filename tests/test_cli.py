@@ -3,6 +3,7 @@ synth → run → score round trip on a small world."""
 from __future__ import annotations
 
 import argparse
+import codecs
 import gc
 import hashlib
 import ipaddress
@@ -36,6 +37,10 @@ from tests.test_acceptance import write_hubring_catalog
 
 VALID_STATUSES = {"active", "anomalous"}
 VALID_VERDICTS = {None, "interface_affected", "mpls_affected", "false_positive"}
+
+
+SNAPSHOT_HEADER = "ip,source,lat,lon,city,country\n"
+SNAPSHOT_ROW = "198.51.100.2,db1,1.0,2.0,y,FR\n"
 
 
 def write_config(path, lines):
@@ -119,6 +124,7 @@ class TestBuildConfig:
             {"fetch_ips_file": "ips.txt"},  # removed with the fetch-geo command
             {"fetch_cache_dir": "c"},
             {"source.a.url": "https://x/{ip}"},
+            {"out_dir": ""},  # would write into the working directory
         ],
     )
     def test_rejects(self, entries):
@@ -216,6 +222,19 @@ class TestSynthCommand:
         )
         assert main(["synth", "--config", str(cfg), "--seed", "8"]) == 0
         assert (other / "world.json").read_bytes() != (synth_dir / "world.json").read_bytes()
+
+    def test_catalog_byte_order_mark_changes_nothing(self, small_corpus, tmp_path):
+        _, catalog, _ = small_corpus
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + catalog.read_bytes())
+        for name, cities in (("plain", catalog), ("marked", marked)):
+            cfg = write_config(
+                tmp_path / f"{name}.conf",
+                [f"city_catalog = {cities}", f"out_dir = {tmp_path / name}", "synth.n_routers = 24",
+                 "synth.n_cities = 12", "synth.n_paths = 50"],
+            )
+            assert main(["synth", "--config", str(cfg)]) == 0
+        assert_same_tree(tmp_path / "marked", tmp_path / "plain")
 
     @pytest.mark.parametrize("routers, cities", [(2, 2), (3, 1)])
     def test_short_corpus_warns_once(self, small_corpus, tmp_path, caplog, routers, cities):
@@ -331,6 +350,23 @@ class TestRunCommand:
             assert sorted(p.name for p in out_dir.iterdir()) == names
             for name in names:
                 assert (out_dir / name).read_bytes() == (plain / name).read_bytes(), name
+
+    @pytest.mark.parametrize("key", ["traceroutes", "geo_snapshot", "city_catalog"])
+    def test_byte_order_mark_changes_nothing(self, small_corpus, tmp_path, key):
+        root, catalog, synth_dir = small_corpus
+        plain = tmp_path / "plain"
+        assert main(["run", "--config", str(run_config(root, catalog, synth_dir, plain))]) == 0
+        inputs = {
+            "traceroutes": synth_dir / "traceroutes.jsonl",
+            "geo_snapshot": synth_dir / "snapshot.csv",
+            "city_catalog": catalog,
+        }
+        marked = tmp_path / inputs[key].name
+        marked.write_bytes(codecs.BOM_UTF8 + inputs[key].read_bytes())
+        settings = inputs | {key: marked, "out_dir": tmp_path / "marked"}
+        cfg = write_config(tmp_path / "marked.conf", [f"{k} = {v}" for k, v in settings.items()])
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert_same_tree(tmp_path / "marked", plain)
 
     def test_damaged_lines_cost_only_themselves(self, small_corpus, tmp_path, caplog):
         # A cut-off first line and a bad byte in a later line's path_id are
@@ -959,6 +995,10 @@ class TestExitCodes:
             ("synth", "city_catalog", "name,country,lat,lon\nx,FR,abc,2.0\n"),
             ("run", "city_catalog", "name,country,lat,lon,radius_km\nx,FR,1.0,2.0,nan\n"),
             ("run", "city_catalog", "lat,lon,name,country\n1.0,2.0\n"),
+            ("run", "geo_snapshot", SNAPSHOT_HEADER + '198.51.100.1,db1,1.0,2.0,"x\n' + SNAPSHOT_ROW),
+            ("run", "geo_snapshot", SNAPSHOT_HEADER + '198.51.100.1,db1,1.0,2.0,"' + "x" * 140_000),
+            ("run", "city_catalog", 'name,country,lat,lon,note\nx,FR,1.0,2.0,"n\ny,FR,1.0,2.0,\n'),
+            ("synth", "city_catalog", 'name,country,lat,lon\n"x"y,FR,1.0,2.0\n'),
         ],
         ids=[
             "catalog-without-lon",
@@ -967,6 +1007,10 @@ class TestExitCodes:
             "synth-bad-lat",
             "catalog-nan-radius",
             "catalog-short-row",
+            "snapshot-quote-open-at-end",
+            "snapshot-field-over-limit",
+            "catalog-quote-open-at-end",
+            "synth-catalog-text-after-quote",
         ],
     )
     def test_malformed_catalog_or_snapshot_is_input_error(
@@ -988,6 +1032,28 @@ class TestExitCodes:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1
         assert errors[0].startswith("input error: ") and str(bad) in errors[0]
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_empty_out_dir_is_config_error(
+        self, small_corpus, tmp_path, caplog, monkeypatch, command, where
+    ):
+        # Empty, out_dir would put the outputs in the working directory.
+        settings = self.corpus_settings(small_corpus, tmp_path) | {
+            "synth.n_routers": 24,
+            "synth.n_cities": 12,
+            "synth.n_paths": 50,
+        }
+        if where == "config":
+            settings["out_dir"] = ""
+        cfg = write_config(tmp_path / "a.conf", [f"{k} = {v}" for k, v in settings.items()])
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        flags = ["--out", ""] if where == "flag" else []
+        self.assert_one_config_error([command, "--config", str(cfg), *flags], caplog)
+        assert "out_dir" in caplog.records[-1].getMessage()
+        assert list(work.iterdir()) == [] and not (tmp_path / "out").exists()
 
     def corpus_settings(self, small_corpus, tmp_path):
         root, catalog, synth_dir = small_corpus

@@ -267,6 +267,35 @@ class TestCityCatalog:
         with pytest.raises(ValueError, match=r"gaps\.csv row 5: bad coordinates"):
             load_city_catalog(p)
 
+    @pytest.mark.parametrize(
+        "bad_row, error",
+        [
+            ('"Paris"x,FR,48.85,2.35,', "',' expected after '\"'"),
+            ('Paris,FR,48.85,2.35,"note', "unexpected end of data"),
+            ('Paris,FR,48.85,2.35,"' + "x" * 140_000 + '"', "field larger than field limit"),
+        ],
+        ids=["text-after-quote", "quote-open-at-end", "field-over-limit"],
+    )
+    def test_csv_it_cannot_parse_is_fatal(self, tmp_path, bad_row, error):
+        # A row csv rejects names the line it starts on.
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join(["name,country,lat,lon,note", "Lyon,FR,45.76,4.84,", bad_row,
+                                "Nice,FR,43.70,7.27,"]) + "\n")
+        with pytest.raises(ValueError, match=f"bad\\.csv:3: {error}"):
+            load_city_catalog(p)
+
+    def test_quoted_field_may_span_lines(self, tmp_path):
+        p = tmp_path / "multi.csv"
+        p.write_text('name,country,lat,lon\n"Saint\nDenis",FR,48.94,2.36\nLyon,FR,45.76,4.84\n')
+        assert [c.name for c in load_city_catalog(p)] == ["Saint\nDenis", "Lyon"]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "name,country,lat,lon\nParis,FR,48.85,2.35\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert load_city_catalog(marked) == load_city_catalog(plain) != []
+
     def test_duplicate_rows_keep_distinct_ids(self, tmp_path):
         p = tmp_path / "dup.csv"
         p.write_text("name,country,lat,lon\nParis,FR,48.85,2.35\nParis,FR,48.85,2.35\n")

@@ -23,7 +23,6 @@ from traceloc.diagnostics import Diagnostics
 from traceloc.ingest import (
     CleanPath,
     GeoRecord,
-    RawHop,
     RawTraceroute,
     clean_paths,
     dump_native,
@@ -101,7 +100,7 @@ def reference_load_atlas(lines, diag):
             hop_no = entry["hop"]
             if not isinstance(hop_no, int) or hop_no < 1:
                 continue
-            hop = by_index.setdefault(hop_no, RawHop(hop_index=hop_no))
+            replies = by_index.setdefault(hop_no, [])
             for reply in entry.get("result", []) or []:
                 if not isinstance(reply, dict):
                     continue
@@ -116,15 +115,15 @@ def reference_load_atlas(lines, diag):
                 rtt = reply.get("rtt")
                 if type(rtt) not in (int, float) or not 0 <= rtt < float("inf"):
                     rtt = None
-                hop.replies.append((responder, float(rtt) if rtt is not None else None))
+                replies.append((responder, float(rtt) if rtt is not None else None))
         hops = [by_index[k] for k in sorted(by_index)]
         return RawTraceroute(str(msm), str(prb), ts, hops), ipv6
 
     def normalise(rt):
         hops = []
-        for hop in rt.hops:
-            responders = [ip for ip, _ in hop.replies if ip is not None]
-            rtts = [rtt for _, rtt in hop.replies if rtt is not None]
+        for replies in rt.hops:
+            responders = [ip for ip, _ in replies if ip is not None]
+            rtts = [rtt for _, rtt in replies if rtt is not None]
             if not responders or not rtts:
                 continue
             counts = {}
@@ -202,7 +201,7 @@ class TestParseAtlas:
         assert len(parsed) == len(expected)
         for rt, (msm, prb, ts, hops) in zip(parsed, expected):
             assert (rt.measurement_id, rt.probe_id, rt.timestamp) == (msm, prb, ts)
-            assert {h.hop_index: h.replies for h in rt.hops} == hops
+            assert rt.hops == list(hops.values())  # in ascending hop order
 
     def test_malformed_lines_are_counted_not_fatal(self):
         diag = Diagnostics()
@@ -232,8 +231,8 @@ class TestParseAtlas:
         }
         diag = Diagnostics()
         rt, _ = parse_atlas([json.dumps(doc), json.dumps(doc)], diag)
-        assert rt.hops[1].replies == [(None, 2.0), (None, 2.1)]
-        assert rt.hops[2].replies == [(None, 3.0), ("198.51.100.3", 3.1), (None, 3.2)]
+        assert rt.hops[1] == [(None, 2.0), (None, 2.1)]
+        assert rt.hops[2] == [(None, 3.0), ("198.51.100.3", 3.1), (None, 3.2)]
         assert diag.count("atlas_ipv6") == 6  # three replies on each of two lines
         assert diag.count("atlas_malformed") == 0
         # A hop answered only over IPv6 normalizes like a timeout.
@@ -250,7 +249,7 @@ class TestParseAtlas:
         )
         diag = Diagnostics()
         (rt,) = parse_atlas([line], diag)
-        assert rt.hops[0].replies == [("198.51.100.1", None), ("198.51.100.1", 2.0)]
+        assert rt.hops[0] == [("198.51.100.1", None), ("198.51.100.1", 2.0)]
         assert diag.count("atlas_malformed") == 0
 
     def test_rtt_beyond_float_range_is_malformed(self):
@@ -273,8 +272,7 @@ class TestParseAtlas:
             ],
         }
         (rt,) = parse_atlas([json.dumps(doc)])
-        assert len(rt.hops) == 1
-        assert rt.hops[0].replies == [("198.51.100.1", 1.0), ("198.51.100.1", 1.2)]
+        assert rt.hops == [[("198.51.100.1", 1.0), ("198.51.100.1", 1.2)]]
 
     def test_bool_timestamp_is_malformed(self):
         # true is an int to isinstance, and would make path id 1-2-True.
@@ -296,17 +294,12 @@ class TestParseAtlas:
         }
         diag = Diagnostics()
         (rt,) = parse_atlas([json.dumps(doc)], diag)
-        assert [(h.hop_index, h.replies) for h in rt.hops] == [(1, [("198.51.100.1", 1.0)])]
+        assert rt.hops == [[("198.51.100.1", 1.0)]]
         assert diag.total() == 0
 
 
 def raw(hops, msm="1", prb="2", ts=100):
-    return RawTraceroute(
-        measurement_id=msm,
-        probe_id=prb,
-        timestamp=ts,
-        hops=[RawHop(hop_index=i + 1, replies=replies) for i, replies in enumerate(hops)],
-    )
+    return RawTraceroute(measurement_id=msm, probe_id=prb, timestamp=ts, hops=hops)
 
 
 class TestNormalize:
@@ -828,6 +821,23 @@ snapshot_bodies = st.one_of(
 )
 
 
+def strict_csv_rows(text):
+    """The non-blank rows of a strict csv reading of ``text``, a row with
+    text after its closing quote among them; None if a row cannot be read
+    to its end."""
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    rows = 0
+    while True:
+        try:
+            rows += bool(next(reader))
+        except StopIteration:
+            return rows
+        except csv.Error as exc:
+            if "expected after" not in str(exc):
+                return None
+            rows += 1
+
+
 def non_blank(lines):
     return sum(1 for line in lines if line.strip())
 
@@ -858,8 +868,12 @@ class TestReaderFuzz:
             f = Path(tmp) / "snapshot.csv"
             f.write_text("ip,source,lat,lon,city,country\n" + body, encoding="utf-8", newline="")
             diag = Diagnostics()
+            rows = strict_csv_rows(body)
+            if rows is None:  # csv cannot read the body to its end: fatal
+                with pytest.raises(ValueError):
+                    load_geo_snapshot(f, diag)
+                return
             by_ip = load_geo_snapshot(f, diag)
-        rows = sum(1 for row in csv.reader(io.StringIO(body, newline="")) if row)
         kept = sum(len(records) for records in by_ip.values())
         rejected = sum(
             diag.count(k) for k in ("snapshot_malformed", "snapshot_range", "snapshot_duplicate")
@@ -1079,6 +1093,47 @@ class TestGeoSnapshot:
             f"snapshot_range: {f}:6: coordinates out of range",
             f"snapshot_duplicate: {f}:7: duplicate (198.51.100.1, db1)",
         ]
+
+    def test_text_after_a_closing_quote_costs_only_its_row(self, tmp_path, caplog):
+        f = tmp_path / "snap.csv"
+        f.write_text(
+            "ip,source,lat,lon,city,country\n"
+            "198.51.100.1,db1,48.85,2.35,Paris,FR\n"
+            '198.51.100.2,db1,48.85,2.35,"Paris"x,FR\n'
+            '198.51.100.3,db1,52.52,13.40,"Ber\nlin",DE\n'
+        )
+        diag = Diagnostics()
+        with caplog.at_level(logging.WARNING, logger="traceloc"):
+            loaded = load_geo_snapshot(f, diag)
+        assert loaded == {
+            "198.51.100.1": [GeoRecord("198.51.100.1", "db1", 48.85, 2.35, "Paris", "FR")],
+            "198.51.100.3": [GeoRecord("198.51.100.3", "db1", 52.52, 13.40, "Ber\nlin", "DE")],
+        }
+        assert diag.total() == diag.count("snapshot_malformed") == 1
+        assert caplog.messages == [f"snapshot_malformed: {f}:3: ',' expected after '\"'"]
+
+    @pytest.mark.parametrize(
+        "bad_row, error",
+        [
+            ('203.0.1.9,db9,1.0,2.0,"Paris,XC', "unexpected end of data"),
+            ('203.0.1.9,db9,1.0,2.0,"' + "x" * 140_000 + '",XC', "field larger than field limit"),
+        ],
+        ids=["quote-open-at-end", "field-over-limit"],
+    )
+    def test_a_row_csv_cannot_finish_is_fatal(self, tmp_path, bad_row, error):
+        # The rows after the bad one would all be read into its field.
+        good = [f"203.0.2.{i},db1,1.0,2.0,Paris,FR" for i in range(1, 200)]
+        f = tmp_path / "snap.csv"
+        f.write_text("\n".join(["ip,source,lat,lon,city,country", *good[:2], bad_row, *good[2:]]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(f))}:4: {error}"):
+            load_geo_snapshot(f)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "ip,source,lat,lon,city,country\n198.51.100.1,db1,48.85,2.35,Paris,FR\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert load_geo_snapshot(marked) == load_geo_snapshot(plain) != {}
 
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(FileNotFoundError):
