@@ -1,43 +1,3 @@
 """Traceroute geolocation anomaly detection and repair."""
-from __future__ import annotations
-
-from .geo import (
-    EARTH_RADIUS_KM,
-    FIBER_KM_PER_MS,
-    CityCluster,
-    CityPolygon,
-    GeoPoint,
-    SpatialIndex,
-    cluster_candidates,
-    haversine_km,
-    load_city_catalog,
-    sol_km,
-)
-from .ingest import CleanPath, GeoRecord, RawTraceroute
-from .refine import CandidateState, IpStatus, RefineConfig
-from .resolve import ResolutionOutcome, ResolveConfig, Verdict
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EARTH_RADIUS_KM",
-    "FIBER_KM_PER_MS",
-    "CityCluster",
-    "CityPolygon",
-    "GeoPoint",
-    "SpatialIndex",
-    "cluster_candidates",
-    "haversine_km",
-    "load_city_catalog",
-    "sol_km",
-    "CleanPath",
-    "GeoRecord",
-    "RawTraceroute",
-    "CandidateState",
-    "IpStatus",
-    "RefineConfig",
-    "ResolutionOutcome",
-    "ResolveConfig",
-    "Verdict",
-    "__version__",
-]

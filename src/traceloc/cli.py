@@ -2,11 +2,9 @@
 
 Configuration is a flat key-value file (``key = value``, ``#`` comments).
 Every algorithm knob is overridable there; ``--out``, and ``--seed`` on
-``synth``, override their config counterparts.  The ``threads`` key and
-``--threads`` are deprecated and ignored (a value below 1 is still
-rejected).  Exit codes: 0 success, 1 fatal input problem,
-2 configuration problem.  Given identical inputs, configuration, and seed,
-two runs produce byte-identical output trees.
+``synth``, override their config counterparts.  Exit codes: 0 success,
+1 fatal input problem, 2 configuration problem.  Given identical inputs,
+configuration, and seed, two runs produce byte-identical output trees.
 """
 from __future__ import annotations
 
@@ -104,8 +102,6 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
-_THREADS_DEPRECATED = "config key threads is deprecated and ignored"
-
 # synth.MAX_ROUTERS, the size of synth's router address plan, repeated here
 # so that checking a config never loads synth.
 MAX_SYNTH_ROUTERS = 63750
@@ -147,22 +143,11 @@ def build_config(entries: dict[str, str]) -> PipelineConfig:
             value = _convert(key, raw, _SECTION_TYPES[section][name])
             setattr(getattr(cfg, section), name, value)
             continue
-        if key == "threads":
-            _deprecated_threads(_convert(key, raw, int))
-            continue
         if key not in _TOP_KEYS:
             raise ConfigError(f"unknown config key: {key}")
         setattr(cfg, key, _convert(key, raw, _TOP_KEYS[key]))
     _validate_knobs(cfg)
     return cfg
-
-
-def _deprecated_threads(value: int) -> None:
-    """Check a ``threads`` value as before its removal, then warn that it is
-    ignored: a config that was rejected then is rejected now."""
-    if value < 1:
-        raise ConfigError("config violates: threads >= 1")
-    logger.warning(_THREADS_DEPRECATED)
 
 
 def _validate_knobs(cfg: PipelineConfig) -> None:
@@ -205,11 +190,8 @@ def load_config(path: str | Path, args: argparse.Namespace | None = None) -> Pip
     if getattr(args, "out", None) is not None:
         entries["out_dir"] = args.out  # checked like the config's own value
     cfg = build_config(entries)
-    if args is not None:
-        if getattr(args, "threads", None) is not None:
-            _deprecated_threads(args.threads)
-        if getattr(args, "seed", None) is not None:
-            cfg.seed = args.seed
+    if getattr(args, "seed", None) is not None:
+        cfg.seed = args.seed
     return cfg
 
 
@@ -430,7 +412,9 @@ def score_cmd(results_dir: str | Path, world_file: str | Path,
         raise InputError(f"results file not found: {ips_file}")
     if not world_file.exists():
         raise InputError(f"world file not found: {world_file}")
-    displaced_file = Path(displaced_file) if displaced_file else world_file.parent / "displaced.json"
+    if displaced_file is None:
+        displaced_file = world_file.parent / "displaced.json"
+    displaced_file = Path(displaced_file)
     if not displaced_file.exists():
         raise InputError(f"displaced-set file not found: {displaced_file}")
 
@@ -459,8 +443,9 @@ def score_cmd(results_dir: str | Path, world_file: str | Path,
 def _read_ips_jsonl(path: Path, router_ips: set[str]) -> list[dict]:
     """The records of a results file, each checked for what scoring reads:
     a world router's ``ip``, a known ``status`` and ``verdict``, string
-    cluster cities and countries and a null or numeric ``resolved``.  A
-    repeated ip keeps its last record."""
+    cluster cities and countries and a null ``resolved`` or one with finite
+    lat in [-90, 90] and lon in [-180, 180].  A repeated ip keeps its last
+    record."""
     records: dict[str, dict] = {}
     try:
         fh = path.open("rb")
@@ -478,8 +463,12 @@ def _read_ips_jsonl(path: Path, router_ips: set[str]) -> list[dict]:
                     Verdict(rec["verdict"])
                 if {type(c[k]) for c in rec["clusters"] for k in ("city", "country")} - {str}:
                     raise TypeError("cluster city and country must be strings")
-                if resolved is not None and {type(resolved[k]) for k in ("lat", "lon")} - {int, float}:
-                    raise TypeError("resolved lat and lon must be numbers")
+                if resolved is not None:
+                    lat, lon = resolved["lat"], resolved["lon"]
+                    if {type(lat), type(lon)} - {int, float}:
+                        raise TypeError("resolved lat and lon must be numbers")
+                    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                        raise ValueError("resolved lat and lon must be finite and in range")
                 if ip not in router_ips:
                     raise InputError(f"results do not match world: {ip} is not a world router")
             except (KeyError, TypeError, ValueError) as exc:
@@ -498,7 +487,6 @@ def main(argv: list[str] | None = None) -> int:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", help="output directory (overrides out_dir)")
-        p.add_argument("--threads", type=int, help="deprecated; ignored")
         return p
 
     common(sub.add_parser("run", help="analyze a traceroute corpus"))

@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostics
-from .geo import CityCluster, GeoPoint, haversine_km, sol_km
+from .geo import CityCluster, haversine_km, sol_km
 from .ingest import CleanPath
 
 
@@ -107,18 +107,6 @@ def extract_pairs(paths: list[CleanPath]) -> list[NeighborPair]:
             else:
                 seen.append(obs)
     return [NeighborPair(ip_a=a, ip_b=b, observations=obs) for (a, b), obs in acc.items()]
-
-
-def pair_feasible(
-    loc_a: GeoPoint, loc_b: GeoPoint, rtt_a: float, rtt_b: float, cfg: RefineConfig
-) -> bool:
-    """Can these two locations be adjacent hops given their RTTs?
-
-    True when the great-circle distance fits within the light-in-fiber
-    budget of the RTT difference plus ``deviation_fraction`` of the RTT
-    sum (boundary inclusive).  Symmetric in the two (location, RTT) roles.
-    """
-    return haversine_km(loc_a, loc_b) <= budget_km(rtt_a, rtt_b, cfg)
 
 
 def budget_km(rtt_a: float, rtt_b: float, cfg: RefineConfig) -> float:

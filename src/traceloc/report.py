@@ -216,13 +216,6 @@ def cluster_histogram(
     return rows("refined", states) + rows("sol_baseline", baseline_states)
 
 
-def single_cluster_fraction(states: dict[str, CandidateState]) -> float:
-    if not states:
-        return 0.0
-    singles = sum(1 for s in states.values() if len(s.candidates) == 1)
-    return singles / len(states)
-
-
 def _majority_location(
     records: list[GeoRecord], tie_point: GeoPoint
 ) -> tuple[GeoPoint, str]:

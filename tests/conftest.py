@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from traceloc.geo import load_city_catalog
+from traceloc.geo import GeoPoint, haversine_km, load_city_catalog
+from traceloc.refine import CandidateState, RefineConfig, budget_km
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -32,6 +33,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR
+
+
+# --- reference helpers the pipeline itself does not need ---------------------
+
+
+def pair_feasible(
+    loc_a: GeoPoint, loc_b: GeoPoint, rtt_a: float, rtt_b: float, cfg: RefineConfig
+) -> bool:
+    """Can these two locations be adjacent hops given their RTTs?
+
+    True when the great-circle distance fits within the light-in-fiber
+    budget of the RTT difference plus ``deviation_fraction`` of the RTT
+    sum (boundary inclusive).  Symmetric in the two (location, RTT) roles.
+    """
+    return haversine_km(loc_a, loc_b) <= budget_km(rtt_a, rtt_b, cfg)
+
+
+def single_cluster_fraction(states: dict[str, CandidateState]) -> float:
+    """The share of IPs left with exactly one candidate cluster."""
+    if not states:
+        return 0.0
+    singles = sum(1 for s in states.values() if len(s.candidates) == 1)
+    return singles / len(states)
 
 
 # --- flat-plane catalog helpers ---------------------------------------------

@@ -35,13 +35,11 @@ from traceloc.refine import (
     iterate,
     make_states,
     pair_budgets,
-    pair_feasible,
     tag_anomalies,
 )
 from traceloc.report import (
     country_delta,
     ip_records,
-    single_cluster_fraction,
     sol_baseline,
     summarize,
 )
@@ -59,7 +57,13 @@ from traceloc.synth import (
     score_against_truth,
     simulate_traceroutes,
 )
-from tests.conftest import ACCEPT_LINES, KM_PER_DEG_LAT, plane_latlon
+from tests.conftest import (
+    ACCEPT_LINES,
+    KM_PER_DEG_LAT,
+    pair_feasible,
+    plane_latlon,
+    single_cluster_fraction,
+)
 
 
 def _gate(name: str, ok: bool, detail: str) -> None:

@@ -89,7 +89,6 @@ class TestBuildConfig:
     def test_section_routing_and_types(self):
         cfg = build_config(
             {
-                "threads": "4",
                 "merge_radius_km": "25.5",
                 "refine.max_iterations": "7",
                 "resolve.match_radius_km": "50",
@@ -136,18 +135,12 @@ class TestBuildConfig:
 
     def test_cli_overrides(self, tmp_path):
         cfg_file = write_config(
-            tmp_path / "a.conf", ["out_dir = from_config", "threads = 1", "seed = 5"]
+            tmp_path / "a.conf", ["out_dir = from_config", "seed = 5"]
         )
-        args = argparse.Namespace(out="from_flag", threads=3, seed=0)
+        args = argparse.Namespace(out="from_flag", seed=0)
         cfg = load_config(cfg_file, args)
         assert cfg.out_dir == "from_flag"
         assert cfg.seed == 0  # seed 0 is a real override, not "unset"
-
-    def test_threads_flag_zero_is_rejected(self, tmp_path):
-        cfg_file = write_config(tmp_path / "a.conf", ["threads = 2"])
-        args = argparse.Namespace(out=None, threads=0, seed=None)
-        with pytest.raises(ConfigError, match="threads"):
-            load_config(cfg_file, args)
 
 
 @pytest.fixture(scope="module")
@@ -330,26 +323,19 @@ class TestRunCommand:
         for name in ("ips.jsonl", "summary.csv", "clusters_hist.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_threads_do_not_change_results(self, small_corpus, tmp_path, caplog):
+    def test_threads_key_and_flag_are_rejected(self, small_corpus, tmp_path, caplog):
         root, catalog, synth_dir = small_corpus
-        plain = tmp_path / "plain"
-        assert main(["run", "--config", str(run_config(root, catalog, synth_dir, plain))]) == 0
-        for out_dir, extra, flags in (
-            (tmp_path / "key", ["threads = 4"], []),
-            (tmp_path / "flag", [], ["--threads", "4"]),
-        ):
-            caplog.clear()
-            cfg = run_config(root, catalog, synth_dir, out_dir, extra)
-            assert main(["run", "--config", str(cfg), *flags]) == 0
-            deprecations = [
-                r for r in caplog.records
-                if r.getMessage() == "config key threads is deprecated and ignored"
-            ]
-            assert len(deprecations) == 1
-            names = sorted(p.name for p in plain.iterdir())
-            assert sorted(p.name for p in out_dir.iterdir()) == names
-            for name in names:
-                assert (out_dir / name).read_bytes() == (plain / name).read_bytes(), name
+        cfg = run_config(root, catalog, synth_dir, tmp_path / "key", ["threads = 4"])
+        caplog.clear()
+        assert main(["run", "--config", str(cfg)]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["config error: unknown config key: threads"]
+        cfg = run_config(root, catalog, synth_dir, tmp_path / "flag")
+        for command in ("run", "synth"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(cfg), "--threads", "4"])
+            assert exc.value.code == 2, command
+        assert not (tmp_path / "key").exists() and not (tmp_path / "flag").exists()
 
     @pytest.mark.parametrize("key", ["traceroutes", "geo_snapshot", "city_catalog"])
     def test_byte_order_mark_changes_nothing(self, small_corpus, tmp_path, key):
@@ -475,13 +461,6 @@ class TestRunCommand:
         )
         assert main(["run", "--config", str(cfg)]) == 0
         assert (out_dir / "summary.csv").exists()
-
-    def test_threads_zero_exits_2(self, small_corpus, tmp_path):
-        root, catalog, synth_dir = small_corpus
-        cfg = run_config(root, catalog, synth_dir, tmp_path / "t0")
-        assert main(["run", "--config", str(cfg), "--threads", "0"]) == 2
-        cfg = run_config(root, catalog, synth_dir, tmp_path / "k0", ["threads = 0"])
-        assert main(["run", "--config", str(cfg)]) == 2
 
 
 class TestParseCount:
@@ -731,10 +710,14 @@ class TestScoreCommand:
             ([good, {**good, "verdict": "maybe"}], world_file, [], "'maybe' is not a valid Verdict"),
             ([{**good, "clusters": [{"city": "x"}]}], world_file, [], f"{ips_file}:1: bad record (KeyError"),
             ([{**good, "clusters": [{"city": "x", "country": 7}]}], world_file, [], "country must be"),
+            *(([{**good, "resolved": {"lat": lat, "lon": lon}}], world_file, [],
+               f"{ips_file}:1: bad record (ValueError: resolved lat and lon must be finite")
+              for lat, lon in ((float("nan"), 0.0), (0.0, float("inf")), (90.5, 0.0), (0.0, -180.5))),
             ([good], broken_world, ["--displaced", str(synth_dir / "displaced.json")], "'routers'"),
             ([good], world_file, ["--displaced", str(broken_displaced)], str(broken_displaced)),
             *(([good], world_file, ["--displaced", str(f)], f"{f}: bad displaced set (ValueError")
               for f in bad_displaced),
+            ([good], world_file, ["--displaced", ""], "bad displaced set"),  # not the default file
             ([good], far_tunnel, [*displaced_arg], "router index 9999 out of range for"),
             ([good], far_link, [*displaced_arg], "router index -1 out of range for"),
         ]
@@ -783,7 +766,6 @@ class TestScoreCommand:
         flags = [
             ["--out", str(tmp_path / "elsewhere")],
             ["--config", str(tmp_path / "none.conf")],
-            ["--threads", "0"],
             ["--seed", "1"],
         ]
         for flag in flags:

@@ -1,7 +1,8 @@
 """The package runs on the standard library alone: every import in
 ``src/traceloc``, function-local ones included, names a standard-library
 module or ``traceloc`` itself, and ``pyproject.toml`` declares no runtime
-dependency."""
+dependency.  Nor does it carry code for the tests alone: every function and
+class it defines at module level is named by the package or the benchmark."""
 from __future__ import annotations
 
 import ast
@@ -12,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "traceloc").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -40,3 +42,39 @@ def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert project["dependencies"] == []
+
+
+def top_level_names(path: Path) -> list[tuple[str | None, set[str]]]:
+    """Per module-level statement of ``path``: the function or class it
+    defines (None for any other statement), and every identifier it names,
+    as a variable, an attribute, an imported name or a whole string."""
+    statements = []
+    for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        defines = getattr(stmt, "name", None)
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        statements.append((defines, names))
+    return statements
+
+
+def test_every_definition_is_used_outside_the_tests():
+    statements = [
+        (path, defines, names)
+        for path in SOURCES + PERFBENCH
+        for defines, names in top_level_names(path)
+    ]
+    unused = [
+        f"{path.stem}.{defines}"
+        for i, (path, defines, _) in enumerate(statements)
+        if path in SOURCES and defines is not None
+        and not any(defines in names for j, (_, _, names) in enumerate(statements) if j != i)
+    ]
+    assert not unused, f"defined in src/traceloc but named only by the tests: {unused}"

@@ -65,7 +65,7 @@ def config_reference_keys() -> set[str]:
 
 
 def test_config_reference_names_every_accepted_key():
-    accepted = set(_TOP_KEYS) | {"threads"} | {
+    accepted = set(_TOP_KEYS) | {
         f"{section}.{name}" for section, fields in _SECTION_TYPES.items() for name in fields
     }
     assert config_reference_keys() == accepted

@@ -22,13 +22,12 @@ from traceloc.refine import (
     iterate,
     make_states,
     pair_budgets,
-    pair_feasible,
     prune,
     score_iteration,
     tag_anomalies,
 )
 from traceloc.synth import InjectionSpec, corrupt_geodb, generate_world, simulate_traceroutes
-from tests.conftest import plane_latlon
+from tests.conftest import pair_feasible, plane_latlon
 
 IP_A = "198.51.100.1"
 IP_B = "198.51.100.2"

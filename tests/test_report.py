@@ -29,14 +29,12 @@ from traceloc.refine import (
     iterate,
     make_states,
     pair_budgets,
-    pair_feasible,
 )
 from traceloc.report import (
     HIST_BUCKETS,
     cluster_histogram,
     country_delta,
     distance_cdf,
-    single_cluster_fraction,
     sol_baseline,
     summarize,
     table_from_counts,
@@ -47,7 +45,7 @@ from traceloc.report import (
 )
 from traceloc.resolve import ResolutionOutcome, Verdict
 from traceloc.synth import InjectionSpec, corrupt_geodb, generate_world, simulate_traceroutes
-from tests.conftest import plane_latlon
+from tests.conftest import pair_feasible, plane_latlon, single_cluster_fraction
 
 
 def path(pid, *hops):
