@@ -299,12 +299,12 @@ def run(cfg: PipelineConfig) -> int:
     del budgets  # freed before resolve_all, so they add nothing to its peak memory
     outcomes = resolve_all(states, paths, index, cfg.resolve, diag=diag)
 
-    table = report.summarize(outcomes, paths, links, corpus_ips)
+    summary = report.summarize(outcomes, paths, links, corpus_ips)
     hist = report.cluster_histogram(states, baseline)
     distances, under_20 = report.distance_cdf(outcomes, snapshot, diag)
     deltas, changed_fraction = report.country_delta(outcomes, snapshot)
     _write_outputs(out_dir, {
-        "summary.csv": lambda path: report.write_summary_csv(table, path),
+        "summary.csv": lambda path: report.write_summary_csv(summary, path),
         "clusters_hist.csv": lambda path: report.write_histogram_csv(hist, path),
         "distance_cdf.csv": lambda path: report.write_distance_cdf_csv(distances, path),
         "country_delta.csv": lambda path: report.write_country_delta_csv(deltas, path),
@@ -403,6 +403,8 @@ def synth_cmd(cfg: PipelineConfig) -> int:
 def score_cmd(results_dir: str | Path, world_file: str | Path,
               displaced_file: str | Path | None = None) -> int:
     """Grade a results directory against the world that produced it."""
+    if "" in (str(results_dir), str(world_file)):
+        raise InputError("empty path: score needs a results directory and a world file")
     from . import synth
 
     results_dir = Path(results_dir)

@@ -60,6 +60,13 @@ def sol_km(delta_ms: float) -> float:
     return (delta_ms / 2.0) * FIBER_KM_PER_MS
 
 
+def mean_point(points: Sequence) -> GeoPoint:
+    """The mean latitude and mean longitude of ``points``, anything with
+    ``lat`` and ``lon``, each summed in order."""
+    n = len(points)
+    return GeoPoint(sum(p.lat for p in points) / n, sum(p.lon for p in points) / n)
+
+
 def normalize_city(name: str) -> str:
     return name.strip().casefold()
 
@@ -108,18 +115,12 @@ def cluster_candidates(
 
     groups: list[list] = [named[key] for key in sorted(named)]
 
-    def centroid_of(members: list) -> GeoPoint:
-        return GeoPoint(
-            sum(m.lat for m in members) / len(members),
-            sum(m.lon for m in members) / len(members),
-        )
-
     for rec in unnamed:
         point = GeoPoint(rec.lat, rec.lon)
         best_idx = -1
         best_dist = math.inf
         for idx, members in enumerate(groups):
-            d = haversine_km(point, centroid_of(members))
+            d = haversine_km(point, mean_point(members))
             if d <= merge_radius_km and d < best_dist:
                 best_idx, best_dist = idx, d
         if best_idx >= 0:
@@ -129,7 +130,7 @@ def cluster_candidates(
 
     def cluster_sort_key(members: list) -> tuple:
         first = members[0]
-        c = centroid_of(members)
+        c = mean_point(members)
         return (first.country.strip().upper(), normalize_city(first.city), c.lat, c.lon)
 
     clusters = []
@@ -138,7 +139,7 @@ def cluster_candidates(
         clusters.append(
             CityCluster(
                 cluster_id=cid,
-                centroid=centroid_of(members),
+                centroid=mean_point(members),
                 city=first.city.strip(),
                 country=first.country.strip().upper(),
                 supporting_sources={m.source for m in members},

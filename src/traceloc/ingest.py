@@ -7,7 +7,8 @@ time: :func:`load_atlas` parses Atlas records and normalizes each with
 :func:`clean_paths`; :func:`load_native` parses native lines directly.  A
 line that is not valid UTF-8 or JSON is counted and skipped.  Geolocation
 data arrives as a snapshot CSV.  :func:`read_csv` reads the snapshot and the
-city catalog strictly, and :func:`write_csv` writes every CSV table.
+city catalog strictly, and :func:`write_csv` writes every CSV table, its
+numbers formatted by :func:`csv_number`.
 """
 from __future__ import annotations
 
@@ -238,19 +239,24 @@ def _normalize(
             if not responders or not rtts:
                 continue
             ip = max(responders, key=responders.count)  # the first of a tie
-        rtts.sort()
         if bogon(ip) or (kept and kept[-1][0] == ip):
             continue  # a bogon, or a repeat of the hop before, which keeps its RTT
         if ip in seen:
             diag.warn("path_loop", f"{ident}: ip {ip} repeats non-consecutively")
             return None
         seen.add(ip)
-        mid = len(rtts) // 2
-        kept.append((ip, float(rtts[mid] if len(rtts) % 2 else (rtts[mid - 1] + rtts[mid]) / 2)))
+        kept.append((ip, median(rtts)))
     if len(kept) < 2:
         diag.warn("path_short", f"{ident}: fewer than 2 hops survive")
         return None
     return CleanPath(path_id=ident, hops=kept, source_traceroute=ident)
+
+
+def median(values: Iterable[float]) -> float:
+    """The middle value, or the mean of the middle two for an even count."""
+    values = sorted(values)
+    mid = len(values) // 2
+    return float(values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2)
 
 
 def clean_paths(
@@ -466,3 +472,13 @@ def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable])
         writer.writerow(header)
         writer.writerows(rows)
     return path
+
+
+def csv_number(value: float | int | None) -> str:
+    """A number as the CSV outputs write it: a float rounded to 6 places,
+    an int as is, and ``None`` as ``NA``."""
+    if value is None:
+        return "NA"
+    if isinstance(value, float):
+        return repr(round(value, 6))
+    return str(value)

@@ -70,6 +70,12 @@ class CandidateState:
     status: IpStatus = IpStatus.ACTIVE
     evaluations: int = 0
 
+    def best(self) -> CityCluster:
+        """The candidate with the highest ratio; a tie goes to the lowest
+        cluster_id.  There must be a candidate."""
+        ratio = self.ratio
+        return max(self.candidates, key=lambda c: (ratio.get(c.cluster_id, 0.0), -c.cluster_id))
+
 
 def make_states(clusters_by_ip: dict[str, list[CityCluster]]) -> dict[str, CandidateState]:
     """Initial states, in the order of ``clusters_by_ip``: every candidate
@@ -207,18 +213,14 @@ def prune(state: CandidateState, cfg: RefineConfig) -> CandidateState:
     candidate is never dropped."""
     if not state.candidates:
         return state
-    r_star = max(state.ratio.get(c.cluster_id, 0.0) for c in state.candidates)
+    best = state.best()
+    r_star = state.ratio.get(best.cluster_id, 0.0)
     if r_star <= 0.0:
         return state
     cutoff = cfg.prune_fraction * r_star
     keep = [c for c in state.candidates if state.ratio.get(c.cluster_id, 0.0) >= cutoff]
     if not keep:  # unreachable while prune_fraction <= 1, kept as a guard
-        keep = [
-            max(
-                state.candidates,
-                key=lambda c: (state.ratio.get(c.cluster_id, 0.0), -c.cluster_id),
-            )
-        ]
+        keep = [best]
     if len(keep) != len(state.candidates):
         kept_ids = {c.cluster_id for c in keep}
         state.candidates = keep
@@ -277,10 +279,7 @@ def tag_anomalies(
     for state in states.values():
         if not state.candidates or state.evaluations < cfg.min_observations:
             continue
-        best = max(
-            state.candidates,
-            key=lambda c: (state.ratio.get(c.cluster_id, 0.0), -c.cluster_id),
-        )
+        best = state.best()
         best_ratio = state.ratio.get(best.cluster_id, 0.0)
         bp = state.prev_ratio.get(best.cluster_id)
         bn = state.next_ratio.get(best.cluster_id)

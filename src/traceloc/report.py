@@ -5,24 +5,15 @@ and every percentage ships next to the raw counts that produce it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet, Collection, Iterator
+from typing import AbstractSet, Collection, Iterable, Iterator
 
 from .diagnostics import Diagnostics
-from .geo import CityCluster, GeoPoint, haversine_km, normalize_city
-from .ingest import CleanPath, GeoRecord, write_csv
+from .geo import CityCluster, GeoPoint, haversine_km, mean_point, normalize_city
+from .ingest import CleanPath, GeoRecord, csv_number, write_csv
 from .refine import CandidateState, PairBudgets
 from .resolve import ResolutionOutcome, Verdict
-
-
-def _fmt(value: float | int | None) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, float):
-        return repr(round(value, 6))
-    return str(value)
 
 
 @dataclass
@@ -36,14 +27,6 @@ class SummaryRow:
     traceroute_pct: float
 
 
-@dataclass
-class SummaryTable:
-    total_ips: int
-    total_links: int
-    total_traceroutes: int
-    rows: list[SummaryRow] = field(default_factory=list)
-
-
 def _pct(part: int, whole: int) -> float:
     return 100.0 * part / whole if whole else 0.0
 
@@ -54,35 +37,24 @@ def table_from_counts(
     interface: tuple[int, int, int],
     total_affected: tuple[int, int, int],
     corrected: tuple[int, int, int],
-) -> SummaryTable:
-    """Assemble the summary table from raw (ips, links, traceroutes)
-    counts.  Affected percentages are relative to the totals; corrected
-    percentages are relative to the total-affected counts."""
-    t_ips, t_links, t_trs = totals
-    table = SummaryTable(total_ips=t_ips, total_links=t_links, total_traceroutes=t_trs)
+) -> list[SummaryRow]:
+    """The five summary rows from raw (ips, links, traceroutes) counts; the
+    ``total`` row carries the totals.  Affected percentages are relative to
+    the totals; corrected percentages are relative to the total-affected
+    counts."""
 
     def row(name: str, counts: tuple[int, int, int], base: tuple[int, int, int]) -> SummaryRow:
-        return SummaryRow(
-            category=name,
-            ip_count=counts[0],
-            ip_pct=_pct(counts[0], base[0]),
-            link_count=counts[1],
-            link_pct=_pct(counts[1], base[1]),
-            traceroute_count=counts[2],
-            traceroute_pct=_pct(counts[2], base[2]),
-        )
+        (ips, links, trs), (ips_base, links_base, trs_base) = counts, base
+        return SummaryRow(name, ips, _pct(ips, ips_base), links, _pct(links, links_base),
+                          trs, _pct(trs, trs_base))
 
-    table.rows = [
+    return [
         row("total", totals, totals),
         row("mpls_affected", mpls, totals),
         row("interface_affected", interface, totals),
         row("total_affected", total_affected, totals),
         row("corrected", corrected, total_affected),
     ]
-    return table
-
-
-_hop_ip = itemgetter(0)
 
 
 def summarize(
@@ -90,7 +62,7 @@ def summarize(
     paths: list[CleanPath],
     links: Collection[tuple[str, str]],
     ips: AbstractSet[str],
-) -> SummaryTable:
+) -> list[SummaryRow]:
     """Count affected IPs, links (unordered adjacent IP pairs), and
     traceroutes per anomaly kind.  ``links`` holds each link of ``paths``
     once, as ``(ip_a, ip_b)`` of :func:`traceloc.refine.extract_pairs`, and
@@ -102,42 +74,27 @@ def summarize(
     exclusively by interface-kind IPs — a traceroute also crossing a
     tunnel-distorted IP cannot be fully repaired.
     """
-    mpls_ips = {
-        ip
-        for ip, out in outcomes.items()
-        if out.verdict is Verdict.MPLS_AFFECTED and ip in ips
-    }
-    iface_ips = {
-        ip
-        for ip, out in outcomes.items()
-        if out.verdict is Verdict.INTERFACE_AFFECTED and ip in ips
-    }
+    verdicts = {ip: out.verdict for ip, out in outcomes.items() if ip in ips}
+    mpls_ips = {ip for ip, verdict in verdicts.items() if verdict is Verdict.MPLS_AFFECTED}
+    iface_ips = {ip for ip, verdict in verdicts.items() if verdict is Verdict.INTERFACE_AFFECTED}
 
-    mpls_links = iface_links = union_links = corrected_links = 0
-    for a, b in links:
-        has_mpls = a in mpls_ips or b in mpls_ips
-        has_iface = a in iface_ips or b in iface_ips
-        mpls_links += has_mpls
-        iface_links += has_iface
-        union_links += has_mpls or has_iface
-        corrected_links += has_iface and not has_mpls
+    def tally(elements: Iterable[Collection[str]]) -> tuple[int, int, int, int, int]:
+        """(elements, mpls, interface, either, interface only), each element an IP collection."""
+        n = mpls = iface = either = iface_only = 0
+        for element in elements:
+            has_mpls = not mpls_ips.isdisjoint(element)
+            has_iface = not iface_ips.isdisjoint(element)
+            n += 1
+            mpls += has_mpls
+            iface += has_iface
+            either += has_mpls or has_iface
+            iface_only += has_iface and not has_mpls
+        return n, mpls, iface, either, iface_only
 
-    mpls_trs = iface_trs = union_trs = corrected_trs = 0
-    for path in paths:
-        has_mpls = not mpls_ips.isdisjoint(map(_hop_ip, path.hops))
-        has_iface = not iface_ips.isdisjoint(map(_hop_ip, path.hops))
-        mpls_trs += has_mpls
-        iface_trs += has_iface
-        union_trs += has_mpls or has_iface
-        corrected_trs += has_iface and not has_mpls
-
-    return table_from_counts(
-        totals=(len(ips), len(links), len(paths)),
-        mpls=(len(mpls_ips), mpls_links, mpls_trs),
-        interface=(len(iface_ips), iface_links, iface_trs),
-        total_affected=(len(mpls_ips | iface_ips), union_links, union_trs),
-        corrected=(len(iface_ips), corrected_links, corrected_trs),
-    )
+    by_ip = tally((ip,) for ip in ips)
+    by_link = tally(links)
+    by_path = tally([ip for ip, _ in path.hops] for path in paths)
+    return table_from_counts(*zip(by_ip, by_link, by_path))
 
 
 def sol_baseline(
@@ -225,18 +182,12 @@ def _majority_location(
     for rec in records:
         groups.setdefault((normalize_city(rec.city), rec.country), []).append(rec)
 
-    def centroid(members: list[GeoRecord]) -> GeoPoint:
-        return GeoPoint(
-            sum(m.lat for m in members) / len(members),
-            sum(m.lon for m in members) / len(members),
-        )
-
     top = max(len(m) for m in groups.values())
     tied = [key for key, members in groups.items() if len(members) == top]
     best_key = min(
-        tied, key=lambda key: (haversine_km(centroid(groups[key]), tie_point), key)
+        tied, key=lambda key: (haversine_km(mean_point(groups[key]), tie_point), key)
     )
-    return centroid(groups[best_key]), groups[best_key][0].country
+    return mean_point(groups[best_key]), groups[best_key][0].country
 
 
 def distance_cdf(
@@ -320,22 +271,23 @@ def ip_records(
 # --- CSV writers -----------------------------------------------------------
 
 
-def write_summary_csv(table: SummaryTable, path: str | Path) -> Path:
+def write_summary_csv(rows: list[SummaryRow], path: str | Path) -> Path:
     header = ("category", "ips", "ips_pct", "links", "links_pct", "traceroutes", "traceroutes_pct")
     return write_csv(path, header, (
-        (r.category, r.ip_count, _fmt(r.ip_pct), r.link_count, _fmt(r.link_pct),
-         r.traceroute_count, _fmt(r.traceroute_pct)) for r in table.rows
+        (r.category, r.ip_count, csv_number(r.ip_pct), r.link_count, csv_number(r.link_pct),
+         r.traceroute_count, csv_number(r.traceroute_pct)) for r in rows
     ))
 
 
 def write_histogram_csv(rows: list[HistRow], path: str | Path) -> Path:
-    lines = ((r.method, r.clusters, r.count, _fmt(r.fraction)) for r in rows)
+    lines = ((r.method, r.clusters, r.count, csv_number(r.fraction)) for r in rows)
     return write_csv(path, ("method", "clusters", "count", "fraction"), lines)
 
 
 def write_distance_cdf_csv(distances: list[float], path: str | Path) -> Path:
     n = len(distances)
-    lines = ((rank, _fmt(d), _fmt(rank / n)) for rank, d in enumerate(distances, start=1))
+    lines = ((rank, csv_number(d), csv_number(rank / n))
+             for rank, d in enumerate(distances, start=1))
     return write_csv(path, ("rank", "distance_km", "cdf"), lines)
 
 

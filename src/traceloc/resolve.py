@@ -13,8 +13,8 @@ becomes the corrected location, attributed to that city.  Tied cities
 merge when single linkage within ``tie_merge_max_km`` joins them into one
 group: their mean centroid is the location, attributed to the tied city
 nearest it; a tie that stays apart leaves the IP unresolvable.  A corrected
-city landing back on one of the IP's own original candidates demotes the
-anomaly to a false positive.
+city landing back on one of the IP's own surviving candidates (those refine
+kept) demotes the anomaly to a false positive.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from enum import Enum
 from operator import itemgetter
 
 from .diagnostics import Diagnostics
-from .geo import CityCluster, CityPolygon, GeoPoint, SpatialIndex, haversine_km, sol_km
-from .ingest import CleanPath
+from .geo import CityCluster, CityPolygon, GeoPoint, SpatialIndex, haversine_km, mean_point, sol_km
+from .ingest import CleanPath, median
 from .refine import CandidateState, IpStatus
 
 BUFFER_FLOOR_KM = 20.0
@@ -148,21 +148,14 @@ def select_anchors(
                 anchor_ip=anchor_ip,
                 location=anchors[anchor_ip].centroid,
                 country=anchors[anchor_ip].country,
-                median_delta_ms=_median(deltas),
-                median_anchor_rtt_ms=_median(anchor_rtts),
+                median_delta_ms=median(deltas),
+                median_anchor_rtt_ms=median(anchor_rtts),
                 observation_count=len(deltas),
             )
             for anchor_ip, (deltas, anchor_rtts) in by_anchor.items()
         ]
         for ip, by_anchor in votes.items()
     }
-
-
-def _median(values: list[float]) -> float:
-    """The middle value, or the mean of the middle two for an even count."""
-    values = sorted(values)
-    mid = len(values) // 2
-    return float(values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2)
 
 
 def mpls_country_filter(anchors: list[AnchorSummary], cfg: ResolveConfig) -> bool:
@@ -228,10 +221,7 @@ def resolve_location(
         return LocationFix(point=tied[0].centroid, city=tied[0], max_overlap=top)
     if not _one_group([poly.centroid for poly in tied], cfg.tie_merge_max_km):
         return LocationFix(point=None, city=None, max_overlap=top)
-    mean = GeoPoint(
-        sum(poly.centroid.lat for poly in tied) / len(tied),
-        sum(poly.centroid.lon for poly in tied) / len(tied),
-    )
+    mean = mean_point([poly.centroid for poly in tied])
     nearest = min(tied, key=lambda poly: (haversine_km(mean, poly.centroid), poly.polygon_id))
     return LocationFix(point=mean, city=nearest, max_overlap=top)
 
@@ -239,7 +229,7 @@ def resolve_location(
 def classify(
     ip: str,
     fix: LocationFix,
-    original_candidates: list[CityCluster],
+    candidates: list[CityCluster],
     cfg: ResolveConfig,
     *,
     anchor_count: int = 0,
@@ -247,14 +237,14 @@ def classify(
     """Interface error or false alarm?  The comparison runs at city
     granularity — ``match_radius_km`` is one city radius — so the fix's
     attributed city stands in for the (possibly between-cities) mean
-    point.  A corrected city within the radius (inclusive) of any
-    original candidate confirms the nearest such candidate and demotes
+    point.  A corrected city within the radius (inclusive) of any of the
+    IP's surviving candidates confirms the nearest such candidate and demotes
     the anomaly; otherwise the IP's database locations were genuinely
     wrong.  Candidate order does not matter."""
     assert fix.city is not None, "classify requires a resolved location"
     matched = fix.city.centroid
     confirmed = min(
-        (c for c in original_candidates if haversine_km(matched, c.centroid) <= cfg.match_radius_km),
+        (c for c in candidates if haversine_km(matched, c.centroid) <= cfg.match_radius_km),
         key=lambda c: (haversine_km(matched, c.centroid), c.cluster_id),
         default=None,
     )
@@ -283,7 +273,7 @@ def resolve_anomaly(
     Country-dispersed anchors yield the dispersed tunnel verdict; too few
     anchors (none at all among them) or a tie that stays apart yields the
     unresolvable tunnel verdict; otherwise the corrected location is
-    classified against the IP's original candidates.
+    classified against the IP's surviving candidates, the ones refine kept.
     """
     reason, max_overlap = REASON_COUNTRY_DISPERSED, 0
     if not mpls_country_filter(anchors, cfg):

@@ -33,10 +33,9 @@ from .geo import (
     haversine_km,
     normalize_city,
 )
-from .ingest import CleanPath, GeoRecord
+from .ingest import CleanPath, GeoRecord, csv_number, median
 from .refine import IpStatus
-from .report import _fmt
-from .resolve import Verdict, _median
+from .resolve import Verdict
 
 # Links each router adds to its nearest peers, on top of the backbone.
 EXTRA_DEGREE = 2
@@ -634,7 +633,7 @@ class ScoreReport:
     true_city_retention: float | None = None
 
     def rows(self) -> list[tuple[str, str]]:
-        return [(f.name, _fmt(getattr(self, f.name))) for f in fields(self)]
+        return [(f.name, csv_number(getattr(self, f.name))) for f in fields(self)]
 
 
 def score_against_truth(
@@ -704,7 +703,7 @@ def score_against_truth(
             report.interface_within_100km / len(distances)
         )
         report.interface_distance_mean_km = math.fsum(distances) / len(distances)
-        report.interface_distance_median_km = _median(distances)
+        report.interface_distance_median_km = median(distances)
         report.interface_distance_max_km = max(distances)
 
     active = [

@@ -439,7 +439,7 @@ def test_affected_summary_exactness():
             row.ip_count, row.ip_pct, row.link_count, row.link_pct,
             row.traceroute_count, row.traceroute_pct,
         )
-        for row in table.rows
+        for row in table
     }
     # Hand count: 10 IPs, 9 distinct links, 4 traceroutes.  A poisons links
     # A-B and H-A and paths p1/p3; E and G cover links D-E, E-F, F-G, G-H

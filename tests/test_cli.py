@@ -755,6 +755,22 @@ class TestScoreCommand:
         assert seen
         assert seen == [json.loads(line) for line in lines]
 
+    def test_empty_paths_are_input_errors(self, small_corpus, tmp_path, monkeypatch, caplog):
+        # An empty path names no file: not the working directory, though
+        # Path("") reads as ".".  Here the working directory holds results.
+        _, catalog, synth_dir = small_corpus
+        out_dir = tmp_path / "results"
+        assert main(["run", "--config", str(run_config(tmp_path, catalog, synth_dir, out_dir))]) == 0
+        monkeypatch.chdir(out_dir)
+        for args in (["", str(synth_dir / "world.json")], [str(out_dir), ""]):
+            caplog.clear()
+            assert main(["score", *args]) == 1, args
+            errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+            assert errors == [
+                "input error: empty path: score needs a results directory and a world file"
+            ], errors
+        assert not (out_dir / "score.csv").exists()
+
     def test_missing_results(self, small_corpus, tmp_path):
         _, _, synth_dir = small_corpus
         assert main(["score", str(tmp_path / "void"), str(synth_dir / "world.json")]) == 1

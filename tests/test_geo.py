@@ -18,6 +18,7 @@ from traceloc.geo import (
     cluster_candidates,
     haversine_km,
     load_city_catalog,
+    mean_point,
     normalize_city,
     sol_km,
 )
@@ -205,6 +206,20 @@ class TestClusterCandidates:
                 for c in got
             )
             assert got_partition == brute_force_clusters(records), f"trial {trial}"
+
+    def test_mean_point_is_the_inline_mean(self):
+        rng = random.Random(5)
+        records = [
+            rec(source=f"db{i}", lat=rng.uniform(-90, 90), lon=rng.uniform(-180, 180))
+            for i in range(7)
+        ]
+        points = [GeoPoint(r.lat, r.lon) for r in records]
+        for items in (records, points, points[:1]):
+            assert mean_point(items) == GeoPoint(
+                sum(p.lat for p in items) / len(items), sum(p.lon for p in items) / len(items)
+            )
+        # Summed in order, not exactly: 1e16 + 1 rounds back to 1e16.
+        assert mean_point([GeoPoint(1e16, 0), GeoPoint(1, 0), GeoPoint(-1e16, 0)]).lat == 0.0
 
     def test_cluster_ids_are_stable_ascending(self):
         clusters = cluster_candidates(

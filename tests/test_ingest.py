@@ -31,6 +31,7 @@ from traceloc.ingest import (
     load_atlas,
     load_geo_snapshot,
     load_native,
+    median,
     normalize,
     parse_atlas,
     serialize_native,
@@ -346,6 +347,15 @@ class TestNormalize:
         ])
         path = normalize(rt)
         assert path.hops[0][1] == statistics.median([4.0, 2.0])
+
+    def test_median_helper(self):
+        # Odd, even (unsorted), and one-value input; always a float, and the
+        # input list is left as it was.
+        for values, want in (([3.0, 1.0, 2.0], 2.0), ([5.0, 1.0, 3.0, 2.0], 2.5), ([7], 7.0)):
+            given = list(values)
+            got = median(given)
+            assert got == want and type(got) is float
+            assert given == values
 
     def test_unresponsive_hops_dropped(self):
         rt = raw([

@@ -1,8 +1,9 @@
 """The package runs on the standard library alone: every import in
 ``src/traceloc``, function-local ones included, names a standard-library
 module or ``traceloc`` itself, and ``pyproject.toml`` declares no runtime
-dependency.  Nor does it carry code for the tests alone: every function and
-class it defines at module level is named by the package or the benchmark."""
+dependency.  No module uses another module's ``_``-prefixed names.  Nor
+does the package carry code for the tests alone: every function and class
+it defines at module level is named by the package or the benchmark."""
 from __future__ import annotations
 
 import ast
@@ -36,6 +37,32 @@ def test_sources_found():
 def test_imports_only_the_standard_library(path):
     outside = imported_modules(path) - set(sys.stdlib_module_names) - {"traceloc"}
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_uses_no_private_name_of_another_module(path):
+    """A ``_``-prefixed name stays in the module that defines it: no module
+    imports one from another ``traceloc`` module, or reads one off a
+    ``traceloc`` module it imported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "traceloc")
+    ]
+    modules = {
+        alias.asname or alias.name
+        for node in imports if node.module in (None, "traceloc") for alias in node.names
+    }
+    private = [
+        f"{node.module or '.'} import {alias.name}"
+        for node in imports for alias in node.names if alias.name.startswith("_")
+    ] + [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ]
+    assert not private, f"{path.name} uses private names of other modules: {private}"
 
 
 def test_no_runtime_dependencies():

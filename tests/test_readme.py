@@ -46,7 +46,7 @@ def test_library_snippet_runs(tmp_path, monkeypatch):
     assert tagged
     assert set(namespace["outcomes"]) == tagged
     assert set(namespace["baseline"]) == set(namespace["states"])
-    assert namespace["table"].total_traceroutes == len(namespace["paths"])
+    assert namespace["table"][0].traceroute_count == len(namespace["paths"])
 
 
 def config_reference_keys() -> set[str]:

@@ -430,6 +430,11 @@ class TestPrune:
         prune(st, RefineConfig())
         assert len(st.candidates) == 1
 
+    def test_best_tie_goes_to_lowest_id(self):
+        st = self._state([0.5, 0.9, 0.9])
+        st.candidates.reverse()  # by cluster_id, not by list position
+        assert st.best().cluster_id == 1
+
 
 def anomaly_fixture():
     """X looks consistent toward its previous hop but impossible toward the

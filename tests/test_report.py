@@ -72,9 +72,9 @@ class TestTableFromCounts:
             total_affected=(45, 80, 18),
             corrected=(30, 36, 9),
         )
-        assert table.total_ips == 200
-        by_cat = {row.category: row for row in table.rows}
-        assert [r.category for r in table.rows] == [
+        assert table[0].ip_count == 200
+        by_cat = {row.category: row for row in table}
+        assert [r.category for r in table] == [
             "total",
             "mpls_affected",
             "interface_affected",
@@ -93,7 +93,7 @@ class TestTableFromCounts:
 
     def test_zero_denominators(self):
         table = table_from_counts((0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0))
-        for row in table.rows:
+        for row in table:
             assert row.ip_pct == 0.0 and row.link_pct == 0.0
 
 
@@ -122,9 +122,9 @@ class TestSummarize:
     def test_hand_counted_table(self):
         _, paths, outcomes = ten_ip_corpus()
         table = summarize(outcomes, paths, *links_and_ips(paths))
-        by_cat = {row.category: row for row in table.rows}
+        by_cat = {row.category: row for row in table}
 
-        assert (table.total_ips, table.total_links, table.total_traceroutes) == (10, 9, 4)
+        assert (table[0].ip_count, table[0].link_count, table[0].traceroute_count) == (10, 9, 4)
         assert by_cat["total"].ip_count == 10
         assert by_cat["total"].link_pct == 100.0
 
@@ -156,8 +156,8 @@ class TestSummarize:
 
     def test_empty_corpus(self):
         table = summarize({}, [], [], set())
-        assert table.total_ips == 0
-        assert all(row.ip_pct == 0.0 for row in table.rows)
+        assert table[0].ip_count == 0
+        assert all(row.ip_pct == 0.0 for row in table)
 
 
 def chain_snapshot():
