@@ -3,12 +3,14 @@
 Two traceroute encodings are understood: the RIPE Atlas result export
 (newline-delimited JSON, one measurement result per line) and a native
 line format holding already-cleaned paths, both read a few lines at a
-time: :func:`load_atlas` parses Atlas records and normalizes each with
-:func:`clean_paths`; :func:`load_native` parses native lines directly.  A
-line that is not valid UTF-8 or JSON is counted and skipped.  Geolocation
-data arrives as a snapshot CSV.  :func:`read_csv` reads the snapshot and the
-city catalog strictly, and :func:`write_csv` writes every CSV table, its
-numbers formatted by :func:`csv_number`.
+time.  :func:`load_atlas` has :func:`parse_atlas` read Atlas records,
+voting each hop's replies down to one (responder, RTT) answer as they are
+read, and :func:`clean_paths` apply the path rules (bogons, repeats,
+loops, length) to each record; :func:`load_native` parses native lines
+directly.  A line that is not valid UTF-8 or JSON is counted and skipped.
+Geolocation data arrives as a snapshot CSV.  :func:`read_csv` reads the
+snapshot and the city catalog strictly, and :func:`write_csv` writes every
+CSV table, its numbers formatted by :func:`csv_number`.
 """
 from __future__ import annotations
 
@@ -76,12 +78,16 @@ def is_bogon(ip: str) -> bool:
 
 @dataclass
 class RawTraceroute:
+    """One Atlas record: per hop number, ascending, the hop's voted answer
+    ``(ip, rtt ms)``.  ``ip`` is the IPv4 responder its replies name most
+    often (the first seen of a tie) and ``rtt`` the median of all its
+    replies' RTTs, those of IPv6 and outvoted replies included.  A hop with
+    no IPv4 responder or no RTT has no entry."""
+
     measurement_id: str
     probe_id: str
     timestamp: int
-    # Per hop number, ascending: its (responder ip or None, rtt ms or None)
-    # probe replies.  A timeout keeps its slot as (None, None).
-    hops: list[list[tuple[str | None, float | None]]] = field(default_factory=list)
+    hops: list[tuple[str, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -147,11 +153,12 @@ def parse_atlas(
     """Parse a RIPE Atlas newline-delimited JSON export.
 
     Consumes ``msm_id``, ``prb_id``, ``timestamp`` and, per hop entry,
-    ``result[].hop`` plus each reply's ``from``/``rtt``.  Replies lacking a
-    field keep ``None`` in that slot; duplicate hop numbers merge their
-    replies.  Malformed lines are counted and skipped — parsing a corpus
-    never fails outright.  IPv6 responders are counted (``atlas_ipv6``,
-    one per reply) and kept as no response, like any non-IPv4 ``from``.
+    ``result[].hop`` plus each reply's ``from``/``rtt``, and votes each hop
+    as its replies are read (see :class:`RawTraceroute`).  Duplicate hop
+    numbers merge their replies into one vote.  Malformed lines are counted
+    and skipped — parsing a corpus never fails outright.  IPv6 responders
+    are counted (``atlas_ipv6``, one per reply) and are no responder, like
+    any non-IPv4 ``from``; their RTTs still count.
     ``first_line`` (the number of ``stream``'s first line in warnings) and
     ``version`` (the address check) let :func:`load_atlas` parse in parts.
     """
@@ -171,7 +178,8 @@ def parse_atlas(
 
 
 def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTraceroute, int]:
-    """One export record and its number of IPv6 replies."""
+    """One export record and its number of IPv6 replies.  Each hop's replies
+    are voted as they are read: see :class:`RawTraceroute`."""
     if not isinstance(doc, dict):
         raise ValueError("record is not an object")
     msm = doc["msm_id"]
@@ -182,28 +190,43 @@ def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTracer
     hops_raw = doc.get("result", [])
     if not isinstance(hops_raw, list):
         raise ValueError("result must be a list")
-    by_index: dict[int, list[tuple[str | None, float | None]]] = {}
+    # Per hop number: its IPv4 responders and its RTTs, one per valid reply.
+    by_index: dict[int, tuple[list[str], list[float]]] = {}
     ipv6 = 0
+    last = None  # the last IPv4 responder seen
     for entry in hops_raw:
         if not isinstance(entry, dict) or "hop" not in entry:
             continue
         hop_no = entry["hop"]
         if type(hop_no) is not int or hop_no < 1:  # exact: a bool is no hop number
             continue
-        append = by_index.setdefault(hop_no, []).append
+        responders, rtts = by_index.setdefault(hop_no, ([], []))
         for reply in entry.get("result", []) or []:
-            if not isinstance(reply, dict):
+            try:
+                responder = reply.get("from")
+            except AttributeError:  # not an object
                 continue
-            responder = reply.get("from")
-            if responder is not None:  # None is a timeout
+            if responder != last:  # not the last IPv4 responder again: check it
                 v = version(responder) if isinstance(responder, str) else 0
-                if v != 4:
+                if v == 4:
+                    last = responder
+                else:
                     ipv6 += v == 6
                     responder = None
+            if responder is not None:  # None is a timeout or not IPv4
+                responders.append(responder)
             rtt = reply.get("rtt")
-            ok = (type(rtt) is float or type(rtt) in _JSON_NUMBER) and 0 <= rtt < math.inf
-            append((responder, float(rtt) if ok else None))
-    hops = [by_index[k] for k in sorted(by_index)]
+            if (type(rtt) is float or type(rtt) in _JSON_NUMBER) and 0 <= rtt < math.inf:
+                rtts.append(float(rtt))
+    hops = []
+    for hop_no in sorted(by_index):
+        responders, rtts = by_index[hop_no]
+        if responders and rtts:
+            ip = responders[0]
+            if responders.count(ip) != len(responders):  # more than one responder: vote
+                ip = max(responders, key=responders.count)  # the first of a tie
+            rtts.sort()
+            hops.append((ip, _sorted_median(rtts)))
     rt = RawTraceroute(measurement_id=str(msm), probe_id=str(prb), timestamp=ts, hops=hops)
     return rt, ipv6
 
@@ -211,10 +234,8 @@ def _atlas_record(doc: object, version: Callable[[str], int]) -> tuple[RawTracer
 def normalize(rt: RawTraceroute, diag: Diagnostics | None = None) -> CleanPath | None:
     """Turn a raw traceroute into a :class:`CleanPath`, or reject it.
 
-    Unresponsive hops are dropped; a surviving hop reports the responder
-    seen most often (first seen wins ties) and the median of the hop's
-    non-null RTTs.  Bogon responders are removed, consecutive duplicate
-    IPs collapse onto the first occurrence, and a path is rejected
+    Bogon responders are removed, consecutive duplicate IPs collapse onto
+    the first occurrence, which keeps its RTT, and a path is rejected
     (``None``) when an IP repeats non-consecutively — a forwarding loop —
     or fewer than two hops survive.  Running the result through
     normalization again would change nothing.
@@ -225,27 +246,18 @@ def normalize(rt: RawTraceroute, diag: Diagnostics | None = None) -> CleanPath |
 def _normalize(
     rt: RawTraceroute, bogon: Callable[[str], bool], diag: Diagnostics
 ) -> CleanPath | None:
-    """:func:`normalize` with a shared bogon test.  A hop whose replies all
-    name one responder and all carry an RTT takes that responder unvoted."""
+    """:func:`normalize` with a shared bogon test."""
     ident = f"{rt.measurement_id}-{rt.probe_id}-{rt.timestamp}"
     kept: list[tuple[str, float]] = []
     seen: set[str] = set()
-    for replies in rt.hops:
-        ip = replies[0][0] if replies else None
-        rtts = [rtt for r, rtt in replies if r == ip and rtt is not None]
-        if ip is None or len(rtts) != len(replies):  # not one responder with every RTT: vote
-            responders = [r for r, _ in replies if r is not None]
-            rtts = [rtt for _, rtt in replies if rtt is not None]
-            if not responders or not rtts:
-                continue
-            ip = max(responders, key=responders.count)  # the first of a tie
+    for ip, rtt in rt.hops:
         if bogon(ip) or (kept and kept[-1][0] == ip):
             continue  # a bogon, or a repeat of the hop before, which keeps its RTT
         if ip in seen:
             diag.warn("path_loop", f"{ident}: ip {ip} repeats non-consecutively")
             return None
         seen.add(ip)
-        kept.append((ip, median(rtts)))
+        kept.append((ip, rtt))
     if len(kept) < 2:
         diag.warn("path_short", f"{ident}: fewer than 2 hops survive")
         return None
@@ -254,9 +266,13 @@ def _normalize(
 
 def median(values: Iterable[float]) -> float:
     """The middle value, or the mean of the middle two for an even count."""
-    values = sorted(values)
-    mid = len(values) // 2
-    return float(values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2)
+    return _sorted_median(sorted(values))
+
+
+def _sorted_median(ordered: list[float]) -> float:
+    """:func:`median` of a list already in ascending order."""
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
 
 
 def clean_paths(
@@ -303,7 +319,9 @@ def load_native(stream: Iterable[str], diag: Diagnostics | None = None) -> list[
     ``{"path_id": str, "hops": [{"ip": "a.b.c.d", "rtt": float}, ...]}``.
 
     Lines violating the format or the CleanPath invariants are counted
-    and skipped.  Each distinct address string is validated once.
+    and skipped, each under the first of its faults in this order: a bad
+    native record, invalid hops, a consecutive duplicate hop.  Each hop is
+    checked as it is read, and each distinct address string validated once.
     """
     diag = diag or Diagnostics()
     version = functools.cache(_ip_version)
@@ -311,21 +329,29 @@ def load_native(stream: Iterable[str], diag: Diagnostics | None = None) -> list[
     for lineno, doc in _json_lines(stream, diag, "native_malformed", "bad native record"):
         try:
             path_id = doc["path_id"]
-            hops = [(h["ip"], float(h["rtt"])) for h in doc["hops"]]
             if not isinstance(path_id, str):
                 raise ValueError("path_id must be a string")
-            if not {type(h["rtt"]) for h in doc["hops"]} <= _JSON_NUMBER:
-                raise TypeError("rtt must be a number")
+            hops: list[tuple[str, float]] = []
+            invalid = duplicate = False
+            last = None
+            for h in doc["hops"]:
+                ip, rtt = h["ip"], h["rtt"]
+                if type(rtt) not in _JSON_NUMBER:  # exact: a bool is no RTT
+                    raise TypeError("rtt must be a number")
+                rtt = float(rtt)
+                invalid = invalid or not (
+                    isinstance(ip, str) and version(ip) == 4 and 0 <= rtt < math.inf
+                )
+                duplicate = duplicate or ip == last
+                last = ip
+                hops.append((ip, rtt))
         except (KeyError, TypeError, ValueError, OverflowError):
             diag.warn("native_malformed", f"line {lineno}: bad native record")
             continue
-        if len(hops) < 2 or any(
-            not isinstance(ip, str) or version(ip) != 4 or not 0 <= rtt < math.inf
-            for ip, rtt in hops
-        ):
+        if invalid or len(hops) < 2:
             diag.warn("native_malformed", f"line {lineno}: invalid hops")
             continue
-        if any(a == b for (a, _), (b, _) in zip(hops, hops[1:])):
+        if duplicate:
             diag.warn("native_malformed", f"line {lineno}: consecutive duplicate hop")
             continue
         out.append(CleanPath(path_id=path_id, hops=hops, source_traceroute=path_id))

@@ -102,3 +102,28 @@ def test_atlas_record_normalises_alone_as_in_its_export(data_dir):
             alone.append(path.hops)
     assert alone == [path.hops for path in ingest.load_atlas(lines)]
     assert len(alone) == 8
+
+
+def test_load_atlas_reaches_both_atlas_spans(data_dir, monkeypatch):
+    # The tracer spans ingest.parse_atlas and ingest.clean_paths as the names
+    # load_atlas calls; a reader that bypassed either would leave its span
+    # missing.
+    calls = Counter()
+    returned = []
+    parse_atlas, clean_paths = ingest.parse_atlas, ingest.clean_paths
+
+    def counting_parse(*args, **kwargs):
+        calls["parse_atlas"] += 1
+        return parse_atlas(*args, **kwargs)
+
+    def counting_clean(*args, **kwargs):
+        calls["clean_paths"] += 1
+        returned.append(clean_paths(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(ingest, "parse_atlas", counting_parse)
+    monkeypatch.setattr(ingest, "clean_paths", counting_clean)
+    lines = (data_dir / "atlas_sample.jsonl").read_text(encoding="utf-8").splitlines()
+    paths = ingest.load_atlas(lines)
+    assert calls["parse_atlas"] >= 1 and calls["clean_paths"] == 1
+    assert returned == [paths] and len(paths) == 8

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import csv
 import gc
 import hashlib
 import ipaddress
@@ -408,6 +409,35 @@ class TestRunCommand:
         assert f"snapshot_malformed: {damaged / 'snapshot.csv'}:2: not valid UTF-8" in messages
         assert "snapshot_malformed=1" in messages[-1].split()
         assert_same_tree(out, plain)
+
+    def test_ip_without_snapshot_rows_is_counted_but_gets_no_record(
+        self, small_corpus, tmp_path, caplog
+    ):
+        # summary.csv counts every address on the corpus's paths; ips.jsonl
+        # holds a record only for those with snapshot rows.
+        root, catalog, synth_dir = small_corpus
+        corpus = (synth_dir / "traceroutes.jsonl").read_text(encoding="utf-8").splitlines()
+        corpus_ips = {hop["ip"] for line in corpus for hop in json.loads(line)["hops"]}
+        missing = json.loads(corpus[0])["hops"][0]["ip"]
+        header, *rows = (synth_dir / "snapshot.csv").read_text(encoding="utf-8").splitlines(True)
+        trimmed = tmp_path / "inputs"
+        trimmed.mkdir()
+        (trimmed / "traceroutes.jsonl").write_bytes((synth_dir / "traceroutes.jsonl").read_bytes())
+        kept = [row for row in rows if row.split(",")[0] != missing]
+        assert len(kept) < len(rows)
+        (trimmed / "snapshot.csv").write_text("".join([header, *kept]), encoding="utf-8")
+        out = tmp_path / "out"
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="traceloc"):
+            assert main(["run", "--config", str(run_config(root, catalog, trimmed, out))]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        assert f"ip_without_geolocation: {missing}: no snapshot records" in messages
+        assert "ip_without_geolocation=1" in messages[-1].split()
+        with (out / "summary.csv").open(newline="", encoding="utf-8") as fh:
+            total = next(row for row in csv.DictReader(fh) if row["category"] == "total")
+        assert int(total["ips"]) == len(corpus_ips)
+        records = [json.loads(line)["ip"] for line in (out / "ips.jsonl").read_text().splitlines()]
+        assert set(records) == corpus_ips - {missing}
 
     def test_corpus_from_a_pipe(self, small_corpus, tmp_path):
         # Auto-detection reads ahead without rewinding, so a corpus that

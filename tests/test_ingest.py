@@ -1,6 +1,7 @@
-"""Ingestion: Atlas parsing vs an independent reference, normalization,
-the streaming Atlas reader vs the two-pass pipeline it replaced, the
-native format round-trip, reader fuzzing, snapshots, and the fetch client."""
+"""Ingestion: Atlas parsing and its per-hop vote vs an independent
+reference, normalization, the streaming Atlas reader vs the two-pass
+pipeline it replaced, the native reader vs the three-pass reader it
+replaced, the native format round-trip, reader fuzzing, and snapshots."""
 from __future__ import annotations
 
 import csv
@@ -181,6 +182,20 @@ def reference_load_atlas(lines, diag):
     return out
 
 
+def reference_vote(replies):
+    """A hop's (responder, rtt) replies as its one ``(ip, median rtt)``
+    answer, or None when no reply names an IPv4 responder or none has an RTT:
+    the most-named responder, the first seen of a tie, and the median over
+    every non-null RTT."""
+    responders = [ip for ip, _ in replies if ip is not None]
+    rtts = [rtt for _, rtt in replies if rtt is not None]
+    if not responders or not rtts:
+        return None
+    best = max(map(responders.count, responders))
+    ip = next(r for r in responders if responders.count(r) == best)
+    return ip, float(statistics.median(rtts))
+
+
 def atlas_line(hops, msm=1, prb=2, ts=100):
     """One export line whose hop i+1 carries ``hops[i]``'s (from, rtt) replies."""
     return json.dumps({
@@ -202,7 +217,8 @@ class TestParseAtlas:
         assert len(parsed) == len(expected)
         for rt, (msm, prb, ts, hops) in zip(parsed, expected):
             assert (rt.measurement_id, rt.probe_id, rt.timestamp) == (msm, prb, ts)
-            assert rt.hops == list(hops.values())  # in ascending hop order
+            voted = [reference_vote(replies) for replies in hops.values()]  # ascending hop order
+            assert rt.hops == [hop for hop in voted if hop is not None]
 
     def test_malformed_lines_are_counted_not_fatal(self):
         diag = Diagnostics()
@@ -232,11 +248,11 @@ class TestParseAtlas:
         }
         diag = Diagnostics()
         rt, _ = parse_atlas([json.dumps(doc), json.dumps(doc)], diag)
-        assert rt.hops[1] == [(None, 2.0), (None, 2.1)]
-        assert rt.hops[2] == [(None, 3.0), ("198.51.100.3", 3.1), (None, 3.2)]
+        # Hop 2, answered only over IPv6, is dropped like a timeout; hop 3's
+        # median runs over all three RTTs.
+        assert rt.hops == [("198.51.100.1", 1.0), ("198.51.100.3", 3.1)]
         assert diag.count("atlas_ipv6") == 6  # three replies on each of two lines
         assert diag.count("atlas_malformed") == 0
-        # A hop answered only over IPv6 normalizes like a timeout.
         (path,) = clean_paths([rt])
         assert [ip for ip, _ in path.hops] == ["198.51.100.1", "198.51.100.3"]
 
@@ -250,7 +266,7 @@ class TestParseAtlas:
         )
         diag = Diagnostics()
         (rt,) = parse_atlas([line], diag)
-        assert rt.hops[0] == [("198.51.100.1", None), ("198.51.100.1", 2.0)]
+        assert rt.hops == [("198.51.100.1", 2.0)]  # the median of the one valid RTT
         assert diag.count("atlas_malformed") == 0
 
     def test_rtt_beyond_float_range_is_malformed(self):
@@ -273,7 +289,7 @@ class TestParseAtlas:
             ],
         }
         (rt,) = parse_atlas([json.dumps(doc)])
-        assert rt.hops == [[("198.51.100.1", 1.0), ("198.51.100.1", 1.2)]]
+        assert rt.hops == [("198.51.100.1", (1.0 + 1.2) / 2)]  # one hop, both RTTs
 
     def test_bool_timestamp_is_malformed(self):
         # true is an int to isinstance, and would make path id 1-2-True.
@@ -295,11 +311,68 @@ class TestParseAtlas:
         }
         diag = Diagnostics()
         (rt,) = parse_atlas([json.dumps(doc)], diag)
-        assert rt.hops == [[("198.51.100.1", 1.0)]]
+        assert rt.hops == [("198.51.100.1", 1.0)]
         assert diag.total() == 0
+
+    def test_majority_responder_first_seen_tie(self):
+        (rt,) = parse_atlas([atlas_line([
+            [("198.51.100.1", 1.0), ("198.51.100.2", 1.5)],  # tie: first seen wins
+            [("198.51.100.9", 5.0)],
+        ])])
+        assert rt.hops[0][0] == "198.51.100.1"
+
+    def test_majority_responder_beats_first_seen(self):
+        # Every reply has an RTT but the first responder is outvoted; the
+        # median still runs over every reply's RTT.
+        (rt,) = parse_atlas([atlas_line([
+            [("198.51.100.2", 1.0), ("198.51.100.1", 3.0), ("198.51.100.1", 2.0)],
+            [("198.51.100.9", 5.0)],
+        ])])
+        assert rt.hops[0] == ("198.51.100.1", 2.0)
+
+    def test_median_rtt_ignores_null_slots(self):
+        (rt,) = parse_atlas([atlas_line([
+            [("198.51.100.1", 4.0), ("198.51.100.1", None), ("198.51.100.1", 2.0)],
+            [("198.51.100.9", 9.0)],
+        ])])
+        assert rt.hops[0][1] == statistics.median([4.0, 2.0])
+
+    def test_ipv6_reply_rtt_counts_toward_the_median(self):
+        (rt,) = parse_atlas([atlas_line([
+            [("2001:db8::1", 1.0), ("2001:db8::1", 2.0), ("198.51.100.1", 9.0)],
+            [("198.51.100.9", 5.0)],
+        ])])
+        assert rt.hops[0] == ("198.51.100.1", 2.0)  # the median of 1.0, 2.0 and 9.0
+
+    def test_tie_across_repeated_hop_number_goes_to_first_seen(self):
+        # Hop 1's two entries merge into one 1-1 tie: the responder of the
+        # earlier entry wins, though it sorts after the other.
+        doc = {
+            "msm_id": 1,
+            "prb_id": 2,
+            "timestamp": 100,
+            "result": [
+                {"hop": 1, "result": [{"from": "198.51.100.2", "rtt": 1.0}]},
+                {"hop": 2, "result": [{"from": "198.51.100.9", "rtt": 5.0}]},
+                {"hop": 1, "result": [{"from": "198.51.100.1", "rtt": 3.0}]},
+            ],
+        }
+        (rt,) = parse_atlas([json.dumps(doc)])
+        assert rt.hops == [("198.51.100.2", 2.0), ("198.51.100.9", 5.0)]
+
+    def test_hop_without_responder_or_without_rtt_is_dropped(self):
+        (rt,) = parse_atlas([atlas_line([
+            [("198.51.100.1", 1.0)],
+            [("198.51.100.2", None), ("198.51.100.2", "7")],  # responders, no valid RTT
+            [(None, 3.0), ("2001:db8::1", 4.0), ("not-an-ip", 5.0)],  # RTTs, no IPv4 responder
+            [("198.51.100.9", 9.0)],
+        ])])
+        assert rt.hops == [("198.51.100.1", 1.0), ("198.51.100.9", 9.0)]
 
 
 def raw(hops, msm="1", prb="2", ts=100):
+    """A raw traceroute whose hops are the given ``(ip, rtt)`` answers, one
+    per hop number, as :func:`parse_atlas` leaves them."""
     return RawTraceroute(measurement_id=msm, probe_id=prb, timestamp=ts, hops=hops)
 
 
@@ -323,31 +396,6 @@ class TestNormalize:
             ("194.68.13.5", 24.8),
         ]
 
-    def test_majority_responder_first_seen_tie(self):
-        rt = raw([
-            [("198.51.100.1", 1.0), ("198.51.100.2", 1.5)],  # tie: first seen wins
-            [("198.51.100.9", 5.0)],
-        ])
-        path = normalize(rt)
-        assert path.hops[0][0] == "198.51.100.1"
-
-    def test_majority_responder_beats_first_seen(self):
-        # Every reply has an RTT but the first responder is outvoted; the
-        # median still runs over every reply's RTT.
-        rt = raw([
-            [("198.51.100.2", 1.0), ("198.51.100.1", 3.0), ("198.51.100.1", 2.0)],
-            [("198.51.100.9", 5.0)],
-        ])
-        assert normalize(rt).hops[0] == ("198.51.100.1", 2.0)
-
-    def test_median_rtt_ignores_null_slots(self):
-        rt = raw([
-            [("198.51.100.1", 4.0), ("198.51.100.1", None), ("198.51.100.1", 2.0)],
-            [("198.51.100.9", 9.0)],
-        ])
-        path = normalize(rt)
-        assert path.hops[0][1] == statistics.median([4.0, 2.0])
-
     def test_median_helper(self):
         # Odd, even (unsorted), and one-value input; always a float, and the
         # input list is left as it was.
@@ -358,63 +406,46 @@ class TestNormalize:
             assert given == values
 
     def test_unresponsive_hops_dropped(self):
-        rt = raw([
+        # parse_atlas leaves an unresponsive hop out of the raw traceroute.
+        (rt,) = parse_atlas([atlas_line([
             [("198.51.100.1", 1.0)],
             [(None, None), (None, None)],
             [("198.51.100.9", 9.0)],
-        ])
+        ])])
         path = normalize(rt)
         assert [ip for ip, _ in path.hops] == ["198.51.100.1", "198.51.100.9"]
 
     def test_bogon_hops_removed(self):
-        rt = raw([
-            [("10.0.0.1", 0.5)],
-            [("198.51.100.1", 1.0)],
-            [("198.51.100.9", 9.0)],
-        ])
+        rt = raw([("10.0.0.1", 0.5), ("198.51.100.1", 1.0), ("198.51.100.9", 9.0)])
         path = normalize(rt)
         assert [ip for ip, _ in path.hops] == ["198.51.100.1", "198.51.100.9"]
 
     def test_consecutive_duplicates_collapse_keeping_first_rtt(self):
-        rt = raw([
-            [("198.51.100.1", 1.0)],
-            [("198.51.100.1", 3.0)],
-            [("198.51.100.9", 9.0)],
-        ])
+        rt = raw([("198.51.100.1", 1.0), ("198.51.100.1", 3.0), ("198.51.100.9", 9.0)])
         path = normalize(rt)
         assert path.hops == [("198.51.100.1", 1.0), ("198.51.100.9", 9.0)]
 
     def test_forwarding_loop_rejects_path(self):
         diag = Diagnostics()
-        rt = raw([
-            [("198.51.100.1", 1.0)],
-            [("198.51.100.5", 3.0)],
-            [("198.51.100.1", 5.0)],
-        ])
+        rt = raw([("198.51.100.1", 1.0), ("198.51.100.5", 3.0), ("198.51.100.1", 5.0)])
         assert normalize(rt, diag=diag) is None
         assert diag.count("path_loop") == 1
 
     def test_short_path_rejected(self):
         diag = Diagnostics()
-        assert normalize(raw([[("198.51.100.1", 1.0)]]), diag=diag) is None
+        assert normalize(raw([("198.51.100.1", 1.0)]), diag=diag) is None
         assert diag.count("path_short") == 1
 
     def test_idempotent(self):
-        rt = raw([
-            [("198.51.100.1", 1.0), ("198.51.100.1", 1.4)],
-            [("10.0.0.1", 2.0)],
-            [("198.51.100.9", 9.0), (None, None)],
-        ])
+        rt = raw([("198.51.100.1", 1.2), ("10.0.0.1", 2.0), ("198.51.100.9", 9.0)])
         once = normalize(rt)
-        again = normalize(
-            raw([[(ip, rtt)] for ip, rtt in once.hops], msm="1", prb="2", ts=100)
-        )
+        again = normalize(raw(list(once.hops), msm="1", prb="2", ts=100))
         assert again.hops == once.hops
 
     def test_clean_paths_disambiguates_id_collisions(self):
         rts = [
-            raw([[("198.51.100.1", 1.0)], [("198.51.100.9", 9.0)]]),
-            raw([[("198.51.100.2", 1.0)], [("198.51.100.8", 9.0)]]),
+            raw([("198.51.100.1", 1.0), ("198.51.100.9", 9.0)]),
+            raw([("198.51.100.2", 1.0), ("198.51.100.8", 9.0)]),
         ]
         paths = clean_paths(rts)
         assert paths[0].path_id == "1-2-100"
@@ -453,7 +484,7 @@ class RecordingDiagnostics(Diagnostics):
 # Generated exports.  The draws are weighted towards valid values (a reply
 # from the hop's own address with a plain RTT), so most records keep a
 # path.  Half the hops are uniform: one to five replies from the hop's own
-# address, each with a valid RTT, the hops normalisation takes without a
+# address, each with a valid RTT, the hops parse_atlas takes without a
 # vote.  The rest give every case the reader handles: repeated and bad hop
 # numbers, responders seen on other hops (loops), bogons, IPv6 and invalid
 # ``from``, null/bool/NaN/negative/string RTTs, short paths, and ids
@@ -801,6 +832,69 @@ def native_records(draw):
             del hop[draw(st.sampled_from(["ip", "rtt"]))]
         hops.append(hop)
     return {"path_id": draw(st.sampled_from(["p", "p", "q", 7])), "hops": hops}
+
+
+def reference_load_native(lines, diag):
+    """The native reader as it was before it checked each hop as it read it:
+    one list of hops, then a pass for the types, one for the addresses and
+    RTTs and one for consecutive duplicates.  Kept to pin the reader's paths
+    and warnings to its old ones."""
+    version = ingest._ip_version
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+        except (ValueError, RecursionError):
+            diag.warn("native_malformed", f"line {lineno}: bad native record")
+            continue
+        try:
+            path_id = doc["path_id"]
+            hops = [(h["ip"], float(h["rtt"])) for h in doc["hops"]]
+            if not isinstance(path_id, str):
+                raise ValueError("path_id must be a string")
+            if not {type(h["rtt"]) for h in doc["hops"]} <= {int, float}:
+                raise TypeError("rtt must be a number")
+        except (KeyError, TypeError, ValueError, OverflowError):
+            diag.warn("native_malformed", f"line {lineno}: bad native record")
+            continue
+        if len(hops) < 2 or any(
+            not isinstance(ip, str) or version(ip) != 4 or not 0 <= rtt < math.inf
+            for ip, rtt in hops
+        ):
+            diag.warn("native_malformed", f"line {lineno}: invalid hops")
+            continue
+        if any(a == b for (a, _), (b, _) in zip(hops, hops[1:])):
+            diag.warn("native_malformed", f"line {lineno}: consecutive duplicate hop")
+            continue
+        out.append(CleanPath(path_id=path_id, hops=hops, source_traceroute=path_id))
+    return out
+
+
+# Native lines that native_records() does not draw: other JSON types where
+# an object, a list or a hop is due, an RTT with no float value, and faults
+# of each kind on one line.
+ODD_NATIVE = [
+    "[1]", '"p"', "7", '{"path_id": "p", "hops": "ab"}', '{"path_id": "p", "hops": {"ip": 1}}',
+    '{"path_id": "p", "hops": [1, 2]}', '{"path_id": "p", "hops": null}', '{"hops": []}',
+    '{"path_id": "p", "hops": [{"ip": "198.51.100.1", "rtt": 1' + "0" * 400 + "}]}",
+    # A duplicate, then an invalid hop, then (on the first line) a bad RTT.
+    '{"path_id": "p", "hops": [{"ip": "198.51.100.1", "rtt": 1.0}, {"ip": "198.51.100.1", "rtt": 1.0}, '
+    '{"ip": "198.51.100.3", "rtt": -1.0}, {"ip": "198.51.100.2", "rtt": "7"}]}',
+    '{"path_id": "p", "hops": [{"ip": "198.51.100.1", "rtt": 1.0}, {"ip": "198.51.100.1", "rtt": 1.0}, '
+    '{"ip": "198.51.100.3", "rtt": -1.0}]}',
+]
+
+
+class TestLoadNativeMatchesReference:
+    @GENERATED
+    @given(st.lists(native_records().map(json.dumps) | st.sampled_from(ODD_NATIVE), max_size=8))
+    def test_generated_lines(self, lines):
+        diag, ref_diag = RecordingDiagnostics(), RecordingDiagnostics()
+        assert load_native(lines, diag) == reference_load_native(lines, ref_diag)
+        assert diag.warnings == ref_diag.warnings
 
 
 # Arbitrary text, arbitrary JSON values, and lines close to each format.
