@@ -351,32 +351,16 @@ def synth_cmd(cfg: PipelineConfig) -> int:
     try:
         world = synth.generate_world(
             cfg.seed, s.n_routers, s.n_cities, s.mpls_fraction, catalog,
-            tunnel_len=s.tunnel_len,
+            tunnel_len=s.tunnel_len, diag=diag,
         )
-        paths = synth.simulate_traceroutes(world, s.n_paths, s.noise_fraction)
+        paths = synth.simulate_traceroutes(world, s.n_paths, s.noise_fraction, diag)
+        # Every InjectionSpec field is a SynthSettings field of the same name.
         spec = synth.InjectionSpec(
-            interface_error_fraction=s.interface_error_fraction,
-            min_displacement_km=s.min_displacement_km,
-            db_count=s.db_count,
-            db_noise_km=s.db_noise_km,
-            decoy_fraction=s.decoy_fraction,
-            decoy_db_count=s.decoy_db_count,
+            **{f.name: getattr(s, f.name) for f in dataclasses.fields(synth.InjectionSpec)}
         )
         snapshot, displaced = synth.corrupt_geodb(world, spec, cfg.seed, catalog, diag)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    want_tunnels = synth.requested_tunnels(s.n_routers, s.mpls_fraction)
-    if len(world.mpls_tunnels) < want_tunnels:
-        diag.warn(
-            "synth_tunnels_short",
-            f"placed {len(world.mpls_tunnels)} of {want_tunnels} tunnels",
-        )
-    if len(paths) < s.n_paths:
-        diag.warn(
-            "synth_paths_short",
-            f"wrote {len(paths)} of {s.n_paths} paths after "
-            f"{synth.max_path_attempts(s.n_paths)} attempts",
-        )
 
     def write_traceroutes(path: Path) -> None:
         with path.open("w", encoding="utf-8") as fh:

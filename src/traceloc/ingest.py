@@ -172,7 +172,8 @@ def parse_atlas(
             diag.warn("atlas_malformed", f"line {lineno}: {exc}")
             continue
         if ipv6:
-            diag.warn("atlas_ipv6", f"line {lineno}: {ipv6} IPv6 replies kept as no response", ipv6)
+            msg = f"line {lineno}: {ipv6} IPv6 replies taken as no responder, their RTTs kept"
+            diag.warn("atlas_ipv6", msg, ipv6)
         out.append(rt)
     return out
 

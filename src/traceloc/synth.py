@@ -59,15 +59,17 @@ class World:
 
 @dataclass
 class InjectionSpec:
-    """Database corruption plan.
+    """Database corruption plan for :func:`corrupt_geodb`.
 
-    ``interface_error_fraction`` of routers get every record displaced to
-    one consistent wrong catalog city at least ``min_displacement_km``
-    away.  Everyone else keeps the true city with per-database jitter of
-    at most ``db_noise_km``.  Optionally, ``decoy_fraction`` of the
-    untouched routers additionally have ``decoy_db_count`` databases name
-    a different catalog city, producing multi-candidate IPs without
-    hiding the truth.
+    One rule covers both errors: a router's last *k* of ``db_count``
+    databases name one wrong catalog city, and the rest name its true city
+    with per-database jitter of at most ``db_noise_km``.
+    ``interface_error_fraction`` of routers are displaced: *k* is
+    ``db_count``, and the city is at least ``min_displacement_km`` away.
+    ``decoy_fraction`` of the others are decoys: *k* is
+    ``min(decoy_db_count, db_count - 1)``, and the city has another name,
+    producing multi-candidate IPs without hiding the truth.  Everyone else,
+    and a router for which no city qualifies, has *k* = 0.
     """
 
     interface_error_fraction: float
@@ -86,12 +88,6 @@ def _router_ip(i: int) -> str:
 MAX_ROUTERS = 255 * 250
 
 
-def requested_tunnels(n_routers: int, mpls_fraction: float) -> int:
-    """How many tunnels :func:`generate_world` tries to place: a share of
-    the backbone, which always has ``n_routers - 1`` links."""
-    return round(mpls_fraction * (n_routers - 1))
-
-
 def generate_world(
     seed: int,
     n_routers: int,
@@ -100,6 +96,7 @@ def generate_world(
     catalog: list[CityPolygon],
     *,
     tunnel_len: int = 4,
+    diag: Diagnostics | None = None,
 ) -> World:
     """Build a connected router graph over ``n_cities`` catalog cities.
 
@@ -109,8 +106,9 @@ def generate_world(
     segments (rounded) become tunnels: node-disjoint runs of
     ``tunnel_len`` routers contiguous along the backbone, preferring the
     geographically longest runs (long-haul trunks are where tunnels live).
-    Fewer come back when not enough disjoint runs exist.  Identical
-    arguments produce identical worlds.
+    Fewer come back, with a ``synth_tunnels_short`` warning in ``diag``,
+    when not enough disjoint runs exist.  Identical arguments produce
+    identical worlds.
     """
     if n_routers < 2:
         raise ValueError("n_routers must be at least 2")
@@ -126,6 +124,7 @@ def generate_world(
         raise ValueError("mpls_fraction must be within [0, 1]")
     if tunnel_len < 2:
         raise ValueError("tunnel_len must be at least 2")
+    diag = diag or Diagnostics()
 
     rng = random.Random(f"world:{seed}")
     cities = rng.sample(sorted(catalog, key=lambda p: p.polygon_id), n_cities)
@@ -189,7 +188,8 @@ def generate_world(
     for neighbors in mst_adj.values():
         neighbors.sort()
 
-    n_tunnels = requested_tunnels(n, mpls_fraction)
+    # A share of the backbone, which always has n - 1 links.
+    n_tunnels = round(mpls_fraction * (n - 1))
     tunnels: list[list[int]] = []
     if n_tunnels > 0:
         runs: list[list[int]] = []
@@ -219,6 +219,8 @@ def generate_world(
             if used.isdisjoint(run):
                 tunnels.append(run)
                 used.update(run)
+    if len(tunnels) < n_tunnels:
+        diag.warn("synth_tunnels_short", f"placed {len(tunnels)} of {n_tunnels} tunnels")
 
     return World(
         routers=routers,
@@ -307,18 +309,13 @@ def _shortest_path(
     return dist, preds
 
 
-def max_path_attempts(n_paths: int) -> int:
-    """How many source/destination draws :func:`simulate_traceroutes` makes
-    at most for ``n_paths`` paths."""
-    return max(n_paths * 50, 1000)
-
-
 def simulate_traceroutes(
-    world: World, n_paths: int, noise_fraction: float
+    world: World, n_paths: int, noise_fraction: float, diag: Diagnostics | None = None
 ) -> list[CleanPath]:
     """Shortest routes between random router pairs, with physical RTTs.
 
-    Fewer than ``n_paths`` come back when :func:`max_path_attempts` draws
+    Fewer than ``n_paths`` come back, with a ``synth_paths_short`` warning
+    in ``diag``, when ``max(50 * n_paths, 1000)`` source/destination draws
     do not find that many routes of at least two reported hops.
 
     The cumulative RTT at each hop is twice the along-path distance over
@@ -329,6 +326,7 @@ def simulate_traceroutes(
     """
     if not 0.0 <= noise_fraction < 1.0:
         raise ValueError("noise_fraction must be within [0, 1)")
+    diag = diag or Diagnostics()
     rng = random.Random(f"paths:{world.rng_seed}")
     n = len(world.routers)
     adj: dict[int, list[tuple[int, float]]] = {i: [] for i in range(n)}
@@ -353,7 +351,7 @@ def simulate_traceroutes(
     cache: dict[int, list] = {}
     paths: list[CleanPath] = []
     attempts = 0
-    max_attempts = max_path_attempts(n_paths)
+    max_attempts = max(n_paths * 50, 1000)
     while len(paths) < n_paths and attempts < max_attempts:
         attempts += 1
         src = rng.randrange(n)
@@ -381,6 +379,11 @@ def simulate_traceroutes(
         else:
             hops = list(zip(map(ips.__getitem__, hop_nodes), rtts))
         paths.append(CleanPath(f"synth-{len(paths)}", hops, f"router-{src}"))
+    if len(paths) < n_paths:
+        diag.warn(
+            "synth_paths_short",
+            f"wrote {len(paths)} of {n_paths} paths after {max_attempts} attempts",
+        )
     return paths
 
 
@@ -424,13 +427,14 @@ def corrupt_geodb(
     catalog: list[CityPolygon],
     diag: Diagnostics | None = None,
 ) -> tuple[dict[str, list[GeoRecord]], set[str]]:
-    """Produce per-database geolocation records for every router.
+    """Produce per-database geolocation records for every router by the
+    one rule of :class:`InjectionSpec`.
 
-    Displaced routers have *all* databases agree on one wrong catalog city
-    at least ``min_displacement_km`` from the truth; if no catalog city
-    qualifies the router is skipped with a warning.  Everyone else keeps
-    the true city, jittered independently per database by at most
-    ``db_noise_km``.  Returns the snapshot and the displaced-IP set.
+    A router drawn for displacement with no catalog city at least
+    ``min_displacement_km`` from the truth is warned about
+    (``synth_no_displacement_target``), keeps the truth in every database
+    and stays out of the displaced set.  Returns the snapshot and the
+    displaced-IP set.
     """
     diag = diag or Diagnostics()
     if spec.db_count < 1:
@@ -449,69 +453,39 @@ def corrupt_geodb(
     catalog_sorted = sorted(catalog, key=lambda p: p.polygon_id)
     catalog_names = [normalize_city(c.name) for c in catalog_sorted]
     for i, router in enumerate(world.routers):
-        records: list[GeoRecord] = []
+        k, wrong = 0, None
         if i in displaced_idx:
             eligible = [
                 c
                 for c in catalog_sorted
                 if haversine_km(c.centroid, router.location) >= spec.min_displacement_km
             ]
-            if not eligible:
+            if eligible:
+                k, wrong = spec.db_count, rng.choice(eligible)
+                displaced_ips.add(router.ip)
+            else:
                 diag.warn(
                     "synth_no_displacement_target",
                     f"{router.ip}: no catalog city ≥ {spec.min_displacement_km} km away",
                 )
-            else:
-                wrong = rng.choice(eligible)
-                records = [
-                    GeoRecord(
-                        ip=router.ip,
-                        source=src,
-                        lat=wrong.centroid.lat,
-                        lon=wrong.centroid.lon,
-                        city=wrong.name,
-                        country=wrong.country,
-                    )
-                    for src in sources
-                ]
-                displaced_ips.add(router.ip)
-        if not records:
-            decoy_sources: set[str] = set()
-            decoy_city: CityPolygon | None = None
-            if i in decoy_idx and len(catalog_sorted) > 1:
-                city = normalize_city(router.city)
-                others = [c for c, name in zip(catalog_sorted, catalog_names) if name != city]
-                if others:
-                    decoy_city = rng.choice(others)
-                    take = min(spec.decoy_db_count, max(0, spec.db_count - 1))
-                    decoy_sources = set(sources[spec.db_count - take :])
-            for src in sources:
-                if decoy_city is not None and src in decoy_sources:
-                    records.append(
-                        GeoRecord(
-                            ip=router.ip,
-                            source=src,
-                            lat=decoy_city.centroid.lat,
-                            lon=decoy_city.centroid.lon,
-                            city=decoy_city.name,
-                            country=decoy_city.country,
-                        )
-                    )
-                    continue
+        elif i in decoy_idx:
+            city = normalize_city(router.city)
+            others = [c for c, name in zip(catalog_sorted, catalog_names) if name != city]
+            if others:
+                k, wrong = min(spec.decoy_db_count, spec.db_count - 1), rng.choice(others)
+        records = snapshot[router.ip] = []
+        for j, src in enumerate(sources):
+            if j < spec.db_count - k:
                 bearing = rng.uniform(0.0, 2.0 * math.pi)
                 offset_km = rng.uniform(0.0, spec.db_noise_km)
                 lat, lon = _offset(router.location, bearing, offset_km)
-                records.append(
-                    GeoRecord(
-                        ip=router.ip,
-                        source=src,
-                        lat=lat,
-                        lon=lon,
-                        city=router.city,
-                        country=router.country,
-                    )
-                )
-        snapshot[router.ip] = records
+                city, country = router.city, router.country
+            else:
+                lat, lon = wrong.centroid.lat, wrong.centroid.lon
+                city, country = wrong.name, wrong.country
+            records.append(
+                GeoRecord(ip=router.ip, source=src, lat=lat, lon=lon, city=city, country=country)
+            )
     return snapshot, displaced_ips
 
 
@@ -527,8 +501,10 @@ def _offset(point: GeoPoint, bearing_rad: float, distance_km: float) -> tuple[fl
 # --- world (de)serialization ----------------------------------------------
 
 
-def world_to_dict(world: World) -> dict:
-    return {
+def save_world(world: World, path: str | Path) -> Path:
+    """Write ``world`` as JSON with sorted keys; :func:`load_world` reads
+    it back to an equal :class:`World`."""
+    doc = {
         "rng_seed": world.rng_seed,
         "routers": [
             {
@@ -540,14 +516,18 @@ def world_to_dict(world: World) -> dict:
             }
             for r in world.routers
         ],
-        "links": [list(link) for link in world.links],
-        "mpls_tunnels": [list(t) for t in world.mpls_tunnels],
+        "links": world.links,
+        "mpls_tunnels": world.mpls_tunnels,
     }
+    path = Path(path)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
 
 
-def world_from_dict(doc: dict) -> World:
-    """Inverse of :func:`world_to_dict`; a link or tunnel naming a router
-    index outside the router list raises ``ValueError``."""
+def load_world(path: str | Path) -> World:
+    """Read a world :func:`save_world` wrote; a link or tunnel naming a
+    router index outside the router list raises ``ValueError``."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     world = World(
         routers=[
             Router(
@@ -567,19 +547,6 @@ def world_from_dict(doc: dict) -> World:
         if not 0 <= node < n:
             raise ValueError(f"router index {node} out of range for {n} routers")
     return world
-
-
-def save_world(world: World, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(
-        json.dumps(world_to_dict(world), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return path
-
-
-def load_world(path: str | Path) -> World:
-    return world_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 # --- scoring ---------------------------------------------------------------

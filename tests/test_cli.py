@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
+import dataclasses
 import gc
 import hashlib
 import ipaddress
@@ -130,6 +131,16 @@ class TestBuildConfig:
     def test_rejects(self, entries):
         with pytest.raises(ConfigError):
             build_config(entries)
+
+    def test_injection_spec_fields_are_synth_settings(self):
+        # synth_cmd builds its InjectionSpec from the same-named settings.
+        from traceloc import synth
+
+        settings = {f.name: f for f in dataclasses.fields(SynthSettings)}
+        for f in dataclasses.fields(synth.InjectionSpec):
+            assert f.name in settings, f.name
+            if f.default is not dataclasses.MISSING:
+                assert settings[f.name].default == f.default, f.name
 
     def test_router_cap_is_inclusive(self):
         assert build_config({"synth.n_routers": "63750"}).synth.n_routers == 63750
@@ -262,6 +273,28 @@ class TestSynthCommand:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == ["synth_tunnels_short: placed 5 of 39 tunnels"]
         assert caplog.records[-1].getMessage() == "warnings: synth_tunnels_short=1"
+
+    def test_warnings_come_in_stage_order(self, data_dir, tmp_path, caplog):
+        # Three co-sited routers: room for one tunnel of the two asked for, no
+        # route with two reported hops, and no city 30,000 km from any other.
+        out = tmp_path / "short"
+        cfg = write_config(
+            tmp_path / "s.conf",
+            [f"city_catalog = {data_dir / 'cities_global.csv'}", f"out_dir = {out}", "seed = 1",
+             "synth.n_routers = 3", "synth.n_cities = 1", "synth.mpls_fraction = 1.0",
+             "synth.tunnel_len = 3", "synth.n_paths = 50",
+             "synth.interface_error_fraction = 1.0", "synth.min_displacement_km = 30000"],
+        )
+        with caplog.at_level(logging.INFO, logger="traceloc"):
+            assert main(["synth", "--config", str(cfg)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            "synth_tunnels_short: placed 1 of 2 tunnels",
+            "synth_paths_short: wrote 0 of 50 paths after 2500 attempts",
+            *(f"synth_no_displacement_target: 203.0.1.{i}: no catalog city ≥ 30000.0 km away"
+              for i in (1, 2, 3)),
+        ]
+        assert json.loads((out / "displaced.json").read_text()) == {"displaced": []}
 
 
 class TestRunCommand:

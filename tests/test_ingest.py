@@ -168,7 +168,8 @@ def reference_load_atlas(lines, diag):
             diag.warn("atlas_malformed", f"line {lineno}: {exc}")
             continue
         if ipv6:
-            diag.warn("atlas_ipv6", f"line {lineno}: {ipv6} IPv6 replies kept as no response", ipv6)
+            msg = f"line {lineno}: {ipv6} IPv6 replies taken as no responder, their RTTs kept"
+            diag.warn("atlas_ipv6", msg, ipv6)
         raws.append(rt)
     out, seen = [], {}
     for rt in raws:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import ipaddress
+import logging
 import math
 import os
 import random
@@ -17,6 +18,7 @@ import pytest
 
 import traceloc
 from traceloc import cli
+from traceloc.diagnostics import Diagnostics
 from traceloc.geo import FIBER_KM_PER_MS, GeoPoint, haversine_km, load_city_catalog
 from traceloc.ingest import CleanPath, write_geo_snapshot
 from traceloc.refine import CandidateState, IpStatus, make_states
@@ -34,7 +36,6 @@ from traceloc.synth import (
     corrupt_geodb,
     generate_world,
     load_world,
-    max_path_attempts,
     save_world,
     score_against_truth,
     _router_ip,
@@ -187,7 +188,7 @@ def reference_simulate_traceroutes(world: World, n_paths: int, noise_fraction: f
         for pos, node in enumerate(tunnel):
             member_of[node] = (t_idx, pos)
     cache, paths, attempts = {}, [], 0
-    while len(paths) < n_paths and attempts < max_path_attempts(n_paths):
+    while len(paths) < n_paths and attempts < max(n_paths * 50, 1000):
         attempts += 1
         src = rng.randrange(n)
         dst = rng.randrange(n)
@@ -623,6 +624,56 @@ class TestCorruptGeodb:
                 wrong = [r for r in records if r.city != truth[ip].city]
                 assert len(wrong) == 1
         assert decoyed == round(0.5 * 16)
+
+    def test_unplaceable_displacement_keeps_truth_and_warns(self, grid_catalog, caplog):
+        # No two cities of the 600 x 400 km grid are 1,000 km apart.
+        world = generate_world(9, 16, 12, 0.0, grid_catalog)
+        diag = Diagnostics()
+        with caplog.at_level(logging.WARNING, logger="traceloc"):
+            snapshot, displaced = corrupt_geodb(
+                world, self.spec(min_displacement_km=1000.0), 9, grid_catalog, diag
+            )
+        assert displaced == set()
+        warned = [r.getMessage().split(": ")[1] for r in caplog.records]
+        assert len(warned) == len(set(warned)) == diag.count("synth_no_displacement_target")
+        assert len(warned) == round(0.25 * 16)
+        truth = {r.ip: r for r in world.routers}
+        assert set(warned) <= set(truth)
+        for ip, records in snapshot.items():
+            assert [r.source for r in records] == ["db1", "db2", "db3", "db4"]
+            for rec in records:
+                assert rec.city == truth[ip].city
+                assert haversine_km(GeoPoint(rec.lat, rec.lon), truth[ip].location) <= 5.0 + 0.1
+
+    def decoyed(self, grid_catalog, **kw):
+        """The sources naming the true city and those naming another, per
+        router whose records name two cities."""
+        world = generate_world(9, 16, 12, 0.0, grid_catalog)
+        spec = self.spec(interface_error_fraction=0.0, decoy_fraction=0.5, **kw)
+        snapshot, _ = corrupt_geodb(world, spec, 9, grid_catalog)
+        split = {}
+        for router in world.routers:
+            records = snapshot[router.ip]
+            wrong = [r for r in records if r.city != router.city]
+            if wrong:
+                assert len({(r.city, r.lat, r.lon) for r in wrong}) == 1
+                split[router.ip] = (
+                    [r.source for r in records if r.city == router.city],
+                    [r.source for r in wrong],
+                )
+        return split
+
+    # A decoy count of db_count or more still leaves db1 true.
+    @pytest.mark.parametrize("decoy_db_count, n_true", [(2, 2), (4, 1), (9, 1)])
+    def test_decoy_records_are_the_last_sources(self, grid_catalog, decoy_db_count, n_true):
+        split = self.decoyed(grid_catalog, decoy_db_count=decoy_db_count)
+        assert len(split) == round(0.5 * 16)
+        sources = ["db1", "db2", "db3", "db4"]
+        for true_and_wrong in split.values():
+            assert true_and_wrong == (sources[:n_true], sources[n_true:])
+
+    def test_one_database_gets_no_decoy(self, grid_catalog):
+        assert self.decoyed(grid_catalog, db_count=1, decoy_db_count=1) == {}
 
 
 class TestWorldSerialization:
