@@ -6,16 +6,19 @@ experiment needs.
 Determinism matters more than realism here: identical seeds must yield
 byte-identical corpora, so the module carries its own Dijkstra with
 explicit tie-breaking and derives all randomness from string-seeded
-generators (stable across processes).  Each source has one route search,
-kept and resumed only as far as the next destination needs.  It carries
-one predecessor list and one tie-break coin per route variant: a coin flip
-changes a predecessor, never a distance or the heap, so the variants share
-every push and pop.  Each variant gets the same coin flips in the same
-order as its own search over the whole graph would, so the routes depend
-neither on which destinations were asked for nor on sharing the search.
+generators (stable across processes).  A world is built from its
+city-pair distances, in O(``n_cities``² + ``n_routers``) memory.  Each
+source has one route search, kept and resumed only as far as the next
+destination needs.  It carries one predecessor list and one tie-break coin
+per route variant: a coin flip changes a predecessor, never a distance or
+the heap, so the variants share every push and pop.  Each variant gets the
+same coin flips in the same order as its own search over the whole graph
+would, so the routes depend neither on which destinations were asked for
+nor on sharing the search.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -100,15 +103,17 @@ def generate_world(
 ) -> World:
     """Build a connected router graph over ``n_cities`` catalog cities.
 
-    Routers sit exactly on city centroids.  The backbone is the minimum
-    spanning tree of router distances; each router additionally links to
-    its ``EXTRA_DEGREE`` nearest peers.  ``mpls_fraction`` of backbone
-    segments (rounded) become tunnels: node-disjoint runs of
-    ``tunnel_len`` routers contiguous along the backbone, preferring the
-    geographically longest runs (long-haul trunks are where tunnels live).
-    Fewer come back, with a ``synth_tunnels_short`` warning in ``diag``,
-    when not enough disjoint runs exist.  Identical arguments produce
-    identical worlds.
+    Router *i* sits exactly on the centroid of city ``i % n_cities``, and
+    routers *i* < *j* are as far apart as their cities measured in that
+    order, so the graph is built city by city from the city distances.  The
+    backbone is the minimum spanning tree of router distances; each router
+    additionally links to its ``EXTRA_DEGREE`` nearest peers.
+    ``mpls_fraction`` of backbone segments (rounded) become tunnels:
+    node-disjoint runs of ``tunnel_len`` routers contiguous along the
+    backbone, preferring the geographically longest runs (long-haul trunks
+    are where tunnels live).  Fewer come back, with a
+    ``synth_tunnels_short`` warning in ``diag``, when not enough disjoint
+    runs exist.  Identical arguments produce identical worlds.
     """
     if n_routers < 2:
         raise ValueError("n_routers must be at least 2")
@@ -142,19 +147,20 @@ def generate_world(
             )
         )
 
-    n = len(routers)
-    # Router i sits on city i % n_cities, so every router distance is a
-    # city-pair distance: compute those once (in both argument orders, as
-    # the router pair i < j would) and index them.
+    n, nc = len(routers), n_cities
+    # Routers i < j are city_dist[i % nc][j % nc] apart.  A city pair is
+    # lopsided when its two orders differ (haversine_km's far form can).
     city_dist = [[haversine_km(a.centroid, b.centroid) for b in cities] for a in cities]
-    dist = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        row, city_row = dist[i], city_dist[i % n_cities]
-        for j in range(i + 1, n):
-            row[j] = dist[j][i] = city_row[j % n_cities]
+    lopsided = [
+        [c for c in range(nc) if row[c] != city_dist[c][a]] for a, row in enumerate(city_dist)
+    ]
 
-    # Prim's MST with (distance, node) tie-breaking.
+    # Prim's MST with (distance, node) tie-breaking.  The first router of a
+    # city to join offers its distance to every router outside the tree; a
+    # later one offers the same across a symmetric city pair, which cannot
+    # strictly improve a best, so it scans only its lopsided pairs.
     in_tree = [False] * n
+    city_joined = [False] * nc
     best = [math.inf] * n
     parent = [-1] * n
     best[0] = 0.0
@@ -167,19 +173,36 @@ def generate_world(
         in_tree[u] = True
         if parent[u] >= 0:
             backbone.append((min(u, parent[u]), max(u, parent[u])))
-        for v in range(n):
-            if not in_tree[v] and dist[u][v] < best[v]:
-                best[v] = dist[u][v]
-                parent[v] = u
-                heapq.heappush(heap, (dist[u][v], v))
+        cu = u % nc
+        for c in lopsided[cu] if city_joined[cu] else range(nc):
+            below, above = city_dist[c][cu], city_dist[cu][c]  # to members below / above u
+            for v in range(c, n, nc):
+                if not in_tree[v]:
+                    dv = above if v > u else below
+                    if dv < best[v]:
+                        best[v] = dv
+                        parent[v] = u
+                        heapq.heappush(heap, (dv, v))
+        city_joined[cu] = True
 
+    # Each router's EXTRA_DEGREE nearest peers, ranked by (distance, index).
+    # A city's members on one side of router i are all equally far from it,
+    # so only the lowest-index ones can rank; cities are walked nearest first
+    # until the next cannot beat the last place.
     links = set(backbone)
+    bound = [list(map(min, row, column)) for row, column in zip(city_dist, zip(*city_dist))]
+    nearest_cities = [sorted(range(nc), key=row.__getitem__) for row in bound]
     for i in range(n):
-        row = dist[i]
-        # Ranked by key, which nsmallest keeps stable: ties go to the lower index.
-        peers = itertools.chain(range(i), range(i + 1, n))
-        for j in heapq.nsmallest(EXTRA_DEGREE, peers, key=row.__getitem__):
-            links.add((min(i, j), max(i, j)))
+        ci, ranked = i % nc, []
+        for c in nearest_cities[ci]:
+            if len(ranked) == EXTRA_DEGREE and bound[ci][c] > ranked[-1][0]:
+                break
+            first_above = i + 1 + (c - i - 1) % nc
+            ranked += [(city_dist[c][ci], j) for j in range(c, i, nc)[:EXTRA_DEGREE]]
+            ranked += [(city_dist[ci][c], j) for j in range(first_above, n, nc)[:EXTRA_DEGREE]]
+            ranked.sort()
+            del ranked[EXTRA_DEGREE:]
+        links.update((min(i, j), max(i, j)) for _, j in ranked)
 
     mst_adj: dict[int, list[int]] = {i: [] for i in range(n)}
     for a, b in backbone:
@@ -209,7 +232,7 @@ def generate_world(
             extend([start])
 
         def run_length(run: list[int]) -> float:
-            return sum(dist[a][b] for a, b in zip(run, run[1:]))
+            return sum(city_dist[min(a, b) % nc][max(a, b) % nc] for a, b in zip(run, run[1:]))
 
         runs.sort(key=lambda r: (-run_length(r), r))
         used: set[int] = set()
@@ -261,7 +284,9 @@ def _shortest_path(
     Pops come in non-decreasing distance, so a settled node can be neither
     improved nor tied later (a tie needs ``w > eps``, and then
     ``nd - dist[v] >= w``): every node on the route back from a settled
-    ``dst`` already has its final predecessor.
+    ``dst`` already has its final predecessor.  For the same reason the
+    search skips settled nodes, both popped again and as neighbours; that
+    skips no coin flip, so it changes no route.
     """
     state = cache.get(src)
     if state is None:
@@ -276,10 +301,12 @@ def _shortest_path(
     pop, push, eps = heapq.heappop, heapq.heappush, _TIE_EPS_KM
     while heap:
         d, u = pop(heap)
-        if d > dist[u]:
+        if settled[u]:
             continue
         settled[u] = True
         for v, w in adj[u]:
+            if settled[v]:
+                continue
             nd = d + w
             dv = dist[v]
             if nd < dv - eps:
@@ -452,14 +479,21 @@ def corrupt_geodb(
     displaced_ips: set[str] = set()
     catalog_sorted = sorted(catalog, key=lambda p: p.polygon_id)
     catalog_names = [normalize_city(c.name) for c in catalog_sorted]
+    # Both candidate lists depend only on the router's site, which routers
+    # share, so each is built once per location or city name.
+    @functools.cache
+    def far_from(location: GeoPoint) -> list[CityPolygon]:
+        far = spec.min_displacement_km
+        return [c for c in catalog_sorted if haversine_km(c.centroid, location) >= far]
+
+    @functools.cache
+    def named_other_than(city: str) -> list[CityPolygon]:
+        return [c for c, name in zip(catalog_sorted, catalog_names) if name != city]
+
     for i, router in enumerate(world.routers):
         k, wrong = 0, None
         if i in displaced_idx:
-            eligible = [
-                c
-                for c in catalog_sorted
-                if haversine_km(c.centroid, router.location) >= spec.min_displacement_km
-            ]
+            eligible = far_from(router.location)
             if eligible:
                 k, wrong = spec.db_count, rng.choice(eligible)
                 displaced_ips.add(router.ip)
@@ -469,8 +503,7 @@ def corrupt_geodb(
                     f"{router.ip}: no catalog city ≥ {spec.min_displacement_km} km away",
                 )
         elif i in decoy_idx:
-            city = normalize_city(router.city)
-            others = [c for c, name in zip(catalog_sorted, catalog_names) if name != city]
+            others = named_other_than(normalize_city(router.city))
             if others:
                 k, wrong = min(spec.decoy_db_count, spec.db_count - 1), rng.choice(others)
         records = snapshot[router.ip] = []

@@ -11,15 +11,24 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import traceloc
 from traceloc import cli
 from traceloc.diagnostics import Diagnostics
-from traceloc.geo import FIBER_KM_PER_MS, GeoPoint, haversine_km, load_city_catalog
+from traceloc.geo import (
+    FIBER_KM_PER_MS,
+    CityPolygon,
+    GeoPoint,
+    haversine_km,
+    load_city_catalog,
+)
 from traceloc.ingest import CleanPath, write_geo_snapshot
 from traceloc.refine import CandidateState, IpStatus, make_states
 from traceloc.report import ip_records
@@ -226,6 +235,51 @@ def reference_simulate_traceroutes(world: World, n_paths: int, noise_fraction: f
     return paths
 
 
+@pytest.fixture(scope="module")
+def lopsided_catalog(tmp_path_factory):
+    """Two cities whose distance differs in the last bits between the two
+    argument orders of haversine_km (its far-pair form is not symmetric)."""
+    path = tmp_path_factory.mktemp("catalog") / "lopsided.csv"
+    rows = "aa,AA,45.4461,-166.35\nbb,BB,-32.6695,41.3821\n"
+    path.write_text("name,country,lat,lon\n" + rows, encoding="utf-8")
+    return load_city_catalog(path)
+
+
+def wrap_lon(lon: float) -> float:
+    return (lon + 180.0) % 360.0 - 180.0
+
+
+@st.composite
+def mixed_catalogs(draw):
+    """A seed, a router count above the city count, and 2–6 cities: a base
+    city off the equator, up to two more near it, and one to three near its
+    antipode.  Each far city is nudged within a 0.01° square until its
+    distance to the base city differs between the two argument orders of
+    haversine_km (on the equator they never do)."""
+    def offset(limit: float) -> float:
+        return draw(st.integers(-round(limit * 10000), round(limit * 10000))) / 10000
+
+    lat = draw(st.integers(1, 60)) * draw(st.sampled_from([1, -1]))
+    lon = draw(st.integers(-179, 179))
+    base = GeoPoint(lat + offset(0.3), wrap_lon(lon + offset(0.3)))
+    points = [base]
+    for _ in range(draw(st.integers(0, 2))):
+        points.append(GeoPoint(lat + offset(3), wrap_lon(lon + offset(3))))
+    for _ in range(draw(st.integers(1, 3))):
+        far_lat, far_lon = -lat + offset(3), lon + 180.0 + offset(3)
+        nudged = (
+            GeoPoint(far_lat + k % 100 / 10000, wrap_lon(far_lon + k // 100 / 10000))
+            for k in range(10000)
+        )
+        points.append(next(p for p in nudged if haversine_km(base, p) != haversine_km(p, base)))
+    cities = [
+        CityPolygon(k, f"c{k}", "FR", point, 20.0)
+        for k, point in enumerate(draw(st.permutations(points)))
+    ]
+    n_routers = draw(st.integers(len(cities) + 1, 4 * len(cities)))
+    return draw(st.integers(0, 10**6)), n_routers, cities
+
+
 class TestGenerateWorld:
     def test_deterministic(self, grid_catalog):
         w1 = generate_world(5, 20, 12, 0.1, grid_catalog)
@@ -293,6 +347,38 @@ class TestGenerateWorld:
             for seed in (1, 7):
                 world = generate_world(seed, n_routers, 12, 0.1, catalog, tunnel_len=3)
                 assert world.links == reference_links(world), (n_routers, seed)
+
+    def test_lopsided_city_pair_matches_reference(self, lopsided_catalog):
+        # A router pair's distance is its cities' in the pair's index order;
+        # reading one order for every pair of a city pair builds other links.
+        a, b = (c.centroid for c in lopsided_catalog)
+        assert haversine_km(a, b) != haversine_km(b, a)
+        for seed in range(1, 9):
+            for n_routers in range(2, 10):
+                world = generate_world(seed, n_routers, 2, 0.0, lopsided_catalog)
+                assert world.links == reference_links(world), (seed, n_routers)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(mixed_catalogs())
+    def test_near_and_antipodal_catalogs_match_reference(self, drawn):
+        seed, n_routers, cities = drawn
+        world = generate_world(seed, n_routers, len(cities), 0.0, cities)
+        assert world.links == reference_links(world)
+
+    def test_memory_stays_far_below_a_router_matrix(self, tmp_path):
+        # 1,000 routers over 100 cities: a router-pair distance matrix alone
+        # would hold 10**6 list slots, 8 MB.
+        rows = [(f"p{k}", "FR", 150.0 * (k % 10), 150.0 * (k // 10)) for k in range(100)]
+        catalog = load_city_catalog(write_plane_catalog(tmp_path / "plane.csv", rows))
+        n_routers = 1000
+        tracemalloc.start()
+        try:
+            world = generate_world(1, n_routers, 100, 0.0, catalog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert connected(world)
+        assert peak < 8 * n_routers**2 / 4, peak
 
     def test_zero_fraction_means_no_tunnels(self, grid_catalog):
         assert generate_world(3, 24, 12, 0.0, grid_catalog).mpls_tunnels == []
