@@ -2,7 +2,10 @@
 
 Configuration is a flat key-value file (``key = value``, ``#`` comments).
 Every algorithm knob is overridable there; ``--out``, and ``--seed`` on
-``synth``, override their config counterparts.  Exit codes: 0 success,
+``synth``, override their config counterparts.  Each knob declares its
+default and its bound once, on its config dataclass field; the config
+reader takes the accepted keys, their types and their bounds from
+:data:`_KNOBS`, which it builds from those fields.  Exit codes: 0 success,
 1 fatal input problem, 2 configuration problem.  Given identical inputs,
 configuration, and seed, two runs produce byte-identical output trees.
 """
@@ -15,7 +18,6 @@ import gc
 import itertools
 import json
 import logging
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +25,7 @@ from typing import Callable
 
 from . import ingest, report
 from .diagnostics import Diagnostics, logger
-from .geo import SpatialIndex, cluster_candidates, load_city_catalog
+from .geo import DEFAULT_MERGE_RADIUS_KM, SpatialIndex, cluster_candidates, load_city_catalog
 from .ingest import CleanPath, ip_key
 from .refine import (
     CandidateState,
@@ -46,31 +48,36 @@ class InputError(Exception):
     """Unusable input data; maps to exit code 1."""
 
 
+# synth.MAX_ROUTERS, the size of synth's router address plan, repeated here
+# so that checking a config never loads synth.
+MAX_SYNTH_ROUTERS = 63750
+
+
 @dataclass
 class SynthSettings:
-    n_routers: int = 50
-    n_cities: int = 20
-    mpls_fraction: float = 0.03
-    n_paths: int = 500
-    noise_fraction: float = 0.05
-    interface_error_fraction: float = 0.05
-    min_displacement_km: float = 500.0
-    db_count: int = 8
-    db_noise_km: float = 5.0
-    tunnel_len: int = 4
-    decoy_fraction: float = 0.0
-    decoy_db_count: int = 1
+    n_routers: int = field(default=50, metadata={"in": f"[2,{MAX_SYNTH_ROUTERS}]"})
+    n_cities: int = field(default=20, metadata={"in": "[1,inf]"})
+    mpls_fraction: float = field(default=0.03, metadata={"in": "[0,1]"})
+    n_paths: int = field(default=500, metadata={"in": "[1,inf]"})
+    noise_fraction: float = field(default=0.05, metadata={"in": "[0,1)"})
+    interface_error_fraction: float = field(default=0.05, metadata={"in": "[0,1]"})
+    min_displacement_km: float = field(default=500.0, metadata={"in": "[0,inf]"})
+    db_count: int = field(default=8, metadata={"in": "[1,inf]"})
+    db_noise_km: float = field(default=5.0, metadata={"in": "[0,inf)"})
+    tunnel_len: int = field(default=4, metadata={"in": "[2,inf]"})
+    decoy_fraction: float = field(default=0.0, metadata={"in": "[0,1]"})
+    decoy_db_count: int = field(default=1, metadata={"in": "[0,inf]"})
 
 
 @dataclass
 class PipelineConfig:
     traceroutes: str = ""
-    traceroute_format: str = "auto"
+    traceroute_format: str = field(default="auto", metadata={"in": ("auto", "native", "atlas")})
     geo_snapshot: str = ""
     city_catalog: str = ""
     out_dir: str = "out"
     seed: int = 0
-    merge_radius_km: float = 20.0
+    merge_radius_km: float = field(default=DEFAULT_MERGE_RADIUS_KM, metadata={"in": "[0,inf]"})
     refine: RefineConfig = field(default_factory=RefineConfig)
     resolve: ResolveConfig = field(default_factory=ResolveConfig)
     synth: SynthSettings = field(default_factory=SynthSettings)
@@ -102,87 +109,59 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
-# synth.MAX_ROUTERS, the size of synth's router address plan, repeated here
-# so that checking a config never loads synth.
-MAX_SYNTH_ROUTERS = 63750
-
-
-def _field_types(klass: type) -> dict[str, type]:
-    """Each field's type, read off its default value."""
-    defaults = klass()
-    return {f.name: type(getattr(defaults, f.name)) for f in dataclasses.fields(klass)}
-
-
-_SECTION_TYPES = {
-    "refine": _field_types(RefineConfig),
-    "resolve": _field_types(ResolveConfig),
-    "synth": _field_types(SynthSettings),
+_KNOBS: dict[str, tuple[str | None, dataclasses.Field]] = {
+    **{f.name: (None, f) for f in dataclasses.fields(PipelineConfig)
+       if f.default_factory is dataclasses.MISSING},
+    **{f"{s.name}.{f.name}": (s.name, f) for s in dataclasses.fields(PipelineConfig)
+       if s.default_factory is not dataclasses.MISSING for f in dataclasses.fields(s.default_factory)},
 }
+"""Every config key, dotted for a section's, mapped to its section (None at
+the top level) and its field, in field order: the top-level keys, then
+``refine``, ``resolve`` and ``synth``.  A key's type is its default's, and
+its field's ``in`` metadata, when set, is its bound: an interval such as
+``"[0,1)"``, with ``inf`` for no upper end, or a tuple of choices."""
 
-_TOP_KEYS = {
-    name: typ
-    for name, typ in _field_types(PipelineConfig).items()
-    if name not in _SECTION_TYPES
-}
+
+def _within(value: float | str, bound: str | tuple[str, ...]) -> bool:
+    if isinstance(bound, tuple):
+        return value in bound
+    lo, hi = map(float, bound[1:-1].split(","))
+    above = lo <= value if bound[0] == "[" else lo < value
+    return above and (value <= hi if bound[-1] == "]" else value < hi)
 
 
-def _convert(key: str, raw: str, typ: type):
-    try:
-        return typ(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}: cannot parse {raw!r} as {typ.__name__}") from exc
+def _rule(bound: str | tuple[str, ...]) -> str:
+    """``bound`` in the words of its config error."""
+    if isinstance(bound, tuple):
+        return "one of " + "|".join(bound)
+    lo = bound[1:].split(",")[0]
+    if bound.endswith(",inf]"):
+        return f"{'>=' if bound[0] == '[' else '>'} {lo}"
+    if bound[0] == "[" and bound.endswith(",inf)"):
+        return f"finite and >= {lo}"
+    return f"in {bound}"
 
 
 def build_config(entries: dict[str, str]) -> PipelineConfig:
     cfg = PipelineConfig()
     for key, raw in entries.items():
-        if "." in key:
-            section, _, name = key.partition(".")
-            if section not in _SECTION_TYPES or name not in _SECTION_TYPES[section]:
-                raise ConfigError(f"unknown config key: {key}")
-            value = _convert(key, raw, _SECTION_TYPES[section][name])
-            setattr(getattr(cfg, section), name, value)
-            continue
-        if key not in _TOP_KEYS:
+        if key not in _KNOBS:
             raise ConfigError(f"unknown config key: {key}")
-        setattr(cfg, key, _convert(key, raw, _TOP_KEYS[key]))
-    _validate_knobs(cfg)
+        section, f = _KNOBS[key]
+        typ = type(f.default)
+        try:
+            value = typ(raw)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key}: cannot parse {raw!r} as {typ.__name__}") from exc
+        setattr(getattr(cfg, section) if section else cfg, f.name, value)
+    if not cfg.out_dir:
+        raise ConfigError("config violates: out_dir not empty")
+    for key, (section, f) in _KNOBS.items():
+        bound = f.metadata.get("in")
+        value = getattr(getattr(cfg, section) if section else cfg, f.name)
+        if bound is not None and not _within(value, bound):
+            raise ConfigError(f"config violates: {key} {_rule(bound)}")
     return cfg
-
-
-def _validate_knobs(cfg: PipelineConfig) -> None:
-    checks = [
-        (0.0 <= cfg.refine.deviation_fraction <= 1.0, "refine.deviation_fraction in [0,1]"),
-        (0.0 <= cfg.refine.prune_fraction <= 1.0, "refine.prune_fraction in [0,1]"),
-        (0.0 <= cfg.refine.anomaly_ratio_threshold <= 1.0, "refine.anomaly_ratio_threshold in [0,1]"),
-        (0.0 <= cfg.refine.direction_threshold <= 1.0, "refine.direction_threshold in [0,1]"),
-        (cfg.refine.max_iterations >= 1, "refine.max_iterations >= 1"),
-        (cfg.refine.min_observations >= 0, "refine.min_observations >= 0"),
-        (0.0 <= cfg.resolve.country_dominance <= 1.0, "resolve.country_dominance in [0,1]"),
-        (cfg.resolve.anchor_allowance_fraction >= 0.0, "resolve.anchor_allowance_fraction >= 0"),
-        (cfg.resolve.tie_merge_max_km > 0, "resolve.tie_merge_max_km > 0"),
-        (cfg.resolve.match_radius_km >= 0, "resolve.match_radius_km >= 0"),
-        (cfg.resolve.min_anchors >= 1, "resolve.min_anchors >= 1"),
-        (cfg.merge_radius_km >= 0, "merge_radius_km >= 0"),
-        (cfg.out_dir != "", "out_dir not empty"),
-        (cfg.traceroute_format in ("auto", "native", "atlas"), "traceroute_format one of auto|native|atlas"),
-        (cfg.synth.n_routers >= 2, "synth.n_routers >= 2"),
-        (cfg.synth.n_routers <= MAX_SYNTH_ROUTERS, f"synth.n_routers <= {MAX_SYNTH_ROUTERS}"),
-        (cfg.synth.n_cities >= 1, "synth.n_cities >= 1"),
-        (0.0 <= cfg.synth.mpls_fraction <= 1.0, "synth.mpls_fraction in [0,1]"),
-        (cfg.synth.n_paths >= 1, "synth.n_paths >= 1"),
-        (0.0 <= cfg.synth.noise_fraction < 1.0, "synth.noise_fraction in [0,1)"),
-        (0.0 <= cfg.synth.interface_error_fraction <= 1.0, "synth.interface_error_fraction in [0,1]"),
-        (cfg.synth.min_displacement_km >= 0, "synth.min_displacement_km >= 0"),
-        (cfg.synth.db_count >= 1, "synth.db_count >= 1"),
-        (0 <= cfg.synth.db_noise_km < math.inf, "synth.db_noise_km finite and >= 0"),
-        (cfg.synth.tunnel_len >= 2, "synth.tunnel_len >= 2"),
-        (0.0 <= cfg.synth.decoy_fraction <= 1.0, "synth.decoy_fraction in [0,1]"),
-        (cfg.synth.decoy_db_count >= 0, "synth.decoy_db_count >= 0"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise ConfigError(f"config violates: {message}")
 
 
 def load_config(path: str | Path, args: argparse.Namespace | None = None) -> PipelineConfig:

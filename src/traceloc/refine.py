@@ -27,14 +27,15 @@ from .ingest import CleanPath
 
 @dataclass
 class RefineConfig:
-    """Knobs for candidate scoring, pruning, and anomaly tagging."""
+    """Knobs for candidate scoring, pruning, and anomaly tagging.  Each
+    field's ``in`` metadata is the interval a config may set it to."""
 
-    deviation_fraction: float = 0.10
-    prune_fraction: float = 0.90
-    anomaly_ratio_threshold: float = 0.5
-    direction_threshold: float = 0.5
-    max_iterations: int = 20
-    min_observations: int = 3
+    deviation_fraction: float = field(default=0.10, metadata={"in": "[0,1]"})
+    prune_fraction: float = field(default=0.90, metadata={"in": "[0,1]"})
+    anomaly_ratio_threshold: float = field(default=0.5, metadata={"in": "[0,1]"})
+    direction_threshold: float = field(default=0.5, metadata={"in": "[0,1]"})
+    max_iterations: int = field(default=20, metadata={"in": "[1,inf]"})
+    min_observations: int = field(default=3, metadata={"in": "[0,inf]"})
 
 
 class IpStatus(enum.Enum):

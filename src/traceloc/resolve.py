@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 
@@ -34,11 +34,11 @@ BUFFER_FLOOR_KM = 20.0
 
 @dataclass
 class ResolveConfig:
-    country_dominance: float = 0.95
-    anchor_allowance_fraction: float = 0.10
-    tie_merge_max_km: float = 100.0
-    match_radius_km: float = 20.0
-    min_anchors: int = 2
+    country_dominance: float = field(default=0.95, metadata={"in": "[0,1]"})
+    anchor_allowance_fraction: float = field(default=0.10, metadata={"in": "[0,inf]"})
+    tie_merge_max_km: float = field(default=100.0, metadata={"in": "(0,inf]"})
+    match_radius_km: float = field(default=20.0, metadata={"in": "[0,inf]"})
+    min_anchors: int = field(default=2, metadata={"in": "[1,inf]"})
 
 
 class Verdict(Enum):

@@ -25,6 +25,7 @@ import traceloc.report
 from traceloc.cli import (
     ConfigError,
     InputError,
+    PipelineConfig,
     SynthSettings,
     build_config,
     load_config,
@@ -33,7 +34,9 @@ from traceloc.cli import (
     run,
     synth_cmd,
 )
+from traceloc.refine import RefineConfig
 from traceloc.report import ip_records
+from traceloc.resolve import ResolveConfig
 from tests.conftest import write_plane_catalog
 from tests.test_acceptance import write_hubring_catalog
 
@@ -48,6 +51,43 @@ SNAPSHOT_ROW = "198.51.100.2,db1,1.0,2.0,y,FR\n"
 def write_config(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+# Each bounded key: values at its ends that it accepts, values just past
+# them (and nan, and inf where the bound stops short of it) that it
+# rejects, and the words after the key in the rejection's message.
+TINY, NEAR_ONE, MAX_FINITE = "5e-324", "0.9999999999999999", "1.7976931348623157e308"
+PAST_ZERO, PAST_ONE = "-5e-324", "1.0000000000000002"
+UNIT = (["0", "1"], [PAST_ZERO, PAST_ONE, "nan", "inf"], "in [0,1]")
+NON_NEGATIVE = (["0", MAX_FINITE, "inf"], [PAST_ZERO, "nan"], ">= 0")
+BOUND_EDGES = [
+    ("refine.deviation_fraction", *UNIT),
+    ("refine.prune_fraction", *UNIT),
+    ("refine.anomaly_ratio_threshold", *UNIT),
+    ("refine.direction_threshold", *UNIT),
+    ("refine.max_iterations", ["1"], ["0"], ">= 1"),
+    ("refine.min_observations", ["0"], ["-1"], ">= 0"),
+    ("merge_radius_km", *NON_NEGATIVE),
+    ("traceroute_format", ["auto", "native", "atlas"], ["xml", ""], "one of auto|native|atlas"),
+    ("out_dir", ["x"], [""], "not empty"),
+    ("resolve.country_dominance", *UNIT),
+    ("resolve.anchor_allowance_fraction", *NON_NEGATIVE),
+    ("resolve.tie_merge_max_km", [TINY, MAX_FINITE, "inf"], ["0", PAST_ZERO, "nan"], "> 0"),
+    ("resolve.match_radius_km", *NON_NEGATIVE),
+    ("resolve.min_anchors", ["1"], ["0"], ">= 1"),
+    ("synth.n_routers", ["2", "63750"], ["1", "63751"], "in [2,63750]"),
+    ("synth.n_cities", ["1"], ["0"], ">= 1"),
+    ("synth.mpls_fraction", *UNIT),
+    ("synth.n_paths", ["1"], ["0"], ">= 1"),
+    ("synth.noise_fraction", ["0", NEAR_ONE], [PAST_ZERO, "1", "nan", "inf"], "in [0,1)"),
+    ("synth.interface_error_fraction", *UNIT),
+    ("synth.min_displacement_km", *NON_NEGATIVE),
+    ("synth.db_count", ["1"], ["0"], ">= 1"),
+    ("synth.db_noise_km", ["0", MAX_FINITE], [PAST_ZERO, "nan", "inf"], "finite and >= 0"),
+    ("synth.tunnel_len", ["2"], ["1"], ">= 2"),
+    ("synth.decoy_fraction", *UNIT),
+    ("synth.decoy_db_count", ["0"], ["-1"], ">= 0"),
+]
 
 
 class TestParseConfigFile:
@@ -144,6 +184,41 @@ class TestBuildConfig:
 
     def test_router_cap_is_inclusive(self):
         assert build_config({"synth.n_routers": "63750"}).synth.n_routers == 63750
+
+    @pytest.mark.parametrize(
+        "key, value, violation",
+        [
+            (key, value, None if value in accepted else f"{key} {words}")
+            for key, accepted, rejected, words in BOUND_EDGES
+            for value in accepted + rejected
+        ],
+    )
+    def test_bound_edges(self, key, value, violation):
+        if violation is None:
+            build_config({key: value})
+            return
+        with pytest.raises(ConfigError) as exc:
+            build_config({key: value})
+        assert str(exc.value) == f"config violates: {violation}"
+
+    def test_first_broken_bound_is_reported_in_field_order(self):
+        entries = {"synth.n_paths": "0", "resolve.min_anchors": "0", "merge_radius_km": "-1"}
+        for first in ("merge_radius_km >= 0", "resolve.min_anchors >= 1", "synth.n_paths >= 1"):
+            with pytest.raises(ConfigError) as exc:
+                build_config(entries | {"out_dir": ""})
+            assert str(exc.value) == "config violates: out_dir not empty"
+            with pytest.raises(ConfigError) as exc:
+                build_config(entries)
+            assert str(exc.value) == f"config violates: {first}"
+            del entries[first.split()[0]]
+
+    @pytest.mark.parametrize("klass", [PipelineConfig, RefineConfig, ResolveConfig, SynthSettings])
+    def test_every_number_knob_declares_a_bound(self, klass):
+        unbounded = [
+            f.name for f in dataclasses.fields(klass)
+            if type(f.default) in (int, float) and "in" not in f.metadata
+        ]
+        assert unbounded == (["seed"] if klass is PipelineConfig else [])
 
     def test_cli_overrides(self, tmp_path):
         cfg_file = write_config(

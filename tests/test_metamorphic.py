@@ -30,14 +30,17 @@ def write_config(path: Path, settings: dict[str, object]) -> Path:
     return path
 
 
-def run_tree(root: Path, name: str, traceroutes: Path, snapshot: Path, catalog: Path) -> dict:
-    """Run the pipeline into ``root / name`` and return its files' bytes."""
+def run_tree(root: Path, name: str, traceroutes: Path, snapshot: Path, catalog: Path,
+             **settings: object) -> dict:
+    """Run the pipeline into ``root / name``, under the config ``settings``
+    besides the input paths, and return its files' bytes."""
     out_dir = root / name
     cfg = write_config(root / f"{name}.conf", {
         "traceroutes": traceroutes,
         "geo_snapshot": snapshot,
         "city_catalog": catalog,
         "out_dir": out_dir,
+        **settings,
     })
     assert main(["run", "--config", str(cfg)]) == 0
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
@@ -123,3 +126,24 @@ def test_order_preserving_relabel(acceptance, address_map):
     }
     assert expected != a.tree
     assert tree == expected
+
+
+def test_corpus_written_twice(acceptance):
+    """Each traceroute twice, with twice the default ``min_observations``,
+    leaves every output but ``summary.csv`` as it was, and doubles only
+    that file's traceroute counts, not their shares."""
+    a = acceptance
+    doubled = a.root / "doubled.jsonl"
+    doubled.write_bytes(a.traceroutes.read_bytes() * 2)
+    tree = run_tree(a.root, "doubled", doubled, a.snapshot, a.catalog,
+                    **{"refine.min_observations": 6})
+    summary = tree.pop("summary.csv").decode("utf-8").splitlines()
+    base_summary = a.tree["summary.csv"].decode("utf-8").splitlines()
+    assert tree == {name: data for name, data in a.tree.items() if name != "summary.csv"}
+    assert summary[0] == base_summary[0] and len(summary) == len(base_summary)
+    assert summary != base_summary
+    count = summary[0].split(",").index("traceroutes")
+    for row, base_row in zip(summary[1:], base_summary[1:]):
+        row, base_row = row.split(","), base_row.split(",")
+        assert int(row[count]) == 2 * int(base_row[count])
+        assert row[:count] + row[count + 1:] == base_row[:count] + base_row[count + 1:]

@@ -1,11 +1,14 @@
 """The README's library snippet runs as written on a synthetic corpus, and
-its configuration reference names the keys the config reader accepts."""
+its configuration reference states each key the config reader accepts, with
+its default and bound."""
 from __future__ import annotations
 
 import re
 from pathlib import Path
 
-from traceloc.cli import _SECTION_TYPES, _TOP_KEYS, main
+import pytest
+
+from traceloc.cli import _KNOBS, _rule, main
 from traceloc.refine import IpStatus
 from tests.conftest import write_plane_catalog
 
@@ -49,23 +52,34 @@ def test_library_snippet_runs(tmp_path, monkeypatch):
     assert namespace["table"][0].traceroute_count == len(namespace["paths"])
 
 
-def config_reference_keys() -> set[str]:
-    """The keys the README's "Configuration reference" names: every
-    backticked word of the "Top level:" paragraph, and of each
-    "`<section>.*`" paragraph with that section's prefix."""
+REFERENCE_ENTRY = re.compile(
+    r"^- `(?P<key>[a-z_.]+)`: (?:required|default `(?P<default>[^`]*)`)(?:, `(?P<bound>[^`]*)`)?",
+    re.M,
+)
+
+
+def config_reference() -> dict[str, tuple[str | None, str | None]]:
+    """Each key of the README's "Configuration reference", mapped to its
+    default (None where it is required) and its bound (None where it
+    states none), both as written."""
     text = README.read_text(encoding="utf-8")
     section = text.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
-    keys = set()
-    for paragraph in section.split("\n\n"):
-        head = re.match(r"\s*(?:Top level:|`(\w+)\.\*`)", paragraph)
-        if head:
-            prefix = f"{head.group(1)}." if head.group(1) else ""
-            keys |= {prefix + name for name in re.findall(r"`([a-z_]+)`", paragraph)}
-    return keys
+    return {
+        m["key"]: (m["default"], m["bound"]) for m in REFERENCE_ENTRY.finditer(section)
+    }
 
 
 def test_config_reference_names_every_accepted_key():
-    accepted = set(_TOP_KEYS) | {
-        f"{section}.{name}" for section, fields in _SECTION_TYPES.items() for name in fields
-    }
-    assert config_reference_keys() == accepted
+    assert list(config_reference()) == list(_KNOBS)
+
+
+@pytest.mark.parametrize("key", list(_KNOBS))
+def test_config_reference_states_default_and_bound(key):
+    default, bound = config_reference()[key]
+    f = _KNOBS[key][1]
+    if default is None:
+        assert f.default == "", "only a key with an empty default is required"
+    else:
+        assert type(f.default)(default) == f.default
+    rule = f.metadata.get("in")
+    assert bound == (None if rule is None else _rule(rule))
