@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -60,11 +61,14 @@ def sol_km(delta_ms: float) -> float:
     return (delta_ms / 2.0) * FIBER_KM_PER_MS
 
 
+_lat, _lon = attrgetter("lat"), attrgetter("lon")
+
+
 def mean_point(points: Sequence) -> GeoPoint:
     """The mean latitude and mean longitude of ``points``, anything with
     ``lat`` and ``lon``, each summed in order."""
     n = len(points)
-    return GeoPoint(sum(p.lat for p in points) / n, sum(p.lon for p in points) / n)
+    return GeoPoint(sum(map(_lat, points)) / n, sum(map(_lon, points)) / n)
 
 
 def normalize_city(name: str) -> str:
@@ -100,52 +104,55 @@ def cluster_candidates(
     if not records:
         return []
 
-    def canon_key(r: "GeoRecord") -> tuple:
-        return (normalize_city(r.city), r.country.strip().upper(), r.source, r.lat, r.lon)
-
-    ordered = sorted(records, key=canon_key)
+    # Each record's key once: (city, country, source, lat, lon), normalised.
+    keyed = sorted(
+        (((normalize_city(r.city), r.country.strip().upper(), r.source, r.lat, r.lon), r)
+         for r in records),
+        key=itemgetter(0),
+    )
     named: dict[tuple[str, str], list] = {}
     unnamed: list = []
-    for rec in ordered:
-        city = normalize_city(rec.city)
-        if city:
-            named.setdefault((city, rec.country.strip().upper()), []).append(rec)
+    for key, rec in keyed:
+        if key[0]:
+            named.setdefault(key[:2], []).append(rec)
         else:
-            unnamed.append(rec)
+            unnamed.append((key[:2], rec))
 
-    groups: list[list] = [named[key] for key in sorted(named)]
+    # Per group: its first record's (city, country), its members and their mean.
+    labels = sorted(named)
+    groups: list[list] = [named[label] for label in labels]
+    means = [mean_point(members) for members in groups]
 
-    for rec in unnamed:
+    for label, rec in unnamed:
         point = GeoPoint(rec.lat, rec.lon)
         best_idx = -1
         best_dist = math.inf
-        for idx, members in enumerate(groups):
-            d = haversine_km(point, mean_point(members))
+        for idx, mean in enumerate(means):
+            d = haversine_km(point, mean)
             if d <= merge_radius_km and d < best_dist:
                 best_idx, best_dist = idx, d
         if best_idx >= 0:
             groups[best_idx].append(rec)
+            means[best_idx] = mean_point(groups[best_idx])
         else:
+            labels.append(label)
             groups.append([rec])
+            means.append(mean_point([rec]))
 
-    def cluster_sort_key(members: list) -> tuple:
-        first = members[0]
-        c = mean_point(members)
-        return (first.country.strip().upper(), normalize_city(first.city), c.lat, c.lon)
-
-    clusters = []
-    for cid, members in enumerate(sorted(groups, key=cluster_sort_key)):
-        first = members[0]
-        clusters.append(
-            CityCluster(
-                cluster_id=cid,
-                centroid=mean_point(members),
-                city=first.city.strip(),
-                country=first.country.strip().upper(),
-                supporting_sources={m.source for m in members},
-            )
+    order = sorted(
+        range(len(groups)),
+        key=lambda g: (labels[g][1], labels[g][0], means[g].lat, means[g].lon),
+    )
+    return [
+        CityCluster(
+            cluster_id=cid,
+            centroid=means[g],
+            city=groups[g][0].city.strip(),
+            country=labels[g][1],
+            supporting_sources={m.source for m in groups[g]},
         )
-    return clusters
+        for cid, g in enumerate(order)
+    ]
 
 
 @dataclass(frozen=True)

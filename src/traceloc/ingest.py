@@ -20,10 +20,11 @@ import ipaddress
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .diagnostics import Diagnostics
 
@@ -99,8 +100,9 @@ class CleanPath:
     source_traceroute: str = ""
 
 
-@dataclass(frozen=True)
-class GeoRecord:
+class GeoRecord(NamedTuple):
+    """One snapshot row: a database's location for an IP."""
+
     ip: str
     source: str
     lat: float
@@ -441,10 +443,14 @@ def load_geo_snapshot(
         if missing := sorted(set(SNAPSHOT_COLUMNS) - column.keys()):
             raise ValueError(f"snapshot {path} missing columns {missing}")
         at = [column[name] for name in SNAPSHOT_COLUMNS]
+        pick, width = operator.itemgetter(*at), max(at) + 1
         for lineno, row in rows:
             if not row:
                 continue
-            ip, source, lat, lon, city, country = [row[i] if i < len(row) else None for i in at]
+            if len(row) >= width:
+                ip, source, lat, lon, city, country = pick(row)
+            else:
+                ip, source, lat, lon, city, country = [row[i] if i < len(row) else None for i in at]
             ip = (ip or "").strip()
             source = (source or "").strip()
             if version(ip) != 4 or not source:

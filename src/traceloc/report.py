@@ -124,14 +124,18 @@ def sol_baseline(
     for ip, clusters in clusters_by_ip.items():
         if not clusters:
             continue
-        survivors = [
-            cand
-            for cand in clusters
-            if all(
-                any(n == sum(pb.feasible(cand, oc) if is_a else pb.feasible(oc, cand)) for oc in ocs)
-                for pb, is_a, n, ocs in sides.get(ip, ())
-            )
-        ]
+        ip_sides = sides.get(ip, ())
+        survivors = []
+        for cand in clusters:
+            for pb, is_a, n, ocs in ip_sides:  # until a pair that no neighbor cluster fits
+                for oc in ocs:
+                    f_a, f_b = pb.feasible(cand, oc) if is_a else pb.feasible(oc, cand)
+                    if f_a + f_b == n:
+                        break
+                else:
+                    break
+            else:
+                survivors.append(cand)
         out[ip] = CandidateState(ip=ip, candidates=survivors)
     return out
 

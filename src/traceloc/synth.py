@@ -147,10 +147,14 @@ def generate_world(
             )
         )
 
-    n, nc = len(routers), n_cities
+    # Only the first n cities host a router, so the tables cover those; for
+    # every router i, i % nc is i % n_cities.
+    n = len(routers)
+    nc = min(n_cities, n)
+    hosts = cities[:nc]
     # Routers i < j are city_dist[i % nc][j % nc] apart.  A city pair is
     # lopsided when its two orders differ (haversine_km's far form can).
-    city_dist = [[haversine_km(a.centroid, b.centroid) for b in cities] for a in cities]
+    city_dist = [[haversine_km(a.centroid, b.centroid) for b in hosts] for a in hosts]
     lopsided = [
         [c for c in range(nc) if row[c] != city_dist[c][a]] for a, row in enumerate(city_dist)
     ]

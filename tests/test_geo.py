@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from traceloc.geo import (
     DEFAULT_CITY_RADIUS_KM,
     EARTH_RADIUS_KM,
+    CityCluster,
     CityPolygon,
     GeoPoint,
     SpatialIndex,
@@ -226,6 +227,124 @@ class TestClusterCandidates:
             [rec(), rec(source="db2", city="Lyon", lat=45.76, lon=4.83)]
         )
         assert [c.cluster_id for c in clusters] == [0, 1]
+
+
+def reference_cluster_candidates(records, merge_radius_km=20.0):
+    """``cluster_candidates`` as it was before it keyed each record once:
+    every key and group mean recomputed where it is read."""
+    if not records:
+        return []
+
+    def canon_key(r):
+        return (normalize_city(r.city), r.country.strip().upper(), r.source, r.lat, r.lon)
+
+    ordered = sorted(records, key=canon_key)
+    named = {}
+    unnamed = []
+    for rec in ordered:
+        city = normalize_city(rec.city)
+        if city:
+            named.setdefault((city, rec.country.strip().upper()), []).append(rec)
+        else:
+            unnamed.append(rec)
+
+    groups = [named[key] for key in sorted(named)]
+
+    for rec in unnamed:
+        point = GeoPoint(rec.lat, rec.lon)
+        best_idx = -1
+        best_dist = math.inf
+        for idx, members in enumerate(groups):
+            d = haversine_km(point, mean_point(members))
+            if d <= merge_radius_km and d < best_dist:
+                best_idx, best_dist = idx, d
+        if best_idx >= 0:
+            groups[best_idx].append(rec)
+        else:
+            groups.append([rec])
+
+    def cluster_sort_key(members):
+        first = members[0]
+        c = mean_point(members)
+        return (first.country.strip().upper(), normalize_city(first.city), c.lat, c.lon)
+
+    clusters = []
+    for cid, members in enumerate(sorted(groups, key=cluster_sort_key)):
+        first = members[0]
+        clusters.append(
+            CityCluster(
+                cluster_id=cid,
+                centroid=mean_point(members),
+                city=first.city.strip(),
+                country=first.country.strip().upper(),
+                supporting_sources={m.source for m in members},
+            )
+        )
+    return clusters
+
+
+def cluster_bits(clusters):
+    """Every field of each cluster, centroids bit for bit (``-0.0`` too)."""
+    return [
+        (c.cluster_id, c.centroid.lat.hex(), c.centroid.lon.hex(), c.city, c.country,
+         c.supporting_sources)
+        for c in clusters
+    ]
+
+
+# Paris and points 0.1 degree (about 11 km) and 0.2 degree of latitude from
+# it, so an unnamed record can lie within 20 km of two groups; zeros of
+# either sign; and any coordinate at all.
+_near_points = [(48.85, 2.35), (48.95, 2.35), (49.05, 2.35), (48.75, 2.35),
+                (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.1, -0.0)]
+candidate_records = st.lists(
+    st.builds(
+        lambda source, point, city, country: GeoRecord(
+            ip="198.51.100.7", source=source, lat=point[0], lon=point[1], city=city, country=country
+        ),
+        st.sampled_from(["db1", "db2", "db3", "db4"]),
+        st.one_of(
+            st.sampled_from(_near_points),
+            st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
+        ),
+        st.sampled_from(["Paris", " paris", "PARIS ", "Lyon", "lyon\t", "", "  "]),
+        st.sampled_from(["FR", "fr", " Fr ", "DE", ""]),
+    ),
+    max_size=12,
+)
+
+
+class TestClusterCandidatesMatchesReference:
+    @given(candidate_records, st.sampled_from([0.0, 20.0, 50.0]))
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_generated_records(self, records, merge_radius_km):
+        assert cluster_bits(cluster_candidates(records, merge_radius_km)) == cluster_bits(
+            reference_cluster_candidates(records, merge_radius_km)
+        )
+
+    def test_unnamed_record_between_two_groups(self):
+        # The first stray is 11 km from both named groups and joins one; the
+        # second then finds that group's moved mean the nearer.
+        records = [
+            rec(source="db1", lat=48.75, city="Paris"),
+            rec(source="db2", lat=48.95, city="Meaux"),
+            rec(source="db3", lat=48.85, city=""),
+            rec(source="db4", lat=48.85, city=" "),
+        ]
+        got = cluster_candidates(records)
+        assert sorted(map(len, (c.supporting_sources for c in got))) == [1, 3]
+        assert cluster_bits(got) == cluster_bits(reference_cluster_candidates(records))
+
+    def test_signed_zero_centroids(self):
+        # A mean sums from 0, so even a lone unnamed record at -0.0 has a
+        # centroid of +0.0.
+        for lat in (0.0, -0.0):
+            records = [rec(source="db1", lat=lat, lon=-0.0, city=""),
+                       rec(source="db2", lat=-0.0, lon=-0.0, city="Null Island"),
+                       rec(source="db3", lat=-0.0, lon=90.0, city="")]
+            assert cluster_bits(cluster_candidates(records)) == cluster_bits(
+                reference_cluster_candidates(records)
+            )
 
 
 # --- catalog loading ---------------------------------------------------------

@@ -1119,6 +1119,25 @@ class TestBogonsAndKeys:
         assert sorted(ips_in, key=ip_key) == ["9.0.0.1", "198.51.100.2", "198.51.100.10"]
 
 
+class TestGeoRecord:
+    FIELDS = {"ip": "198.51.100.1", "source": "db1", "lat": 48.85, "lon": -0.0,
+              "city": "Paris", "country": "FR"}
+
+    def test_immutable_hashable_and_keyword_built(self):
+        r = GeoRecord(**self.FIELDS)
+        with pytest.raises(AttributeError):
+            r.lat = 1.0
+        assert r == GeoRecord("198.51.100.1", "db1", 48.85, -0.0, "Paris", "FR")
+        assert len({r, GeoRecord(**self.FIELDS)}) == 1
+        assert r != GeoRecord(**{**self.FIELDS, "source": "db2"})
+
+    def test_repr_names_every_field(self):
+        assert repr(GeoRecord(**self.FIELDS)) == (
+            "GeoRecord(ip='198.51.100.1', source='db1', lat=48.85, lon=-0.0, "
+            "city='Paris', country='FR')"
+        )
+
+
 class TestGeoSnapshot:
     def test_round_trip_and_determinism(self, tmp_path):
         by_ip = {

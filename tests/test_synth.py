@@ -380,6 +380,21 @@ class TestGenerateWorld:
         assert connected(world)
         assert peak < 8 * n_routers**2 / 4, peak
 
+    def test_city_tables_cover_only_cities_that_host_a_router(self, tmp_path):
+        # 50 routers over 1,000 sampled cities: router i sits on city i, so
+        # a table over all of them, 10**6 list slots (8 MB), buys nothing.
+        rows = [(f"p{k}", "FR", 50.0 * (k % 40), 50.0 * (k // 40)) for k in range(1000)]
+        catalog = load_city_catalog(write_plane_catalog(tmp_path / "plane.csv", rows))
+        n_cities = 1000
+        tracemalloc.start()
+        try:
+            world = generate_world(1, 50, n_cities, 0.0, catalog)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_cities**2, peak
+        assert world.links == reference_links(world)
+
     def test_zero_fraction_means_no_tunnels(self, grid_catalog):
         assert generate_world(3, 24, 12, 0.0, grid_catalog).mpls_tunnels == []
 
