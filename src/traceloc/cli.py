@@ -5,7 +5,8 @@ Every algorithm knob is overridable there; ``--out``, and ``--seed`` on
 ``synth``, override their config counterparts.  Each knob declares its
 default and its bound once, on its config dataclass field; the config
 reader takes the accepted keys, their types and their bounds from
-:data:`_KNOBS`, which it builds from those fields.  Exit codes: 0 success,
+:data:`_KNOBS`, which it builds from those fields, and checks each section
+with :func:`broken_bound`, as synth's stages do.  Exit codes: 0 success,
 1 fatal input problem, 2 configuration problem.  Given identical inputs,
 configuration, and seed, two runs produce byte-identical output trees.
 """
@@ -48,13 +49,27 @@ class InputError(Exception):
     """Unusable input data; maps to exit code 1."""
 
 
-# synth.MAX_ROUTERS, the size of synth's router address plan, repeated here
-# so that checking a config never loads synth.
-MAX_SYNTH_ROUTERS = 63750
+# Synth's router addresses run 203.0.1.1 to 203.0.255.250: 255 blocks of 250.
+# Declared here, with synth's other knobs, so that checking a config never
+# loads synth.
+MAX_SYNTH_ROUTERS = 255 * 250
 
 
 @dataclass
 class SynthSettings:
+    """The knobs of :mod:`traceloc.synth`'s three stages.
+
+    Database corruption, by :func:`~traceloc.synth.corrupt_geodb`, follows
+    one rule: a router's last *k* of ``db_count`` databases name one wrong
+    catalog city, and the rest name its true city with per-database jitter
+    of at most ``db_noise_km``.  ``interface_error_fraction`` of routers are
+    displaced: *k* is ``db_count``, and the city is at least
+    ``min_displacement_km`` away.  ``decoy_fraction`` of the others are
+    decoys: *k* is ``min(decoy_db_count, db_count - 1)``, and the city has
+    another name, producing multi-candidate IPs without hiding the truth.
+    Everyone else, and a router for which no city qualifies, has *k* = 0.
+    """
+
     n_routers: int = field(default=50, metadata={"in": f"[2,{MAX_SYNTH_ROUTERS}]"})
     n_cities: int = field(default=20, metadata={"in": "[1,inf]"})
     mpls_fraction: float = field(default=0.03, metadata={"in": "[0,1]"})
@@ -142,6 +157,18 @@ def _rule(bound: str | tuple[str, ...]) -> str:
     return f"in {bound}"
 
 
+def broken_bound(section: type, **values: object) -> str | None:
+    """The first field of the config dataclass ``section``, in field order,
+    whose value in ``values`` breaks its ``in`` bound, as ``name rule``
+    (for example ``n_routers in [2,63750]``); None when none does.  A field
+    missing from ``values`` is not checked."""
+    for f in dataclasses.fields(section):
+        bound = f.metadata.get("in")
+        if bound is not None and f.name in values and not _within(values[f.name], bound):
+            return f"{f.name} {_rule(bound)}"
+    return None
+
+
 def build_config(entries: dict[str, str]) -> PipelineConfig:
     cfg = PipelineConfig()
     for key, raw in entries.items():
@@ -156,11 +183,10 @@ def build_config(entries: dict[str, str]) -> PipelineConfig:
         setattr(getattr(cfg, section) if section else cfg, f.name, value)
     if not cfg.out_dir:
         raise ConfigError("config violates: out_dir not empty")
-    for key, (section, f) in _KNOBS.items():
-        bound = f.metadata.get("in")
-        value = getattr(getattr(cfg, section) if section else cfg, f.name)
-        if bound is not None and not _within(value, bound):
-            raise ConfigError(f"config violates: {key} {_rule(bound)}")
+    for section in dict.fromkeys(s for s, _ in _KNOBS.values()):
+        knobs = getattr(cfg, section) if section else cfg
+        if broken := broken_bound(type(knobs), **vars(knobs)):
+            raise ConfigError(f"config violates: {section + '.' if section else ''}{broken}")
     return cfg
 
 
@@ -333,11 +359,7 @@ def synth_cmd(cfg: PipelineConfig) -> int:
             tunnel_len=s.tunnel_len, diag=diag,
         )
         paths = synth.simulate_traceroutes(world, s.n_paths, s.noise_fraction, diag)
-        # Every InjectionSpec field is a SynthSettings field of the same name.
-        spec = synth.InjectionSpec(
-            **{f.name: getattr(s, f.name) for f in dataclasses.fields(synth.InjectionSpec)}
-        )
-        snapshot, displaced = synth.corrupt_geodb(world, spec, cfg.seed, catalog, diag)
+        snapshot, displaced = synth.corrupt_geodb(world, s, cfg.seed, catalog, diag)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -449,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", help="output directory (overrides out_dir)")
         return p

@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .cli import SynthSettings, broken_bound
 from .diagnostics import Diagnostics
 from .geo import (
     FIBER_KM_PER_MS,
@@ -60,35 +61,8 @@ class World:
     rng_seed: int
 
 
-@dataclass
-class InjectionSpec:
-    """Database corruption plan for :func:`corrupt_geodb`.
-
-    One rule covers both errors: a router's last *k* of ``db_count``
-    databases name one wrong catalog city, and the rest name its true city
-    with per-database jitter of at most ``db_noise_km``.
-    ``interface_error_fraction`` of routers are displaced: *k* is
-    ``db_count``, and the city is at least ``min_displacement_km`` away.
-    ``decoy_fraction`` of the others are decoys: *k* is
-    ``min(decoy_db_count, db_count - 1)``, and the city has another name,
-    producing multi-candidate IPs without hiding the truth.  Everyone else,
-    and a router for which no city qualifies, has *k* = 0.
-    """
-
-    interface_error_fraction: float
-    min_displacement_km: float
-    db_count: int
-    db_noise_km: float
-    decoy_fraction: float = 0.0
-    decoy_db_count: int = 1
-
-
 def _router_ip(i: int) -> str:
     return f"203.0.{1 + i // 250}.{1 + i % 250}"
-
-
-# Router addresses run 203.0.1.1 to 203.0.255.250: 255 blocks of 250.
-MAX_ROUTERS = 255 * 250
 
 
 def generate_world(
@@ -98,7 +72,7 @@ def generate_world(
     mpls_fraction: float,
     catalog: list[CityPolygon],
     *,
-    tunnel_len: int = 4,
+    tunnel_len: int = SynthSettings.tunnel_len,
     diag: Diagnostics | None = None,
 ) -> World:
     """Build a connected router graph over ``n_cities`` catalog cities.
@@ -115,20 +89,13 @@ def generate_world(
     ``synth_tunnels_short`` warning in ``diag``, when not enough disjoint
     runs exist.  Identical arguments produce identical worlds.
     """
-    if n_routers < 2:
-        raise ValueError("n_routers must be at least 2")
-    if n_routers > MAX_ROUTERS:
-        raise ValueError(f"n_routers must be at most {MAX_ROUTERS}")
-    if n_cities < 1:
-        raise ValueError("n_cities must be at least 1")
+    if broken := broken_bound(SynthSettings, n_routers=n_routers, n_cities=n_cities,
+                              mpls_fraction=mpls_fraction, tunnel_len=tunnel_len):
+        raise ValueError(broken)
     if n_cities > len(catalog):
         raise ValueError(
             f"n_cities={n_cities} exceeds catalog size {len(catalog)}"
         )
-    if not 0.0 <= mpls_fraction <= 1.0:
-        raise ValueError("mpls_fraction must be within [0, 1]")
-    if tunnel_len < 2:
-        raise ValueError("tunnel_len must be at least 2")
     diag = diag or Diagnostics()
 
     rng = random.Random(f"world:{seed}")
@@ -355,8 +322,8 @@ def simulate_traceroutes(
     applied before the per-hop multiplicative noise of ±``noise_fraction``.
     The reported path omits the probing source itself.
     """
-    if not 0.0 <= noise_fraction < 1.0:
-        raise ValueError("noise_fraction must be within [0, 1)")
+    if broken := broken_bound(SynthSettings, n_paths=n_paths, noise_fraction=noise_fraction):
+        raise ValueError(broken)
     diag = diag or Diagnostics()
     rng = random.Random(f"paths:{world.rng_seed}")
     n = len(world.routers)
@@ -453,13 +420,14 @@ def _apply_tunnels(
 
 def corrupt_geodb(
     world: World,
-    spec: InjectionSpec,
+    settings: SynthSettings,
     seed: int,
     catalog: list[CityPolygon],
     diag: Diagnostics | None = None,
 ) -> tuple[dict[str, list[GeoRecord]], set[str]]:
     """Produce per-database geolocation records for every router by the
-    one rule of :class:`InjectionSpec`.
+    one rule of :class:`~traceloc.cli.SynthSettings`, after checking each
+    of its fields against its bound.
 
     A router drawn for displacement with no catalog city at least
     ``min_displacement_km`` from the truth is warned about
@@ -467,16 +435,16 @@ def corrupt_geodb(
     and stays out of the displaced set.  Returns the snapshot and the
     displaced-IP set.
     """
+    if broken := broken_bound(SynthSettings, **vars(settings)):
+        raise ValueError(broken)
     diag = diag or Diagnostics()
-    if spec.db_count < 1:
-        raise ValueError("db_count must be at least 1")
     rng = random.Random(f"geodb:{seed}")
-    sources = [f"db{i + 1}" for i in range(spec.db_count)]
+    sources = [f"db{i + 1}" for i in range(settings.db_count)]
     n = len(world.routers)
-    displaced_target = round(spec.interface_error_fraction * n)
+    displaced_target = round(settings.interface_error_fraction * n)
     displaced_idx = set(rng.sample(range(n), min(displaced_target, n)))
     decoy_pool = [i for i in range(n) if i not in displaced_idx]
-    decoy_target = round(spec.decoy_fraction * n)
+    decoy_target = round(settings.decoy_fraction * n)
     decoy_idx = set(rng.sample(decoy_pool, min(decoy_target, len(decoy_pool))))
 
     snapshot: dict[str, list[GeoRecord]] = {}
@@ -487,7 +455,7 @@ def corrupt_geodb(
     # share, so each is built once per location or city name.
     @functools.cache
     def far_from(location: GeoPoint) -> list[CityPolygon]:
-        far = spec.min_displacement_km
+        far = settings.min_displacement_km
         return [c for c in catalog_sorted if haversine_km(c.centroid, location) >= far]
 
     @functools.cache
@@ -499,22 +467,22 @@ def corrupt_geodb(
         if i in displaced_idx:
             eligible = far_from(router.location)
             if eligible:
-                k, wrong = spec.db_count, rng.choice(eligible)
+                k, wrong = settings.db_count, rng.choice(eligible)
                 displaced_ips.add(router.ip)
             else:
                 diag.warn(
                     "synth_no_displacement_target",
-                    f"{router.ip}: no catalog city ≥ {spec.min_displacement_km} km away",
+                    f"{router.ip}: no catalog city ≥ {settings.min_displacement_km} km away",
                 )
         elif i in decoy_idx:
             others = named_other_than(normalize_city(router.city))
             if others:
-                k, wrong = min(spec.decoy_db_count, spec.db_count - 1), rng.choice(others)
+                k, wrong = min(settings.decoy_db_count, settings.db_count - 1), rng.choice(others)
         records = snapshot[router.ip] = []
         for j, src in enumerate(sources):
-            if j < spec.db_count - k:
+            if j < settings.db_count - k:
                 bearing = rng.uniform(0.0, 2.0 * math.pi)
-                offset_km = rng.uniform(0.0, spec.db_noise_km)
+                offset_km = rng.uniform(0.0, settings.db_noise_km)
                 lat, lon = _offset(router.location, bearing, offset_km)
                 city, country = router.city, router.country
             else:

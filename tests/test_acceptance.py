@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from traceloc.cli import main
+from traceloc.cli import SynthSettings, main
 from traceloc.geo import (
     CityPolygon,
     GeoPoint,
@@ -51,7 +51,6 @@ from traceloc.resolve import (
     select_anchors,
 )
 from traceloc.synth import (
-    InjectionSpec,
     corrupt_geodb,
     generate_world,
     score_against_truth,
@@ -117,7 +116,7 @@ def corpus(tmp_path_factory):
     t0 = time.perf_counter()
     world = generate_world(41, 200, 200, 0.03, catalog, tunnel_len=3)
     paths = simulate_traceroutes(world, 5000, 0.05)
-    spec = InjectionSpec(
+    spec = SynthSettings(
         interface_error_fraction=0.05,
         min_displacement_km=500.0,
         db_count=8,

@@ -21,7 +21,7 @@ from traceloc.geo import SpatialIndex, cluster_candidates
 from traceloc.ingest import ip_key
 from traceloc.refine import IpStatus, RefineConfig, make_states, pair_budgets
 from traceloc.resolve import ResolveConfig
-from traceloc.synth import InjectionSpec, corrupt_geodb, generate_world, simulate_traceroutes
+from traceloc.synth import corrupt_geodb, generate_world, simulate_traceroutes
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -50,7 +50,7 @@ def tiny_run(grid_catalog):
     hooks count, called as `cli.run` calls them."""
     world = generate_world(5, 40, 12, 0.05, grid_catalog)
     paths = simulate_traceroutes(world, 200, 0.05)
-    spec = InjectionSpec(
+    spec = cli.SynthSettings(
         interface_error_fraction=0.1,
         min_displacement_km=300.0,
         db_count=4,

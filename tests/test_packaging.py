@@ -3,10 +3,13 @@
 module or ``traceloc`` itself, and ``pyproject.toml`` declares no runtime
 dependency.  No module uses another module's ``_``-prefixed names.  Nor
 does the package carry code for the tests alone: every function and class
-it defines at module level is named by the package or the benchmark."""
+it defines at module level is named by the package or the benchmark.
+Each module imports first, in a fresh interpreter: no import cycle."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,6 +66,19 @@ def test_uses_no_private_name_of_another_module(path):
         and node.value.id in modules and node.attr.startswith("_")
     ]
     assert not private, f"{path.name} uses private names of other modules: {private}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_first_in_a_fresh_interpreter(path):
+    """No import cycle: whichever module a caller loads first imports (the
+    shared test setup has ``geo`` and ``refine`` loaded before any test)."""
+    module = "traceloc" if path.stem == "__init__" else f"traceloc.{path.stem}"
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_no_runtime_dependencies():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traceloc.cli import SynthSettings
 from traceloc.diagnostics import Diagnostics
 from traceloc.geo import CityCluster, GeoPoint, cluster_candidates, haversine_km
 from traceloc.ingest import CleanPath, ip_key
@@ -26,7 +27,7 @@ from traceloc.refine import (
     score_iteration,
     tag_anomalies,
 )
-from traceloc.synth import InjectionSpec, corrupt_geodb, generate_world, simulate_traceroutes
+from traceloc.synth import corrupt_geodb, generate_world, simulate_traceroutes
 from tests.conftest import pair_feasible, plane_latlon
 
 IP_A = "198.51.100.1"
@@ -249,7 +250,7 @@ def gappy_world(grid_catalog, seed):
     """A seeded world with decoys where every seventh IP has no candidates."""
     world = generate_world(seed, 60, 12, 0.05, grid_catalog)
     paths = simulate_traceroutes(world, 300, 0.05)
-    spec = InjectionSpec(
+    spec = SynthSettings(
         interface_error_fraction=0.05,
         min_displacement_km=300.0,
         db_count=4,

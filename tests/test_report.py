@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traceloc.cli import SynthSettings
 from traceloc.diagnostics import Diagnostics
 from traceloc.geo import (
     EARTH_RADIUS_KM,
@@ -44,7 +45,7 @@ from traceloc.report import (
     write_summary_csv,
 )
 from traceloc.resolve import ResolutionOutcome, Verdict
-from traceloc.synth import InjectionSpec, corrupt_geodb, generate_world, simulate_traceroutes
+from traceloc.synth import corrupt_geodb, generate_world, simulate_traceroutes
 from tests.conftest import pair_feasible, plane_latlon, single_cluster_fraction
 
 
@@ -233,7 +234,7 @@ def decoy_heavy_world(catalog, seed, n_routers=60, n_cities=12):
     addresses, snapshot and paths."""
     world = generate_world(seed, n_routers, n_cities, 0.05, catalog)
     paths = simulate_traceroutes(world, 400, 0.05)
-    spec = InjectionSpec(
+    spec = SynthSettings(
         interface_error_fraction=0.05,
         min_displacement_km=300.0,
         db_count=4,

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import traceloc
-from traceloc import cli
+from traceloc.cli import MAX_SYNTH_ROUTERS, SynthSettings, broken_bound
 from traceloc.diagnostics import Diagnostics
 from traceloc.geo import (
     FIBER_KM_PER_MS,
@@ -37,9 +37,7 @@ from traceloc.synth import (
     _ROUTE_VARIANTS,
     EXTRA_DEGREE,
     _TIE_EPS_KM,
-    MAX_ROUTERS,
     _apply_tunnels,
-    InjectionSpec,
     Router,
     World,
     corrupt_geodb,
@@ -55,6 +53,7 @@ from traceloc.synth import (
 )
 from traceloc.geo import CityCluster
 from tests.conftest import write_plane_catalog
+from tests.test_cli import BOUND_EDGES
 
 
 @pytest.fixture(scope="module")
@@ -317,13 +316,50 @@ class TestGenerateWorld:
             generate_world(1, 10, 4, 0.1, grid_catalog, tunnel_len=1)
 
     def test_router_count_is_capped_at_the_address_plan(self, grid_catalog):
-        assert _router_ip(MAX_ROUTERS - 1) == "203.0.255.250"
+        assert _router_ip(MAX_SYNTH_ROUTERS - 1) == "203.0.255.250"
         with pytest.raises(ValueError):
-            ipaddress.IPv4Address(_router_ip(MAX_ROUTERS))
+            ipaddress.IPv4Address(_router_ip(MAX_SYNTH_ROUTERS))
         # Rejected before any router or distance is built, so this is quick.
-        with pytest.raises(ValueError, match=f"at most {MAX_ROUTERS}"):
-            generate_world(1, MAX_ROUTERS + 1, 4, 0.0, grid_catalog)
-        assert cli.MAX_SYNTH_ROUTERS == MAX_ROUTERS
+        with pytest.raises(ValueError, match=rf"^n_routers in \[2,{MAX_SYNTH_ROUTERS}\]$"):
+            generate_world(1, MAX_SYNTH_ROUTERS + 1, 4, 0.0, grid_catalog)
+
+    # The stage that reads each synth knob; corrupt_geodb reads the rest.
+    STAGE_OF = {
+        **dict.fromkeys(("n_routers", "n_cities", "mpls_fraction", "tunnel_len"), "generate_world"),
+        **dict.fromkeys(("n_paths", "noise_fraction"), "simulate_traceroutes"),
+    }
+
+    @pytest.mark.parametrize(
+        "name, raw, words",
+        [
+            (key.removeprefix("synth."), raw, None if raw in accepted else words)
+            for key, accepted, rejected, words in BOUND_EDGES if key.startswith("synth.")
+            for raw in accepted + rejected
+        ],
+    )
+    def test_stages_share_the_config_bounds(self, grid_catalog, name, raw, words):
+        """The stage that reads a knob rejects a value past its bound with
+        the words of the config error, and the shared check passes each
+        value the config accepts."""
+        value = type(getattr(SynthSettings, name))(raw)
+        if words is None:
+            assert broken_bound(SynthSettings, **{name: value}) is None
+            return
+        s = SynthSettings(n_routers=6, n_cities=4, n_paths=5)
+        world = generate_world(1, s.n_routers, s.n_cities, 0.0, grid_catalog)
+        setattr(s, name, value)
+        stage = self.STAGE_OF.get(name, "corrupt_geodb")
+        with pytest.raises(ValueError) as exc:
+            if stage == "generate_world":
+                generate_world(
+                    1, s.n_routers, s.n_cities, s.mpls_fraction, grid_catalog,
+                    tunnel_len=s.tunnel_len,
+                )
+            elif stage == "simulate_traceroutes":
+                simulate_traceroutes(world, s.n_paths, s.noise_fraction)
+            else:
+                corrupt_geodb(world, s, 1, grid_catalog)
+        assert str(exc.value) == f"{name} {words}"
 
     def test_tunnel_runs_shape(self, grid_catalog):
         world = generate_world(3, 24, 12, 0.15, grid_catalog, tunnel_len=4)
@@ -671,7 +707,7 @@ class TestCorruptGeodb:
             db_noise_km=5.0,
         )
         defaults.update(kw)
-        return InjectionSpec(**defaults)
+        return SynthSettings(**defaults)
 
     def test_displacement_counts_and_agreement(self, grid_catalog):
         world = generate_world(9, 16, 12, 0.0, grid_catalog)
